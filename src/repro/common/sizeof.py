@@ -7,15 +7,21 @@ in-memory object size. Using a logical measure keeps the cost model
 independent of CPython's boxing overheads and makes scaled runs meaningful.
 
 Sizing sits on every engine hot path (the dataplane's batch accounting is
-one amortized ``logical_sizeof`` pass per batch), so dispatch goes through
-a per-exact-type table populated lazily from the type rules below instead
-of an ``isinstance`` chain per call. The table is a pure cache: a type's
+one amortized pass per batch), so dispatch goes through a per-exact-type
+table populated lazily from the type rules below instead of an
+``isinstance`` chain per call. The table is a pure cache: a type's
 handler is chosen by the same rule order once, then reused.
+
+Collections are sized by :func:`sizeof_many`, the one sizing pass every
+layer above shares. It is *defined* as ``sum(map(logical_sizeof, items))``
+and returns that integer bit for bit; what it saves is the Python call
+per element when the elements all have one exact builtin type, which is
+what record batches, shuffle partitions and vector accumulators are.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +32,17 @@ _BOOL_SIZE = 1
 _NONE_SIZE = 1
 # Per-container element overhead (length prefixes / tags in a wire format).
 _CONTAINER_OVERHEAD = 4
+# Exact types whose every instance has one size: a column of them is n × width.
+_FIXED_WIDTHS = {
+    type(None): _NONE_SIZE,
+    bool: _BOOL_SIZE,
+    int: _INT_SIZE,
+    float: _FLOAT_SIZE,
+}
+# Shortest collection sizeof_many inspects for a common element type: the
+# length from which no bulk shape loses to the per-element walk (measured by
+# benchmarks/bench_sizeof_threshold.py, table in DESIGN.md §6.1).
+_BULK_MIN = 6
 
 
 def logical_sizeof(obj: Any) -> int:
@@ -57,6 +74,48 @@ def pair_size(key: Any, value: Any) -> int:
     return ks(key) + vs(value) + _CONTAINER_OVERHEAD
 
 
+def group_size(key: Any, values: Sequence[Any]) -> int:
+    """Logical size of ``key`` paired with each of ``values``.
+
+    Exactly ``sum(pair_size(key, v) for v in values)``: the key and the
+    pair framing repeat per value, the values are sized as one column.
+    """
+    return len(values) * (logical_sizeof(key) + _CONTAINER_OVERHEAD) + sizeof_many(values)
+
+
+def sizeof_many(items: Iterable[Any]) -> int:
+    """Logical size of a collection's elements, without framing.
+
+    Exactly ``sum(map(logical_sizeof, items))``. When every element has
+    the same exact builtin type the sum needs no Python call per element:
+    fixed-width scalars are ``n × width``, ``str``/``bytes`` are their
+    summed lengths, and same-arity plain tuples (key-value pairs, rows)
+    are sized column by column. Everything else — mixed types, subclasses,
+    namedtuples, numpy values, ragged tuples, iterables without ``len``,
+    and collections shorter than ``_BULK_MIN`` — takes the per-element
+    walk, so the choice only ever depends on what is in ``items``.
+
+    >>> sizeof_many([("word", 1)] * 8) == 8 * logical_sizeof(("word", 1))
+    True
+    """
+    try:
+        n = len(items)  # type: ignore[arg-type]
+    except TypeError:  # a one-shot iterable: nothing to inspect twice
+        return sum(map(logical_sizeof, items))
+    if n >= _BULK_MIN:
+        kinds = set(map(type, items))
+        if len(kinds) == 1:
+            (kind,) = kinds
+            width = _FIXED_WIDTHS.get(kind)
+            if width is not None:
+                return n * width
+            if kind is str or kind is bytes:
+                return sum(map(len, items))
+            if kind is tuple and len(set(map(len, items))) == 1:
+                return n * _CONTAINER_OVERHEAD + sum(map(sizeof_many, zip(*items)))
+    return sum(map(logical_sizeof, items))
+
+
 # -- per-type handlers ----------------------------------------------------------
 
 
@@ -73,13 +132,16 @@ def _size_numpy(obj: Any) -> int:
 
 
 def _size_container(obj: Any) -> int:
-    return _CONTAINER_OVERHEAD + sum(map(logical_sizeof, obj))
+    # records are mostly pairs and triples: skip the call that would only
+    # find them too short to inspect
+    if len(obj) < _BULK_MIN:
+        return _CONTAINER_OVERHEAD + sum(map(logical_sizeof, obj))
+    return _CONTAINER_OVERHEAD + sizeof_many(obj)
 
 
 def _size_dict(obj: Any) -> int:
-    return _CONTAINER_OVERHEAD + sum(
-        logical_sizeof(k) + logical_sizeof(v) for k, v in obj.items()
-    )
+    # keys column + values column; a dict entry carries no pair framing
+    return _CONTAINER_OVERHEAD + sizeof_many(obj.keys()) + sizeof_many(obj.values())
 
 
 def _size_declared(obj: Any) -> int:
@@ -91,10 +153,7 @@ def _size_declared(obj: Any) -> int:
 
 
 _SIZERS: dict[type, Callable[[Any], int]] = {
-    type(None): _size_fixed(_NONE_SIZE),
-    bool: _size_fixed(_BOOL_SIZE),
-    int: _size_fixed(_INT_SIZE),
-    float: _size_fixed(_FLOAT_SIZE),
+    **{kind: _size_fixed(width) for kind, width in _FIXED_WIDTHS.items()},
     str: _size_len,
     bytes: _size_len,
     bytearray: _size_len,

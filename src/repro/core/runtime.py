@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.common.errors import JobError
+from repro.common.sizeof import group_size
 from repro.core.bins import Bin, BinPacker
 from repro.core.context import TaskContext
 from repro.dataplane import RecordBatch, chunk_records, pair_nbytes, spill_batch
@@ -693,7 +694,7 @@ class NodeRuntime:
         size = 0
         for key in keys:
             values = instance.groups[key]
-            kv_bytes = sum(pair_nbytes(key, v) for v in values)
+            kv_bytes = group_size(key, values)
             chunk.append(key)
             nrecords += len(values)
             size += kv_bytes

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from repro.common.errors import StorageError
-from repro.common.sizeof import logical_sizeof
+from repro.common.sizeof import sizeof_many
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.storage.dfs import DFS
@@ -92,10 +92,8 @@ class _LocalSplit(SourceSplit):
         length: int,
     ):
         file = fs.get_file(node_id, name)
-        from repro.common.sizeof import logical_sizeof as _sizeof
-
         records = file.records[offset : offset + length]
-        nbytes = sum(_sizeof(r) for r in records)
+        nbytes = sizeof_many(records)
         super().__init__(split_id, [node_id], len(records), nbytes)
         self._fs = fs
         self._name = name
@@ -224,7 +222,7 @@ class KVStoreSource(DataSource):
 
 class _CollectionSplit(SourceSplit):
     def __init__(self, split_id: int, preferred: Sequence[int], records: list[Any]):
-        nbytes = sum(logical_sizeof(r) for r in records)
+        nbytes = sizeof_many(records)
         super().__init__(split_id, preferred, len(records), nbytes)
         self._records = records
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.common.errors import ConfigError
-from repro.common.sizeof import logical_sizeof
+from repro.common.sizeof import sizeof_many
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.core.sources import DataSource, SourceSplit
@@ -56,7 +56,7 @@ class _StreamReader:
 class _StreamSplit(SourceSplit):
     def __init__(self, split_id: int, preferred: list[int], batches: list[TimedBatch]):
         nrecords = sum(len(b.records) for b in batches)
-        nbytes = sum(logical_sizeof(r) for b in batches for r in b.records)
+        nbytes = sum(sizeof_many(b.records) for b in batches)
         super().__init__(split_id, preferred, nrecords, nbytes)
         self._batches = batches
 

@@ -14,7 +14,7 @@ made when the batch is built or inherited from a producer that already
 knew the size — and never re-sized downstream. The accounting rule
 (asserted by tests) is::
 
-    batch.nbytes == sum(logical_sizeof(record) for record in batch)
+    batch.nbytes == sum(map(logical_sizeof, batch))
 
 so batching changes how often sizes are computed, never what they sum to:
 virtual-clock results are byte-identical to per-record accounting.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from repro.common.sizeof import logical_sizeof, pair_size
+from repro.common.sizeof import logical_sizeof, pair_size, sizeof_many
 from repro.obs import hostprof as _hostprof
 
 __all__ = [
@@ -43,15 +43,15 @@ __all__ = [
 def batch_nbytes(records: Iterable[Any]) -> int:
     """Logical size of ``records`` in one amortized pass.
 
-    Exactly ``sum(logical_sizeof(r) for r in records)`` — the C-level
-    ``sum(map(...))`` loop is the fast path, the per-record measure is
-    the semantics.
+    Exactly ``sum(map(logical_sizeof, records))`` — the per-record
+    measure is the semantics, :func:`~repro.common.sizeof.sizeof_many`
+    is how it is computed (column-wise when the records share a shape).
     """
     prof = _hostprof.current()
     if prof is None:
-        return sum(map(logical_sizeof, records))
+        return sizeof_many(records)
     with prof.scope(_hostprof.DATAPLANE, "sizing"):
-        total = sum(map(logical_sizeof, records))
+        total = sizeof_many(records)
         prof.units(0, total)
     return total
 
@@ -157,14 +157,12 @@ class BatchBuilder:
         *,
         aggregated: bool = False,
         scale_fn: Optional[Callable[[int], float]] = None,
-        sizer: Callable[[Any], int] = logical_sizeof,
     ):
         if limit <= 0:
             raise ValueError("batch size limit must be positive")
         self.limit = limit
         self.aggregated = aggregated
         self.scale_fn = scale_fn
-        self.sizer = sizer
         self._open: list[Any] = []
         self._open_bytes = 0
         # Metrics
@@ -174,7 +172,7 @@ class BatchBuilder:
     def add(self, record: Any) -> Optional[RecordBatch]:
         """Add one record; returns the sealed batch when one fills up."""
         self._open.append(record)
-        self._open_bytes += self.sizer(record)
+        self._open_bytes += logical_sizeof(record)
         self.records_added += 1
         scaled = (
             self.scale_fn(self._open_bytes) if self.scale_fn else self._open_bytes

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
-from repro.common.sizeof import pair_size
+from repro.common.sizeof import sizeof_many
 from repro.dataplane.batch import RecordBatch
 from repro.obs import hostprof as _hostprof
 
@@ -46,34 +46,32 @@ def partition_batch(
     *,
     aggregated: bool = False,
 ) -> dict[int, RecordBatch]:
-    """Split key-value pairs into per-partition batches, sized as they go.
+    """Split key-value pairs into per-partition batches, each sized in bulk.
 
-    One pass computes both the partition assignment and each partition's
-    logical byte count, replacing the separate partition-then-re-size
-    loops both engines carried. Only non-empty partitions appear in the
-    result; pair order within a partition is input order.
+    One pass assigns partitions; each partition's batch is then sized
+    once as a whole (a pair's record size is its ``pair_size``, and a
+    batch of same-shaped pairs is sized column-wise), replacing the
+    separate partition-then-re-size loops both engines carried. Only
+    non-empty partitions appear in the result; pair order within a
+    partition is input order.
     """
     prof = _hostprof.current()
     if prof is not None:
         prof.push(_hostprof.DATAPLANE, "partition_batch")
     part = partitioner.partition
     batches: dict[int, RecordBatch] = {}
-    sizes: dict[int, int] = {}
-    nrecords = 0
-    nbytes = 0
     for pair in pairs:
         p = part(pair[0])
         batch = batches.get(p)
         if batch is None:
-            batch = batches[p] = RecordBatch()
-            sizes[p] = 0
+            batch = batches[p] = RecordBatch(aggregated=aggregated)
         batch.records.append(pair)
-        sizes[p] += pair_size(pair[0], pair[1])
-    for p, batch in batches.items():
-        batch._nbytes = sizes[p]
-        batch.aggregated = aggregated
+    nrecords = 0
+    nbytes = 0
+    for batch in batches.values():
+        batch._nbytes = sizeof_many(batch.records)
         nrecords += len(batch.records)
-        nbytes += sizes[p]
+        nbytes += batch._nbytes
     if prof is not None:
         prof.units(nrecords, nbytes)
         prof.pop()

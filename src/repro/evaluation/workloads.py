@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 from repro.apps import classification, histograms, kcliques, kmeans, naive_bayes, pagerank, wordcount
 from repro.apps.base import AppEnv, AppResult
 from repro.cluster.spec import ClusterSpec, paper_cluster_spec
-from repro.common.sizeof import logical_sizeof
+from repro.common.sizeof import sizeof_many
 from repro.common.units import MB, parse_bytes
 
 _FIDELITY_BUDGET = {"tiny": 0.1, "small": 1.0, "medium": 4.0}
@@ -49,7 +49,7 @@ class Workload:
 
     @property
     def real_bytes(self) -> int:
-        return sum(logical_sizeof(r) for r in self.records)
+        return sizeof_many(self.records)
 
     def spec(self) -> ClusterSpec:
         """The paper's 16-node cluster with this workload's scale factor

@@ -59,7 +59,9 @@ must rank first.
 
 from __future__ import annotations
 
+import bisect
 import io
+import itertools
 import json
 import os
 from typing import Any, Callable, Iterable, Optional, TextIO
@@ -393,6 +395,22 @@ def seed_bucket_slowdown(records: list[dict], bucket: str, factor: float) -> lis
     return dilate_bucket_charges(records, {bucket: factor})
 
 
+def _timeline_remap(inserted: dict[float, float]) -> Callable[[float], float]:
+    """``T(t) = t + sum(extra for end, extra in inserted if end <= t)``.
+
+    The prefix sums run left to right over the sorted ends starting from
+    0.0 — the float additions a scan of the points would make for each
+    ``t``, made once — and each lookup is a bisection.
+    """
+    ends = sorted(inserted)
+    shift_upto = list(itertools.accumulate((inserted[end] for end in ends), initial=0.0))
+
+    def remap(t: float) -> float:
+        return t + shift_upto[bisect.bisect_right(ends, t)]
+
+    return remap
+
+
 def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> list[dict]:
     """Dilate a journal's virtual timeline: bucket ``b`` work takes
     ``factors[b]``× longer, for any set of blame buckets at once.
@@ -461,16 +479,7 @@ def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> lis
         own_extra[span_id] = extra
         own_by_bucket[span_id] = by_bucket
         inserted[end] = inserted.get(end, 0.0) + extra
-    points = sorted(inserted.items())
-
-    def remap(t: float) -> float:
-        shift = 0.0
-        for end, extra in points:
-            if end <= t:
-                shift += extra
-            else:
-                break
-        return t + shift
+    remap = _timeline_remap(inserted)
 
     # A span *straddling* another span's insertion point absorbs that
     # pause: its dilated duration grows beyond its own scaled charge. A

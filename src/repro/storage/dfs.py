@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.common.errors import StorageError
-from repro.common.sizeof import logical_sizeof
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.dataplane.batch import BatchBuilder, RecordBatch
@@ -83,13 +82,12 @@ class InputSplit:
 class DFS:
     """The cluster-wide block store."""
 
-    def __init__(self, cluster: Cluster, record_size_fn=logical_sizeof):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.cost = cluster.cost
         self._files: dict[str, DistributedFile] = {}
         self._next_block_id = 0
         self._placement_cursor = 0
-        self._record_size = record_size_fn
         # Metrics
         self.bytes_written = 0  # scaled
         self.bytes_read = 0  # scaled
@@ -128,7 +126,6 @@ class DFS:
         builder = BatchBuilder(
             self.cost.hdfs_block_size,
             scale_fn=self.cost.scaled_bytes,
-            sizer=self._record_size,
         )
         for record in records:
             sealed = builder.add(record)
@@ -224,7 +221,6 @@ class DFS:
         builder = BatchBuilder(
             self.cost.hdfs_block_size,
             scale_fn=lambda nbytes: self.cost.scaled_bytes(nbytes / cost_divisor),
-            sizer=self._record_size,
         )
         for record in records:
             sealed = builder.add(record)

@@ -27,7 +27,7 @@ from repro.cluster.node import Node
 class KVStore:
     """A distributed in-memory store sharded over the cluster's workers."""
 
-    def __init__(self, cluster: Cluster, name: str = "kvstore", record_size_fn=pair_size):
+    def __init__(self, cluster: Cluster, name: str = "kvstore"):
         self.cluster = cluster
         self.name = name
         self._shards: dict[int, dict[Any, Any]] = {
@@ -38,7 +38,6 @@ class KVStore:
         self._charged: dict[int, dict[Any, float]] = {
             node.node_id: {} for node in cluster.workers
         }
-        self._pair_size = record_size_fn
 
     # -- shard access (engine code runs these on the owning node) -------------
 
@@ -60,7 +59,7 @@ class KVStore:
         charged = self._charged[node.node_id]
         if key in shard:
             node.free(charged.pop(key))
-        nbytes = self._pair_size(key, value) / size_divisor
+        nbytes = pair_size(key, value) / size_divisor
         node.memory.force_allocate(node.cost.scaled_bytes(nbytes))
         charged[key] = nbytes
         shard[key] = value

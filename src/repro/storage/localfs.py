@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.common.errors import StorageError
-from repro.common.sizeof import logical_sizeof
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
+from repro.dataplane.batch import batch_nbytes
 
 
 @dataclass
@@ -53,11 +53,10 @@ class LocationRef:
 class LocalFS:
     """Per-node local file namespace with charged read/write processes."""
 
-    def __init__(self, cluster: Cluster, record_size_fn=logical_sizeof):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.cost = cluster.cost
         self._files: dict[tuple[int, str], LocalFile] = {}
-        self._record_size = record_size_fn
 
     # -- namespace ---------------------------------------------------------------
 
@@ -84,7 +83,7 @@ class LocalFS:
         if key in self._files:
             raise StorageError(f"LocalFS: file {name!r} exists on node {node.node_id}")
         recs = list(records)
-        nbytes = sum(self._record_size(r) for r in recs)
+        nbytes = batch_nbytes(recs)
         file = LocalFile(node.node_id, name, recs, nbytes)
         self._files[key] = file
         return file
@@ -99,7 +98,7 @@ class LocalFS:
         pre-scale logical size the caller must charge.
         """
         recs = list(records)
-        nbytes = sum(self._record_size(r) for r in recs)
+        nbytes = batch_nbytes(recs)
         key = (node.node_id, name)
         file = self._files.get(key)
         if file is None:
@@ -123,7 +122,7 @@ class LocalFS:
             records = file.records[ref.offset :]
         else:
             records = file.records[ref.offset : ref.offset + ref.length]
-        nbytes = sum(self._record_size(r) for r in records)
+        nbytes = batch_nbytes(records)
         return list(records), nbytes
 
     # -- charged processes -----------------------------------------------------------
@@ -134,7 +133,7 @@ class LocalFS:
         Returns a :class:`LocationRef` spanning the newly written records.
         """
         recs = list(records)
-        nbytes = sum(self._record_size(r) for r in recs)
+        nbytes = batch_nbytes(recs)
         key = (node.node_id, name)
         file = self._files.get(key)
         if file is None:
@@ -164,6 +163,6 @@ class LocalFS:
             records = file.records[ref.offset :]
         else:
             records = file.records[ref.offset : ref.offset + ref.length]
-        nbytes = sum(self._record_size(r) for r in records)
+        nbytes = batch_nbytes(records)
         yield node.disk_read(nbytes)
         return list(records)

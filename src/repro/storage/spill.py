@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.common.errors import StorageError
-from repro.common.sizeof import logical_sizeof
 from repro.cluster.node import Node
+from repro.dataplane.batch import batch_nbytes
 from repro.obs import COMPUTE, DISK, EDGE_PRODUCE, EDGE_SPILL, Span
 from repro.obs import hostprof as _hostprof
 
@@ -41,12 +41,11 @@ class SpillRun:
 class SpillManager:
     """Creates, reads back and frees spill runs on one node's disks."""
 
-    def __init__(self, node: Node, record_size_fn=logical_sizeof, job: str | None = None):
+    def __init__(self, node: Node, job: str | None = None):
         self.node = node
         self.cost = node.cost
         self._next_id = 0
         self._live: dict[int, SpillRun] = {}
-        self._record_size = record_size_fn
         #: blame/span attribution for charges this manager makes
         self.job = job
         #: span id of the last spill/read-back this manager performed
@@ -79,14 +78,14 @@ class SpillManager:
         if prof is None:
             recs = list(records)
             if nbytes is None:
-                nbytes = sum(map(self._record_size, recs))
+                nbytes = batch_nbytes(recs)
         else:
             # host-clock frame around the synchronous staging part only
             # (the charged disk/serde below are virtual-clock yields)
             with prof.scope(_hostprof.STORAGE, "spill"):
                 recs = list(records)
                 if nbytes is None:
-                    nbytes = sum(map(self._record_size, recs))
+                    nbytes = batch_nbytes(recs)
                 prof.units(len(recs), nbytes)
         run = SpillRun(self._next_id, self.node.node_id, recs, nbytes, sorted_by_key)
         self._next_id += 1

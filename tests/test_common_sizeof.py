@@ -1,11 +1,14 @@
 """Unit and property tests for logical size estimation."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.sizeof import logical_sizeof, pair_size
+from repro.common import sizeof
+from repro.common.sizeof import group_size, logical_sizeof, pair_size, sizeof_many
 
 
 class TestScalars:
@@ -137,3 +140,192 @@ class TestProperties:
         # The structural identity the dataplane builds on: one batch type
         # covers record streams and key-value streams alike.
         assert pair_size(key, value) == logical_sizeof((key, value))
+
+
+# -- the bulk kernel ----------------------------------------------------------------
+
+
+def reference_sizeof(obj):
+    """The measure, written as the naive ``isinstance`` chain: one Python
+    call per element, no dispatch table, no bulk path. ``sizeof_many`` is
+    defined as the sum of this over its input."""
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return 1
+    if isinstance(obj, (int, float)):
+        return 8
+    if isinstance(obj, (str, bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return int(obj.nbytes)
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return 4 + sum(reference_sizeof(x) for x in obj)
+    if isinstance(obj, dict):
+        return 4 + sum(reference_sizeof(k) + reference_sizeof(v) for k, v in obj.items())
+    raise TypeError(type(obj).__name__)
+
+
+def reference_many(items):
+    return sum(reference_sizeof(x) for x in items)
+
+
+_scalar = st.one_of(
+    st.text(max_size=12),
+    st.binary(max_size=8),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
+_hashable = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none())
+# columns that take the bulk path once they are long enough, next to ones
+# that never do; lengths straddle the threshold on both sides
+_column = st.one_of(
+    st.lists(st.integers(), max_size=16),
+    st.lists(st.floats(allow_nan=False), max_size=16),
+    st.lists(st.text(max_size=8), max_size=16),
+    st.lists(st.tuples(st.text(max_size=8), st.integers()), max_size=16),
+    st.lists(st.tuples(_hashable, _scalar, _scalar), max_size=16),
+    st.lists(_scalar, max_size=16),
+    st.sets(_hashable, max_size=12),
+    st.frozensets(st.integers(), max_size=12),
+)
+_nested = st.recursive(
+    st.one_of(_scalar, _column),
+    lambda children: st.one_of(
+        st.lists(children, max_size=10),
+        st.lists(children, max_size=10).map(tuple),
+        st.tuples(children, children),
+        st.dictionaries(_hashable, children, max_size=10),
+        # same-arity rows whose columns are themselves containers
+        st.lists(st.tuples(st.text(max_size=4), children), min_size=6, max_size=10),
+    ),
+    max_leaves=24,
+)
+
+
+class TestSizeofMany:
+    @given(st.lists(_nested, max_size=12))
+    def test_equals_reference_sum(self, items):
+        assert sizeof_many(items) == reference_many(items)
+        assert sizeof_many(tuple(items)) == reference_many(items)
+
+    @given(_nested)
+    def test_logical_sizeof_equals_reference(self, obj):
+        assert logical_sizeof(obj) == reference_sizeof(obj)
+
+    @given(_column)
+    def test_columns_equal_reference(self, column):
+        assert sizeof_many(column) == reference_many(column)
+
+    @pytest.mark.parametrize("n", range(0, 2 * sizeof._BULK_MIN + 2))
+    def test_every_length_around_the_threshold(self, n):
+        for column in (
+            list(range(n)),
+            [0.5] * n,
+            [None] * n,
+            [True] * n,
+            ["w" * i for i in range(n)],
+            [b"ab"] * n,
+            [("w" * i, i) for i in range(n)],
+            [()] * n,
+        ):
+            assert sizeof_many(column) == reference_many(column), column
+
+    def test_bool_among_ints_is_not_an_int_column(self):
+        column = [1, 2, 3, 4, 5, 6, True, 8]
+        assert sizeof_many(column) == 7 * 8 + 1
+        assert sizeof_many([("k", v) for v in column]) == 8 * (4 + 1) + 7 * 8 + 1
+
+    def test_subclasses_take_the_per_element_walk(self):
+        class Word(str):
+            pass
+
+        class Count(int):
+            pass
+
+        class Point(tuple):
+            pass
+
+        Row = collections.namedtuple("Row", "key value")
+        n = 2 * sizeof._BULK_MIN
+        for column in (
+            [Word("abc")] * n,
+            [Count(7)] * n,
+            [Point((1, 2.0))] * n,
+            [Row("k", 1)] * n,
+            [Row("k", 1)] * n + [("k", 1)],
+            [Word("abc")] * n + ["abc"],
+        ):
+            assert sizeof_many(column) == reference_many(column)
+
+    def test_ragged_and_mixed_arity_tuples(self):
+        n = sizeof._BULK_MIN
+        ragged = [("a", 1)] * n + [("a", 1, 2.0)]
+        assert sizeof_many(ragged) == reference_many(ragged)
+        mixed_columns = [("a", 1), (2, "b")] * n  # same arity, columns mix types
+        assert sizeof_many(mixed_columns) == reference_many(mixed_columns)
+        nested = [("k", (i, float(i)), ["x"] * i) for i in range(2 * n)]
+        assert sizeof_many(nested) == reference_many(nested)
+
+    def test_numpy_values_inside_lists(self):
+        n = 2 * sizeof._BULK_MIN
+        for column in (
+            [np.float64(1.5)] * n,
+            [np.int32(3)] * n,
+            [np.bool_(True)] * n,
+            [np.zeros(5)] * n,
+            [np.zeros(5), np.zeros(3, dtype=np.int8)] * n,
+            [1.5] * n + [np.float64(1.5)],
+            [("k", np.zeros(4))] * n,
+        ):
+            assert sizeof_many(column) == reference_many(column)
+
+    def test_dict_views_and_sets(self):
+        acc = {"feature%d" % i: i for i in range(50)}
+        assert sizeof_many(acc.keys()) == reference_many(list(acc))
+        assert sizeof_many(acc.values()) == 50 * 8
+        assert sizeof_many(acc.items()) == reference_many(list(acc.items()))
+        assert logical_sizeof(acc) == reference_sizeof(acc)
+        assert sizeof_many(set(acc)) == reference_many(list(acc))
+        mixed = {1: "a", "b": 2.0, None: (1, 2), 4: None, 5: b"x", "c": [1]}
+        assert logical_sizeof(mixed) == reference_sizeof(mixed)
+
+    def test_iterables_without_len(self):
+        column = list(range(20))
+        assert sizeof_many(iter(column)) == 20 * 8
+        assert sizeof_many(x for x in column) == 20 * 8
+        assert sizeof_many(map(str, column)) == reference_many(map(str, column))
+        assert sizeof_many(range(20)) == 20 * 8
+
+    def test_unsupported_element_still_raises(self):
+        class Opaque:
+            pass
+
+        with pytest.raises(TypeError):
+            sizeof_many([Opaque()] * (2 * sizeof._BULK_MIN))
+        with pytest.raises(TypeError):
+            sizeof_many([("k", Opaque())] * (2 * sizeof._BULK_MIN))
+
+    def test_bulk_path_makes_no_call_per_element(self, monkeypatch):
+        """What the kernel is for: a vector accumulator or a batch of
+        same-shaped pairs is sized without one ``logical_sizeof`` call per
+        element, and a mixed one still is."""
+        calls = []
+        real = sizeof.logical_sizeof
+
+        def counting(obj):
+            calls.append(obj)
+            return real(obj)
+
+        acc = {"feature%d" % i: i for i in range(1000)}
+        pairs = [("word%d" % i, i) for i in range(1000)]
+        expected = reference_sizeof(acc), reference_many(pairs)
+        monkeypatch.setattr(sizeof, "logical_sizeof", counting)
+        assert (sizeof._size_dict(acc), sizeof_many(pairs)) == expected
+        assert calls == []
+        assert sizeof_many(pairs + [("word", None)]) == expected[1] + 4 + 4 + 1
+        assert len(calls) > 1000
+
+    @given(_scalar, st.lists(_nested, max_size=10))
+    def test_group_size_is_the_per_pair_sum(self, key, values):
+        assert group_size(key, values) == sum(pair_size(key, v) for v in values)

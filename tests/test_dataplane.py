@@ -41,6 +41,22 @@ pairs_strategy = st.lists(
     st.tuples(st.text(max_size=12), st.integers()), max_size=40
 )
 
+# keys and values of several types, often enough of one kind in a row that
+# a partition's batch is long and uniform in one column but not the other
+_mixed_value = st.one_of(
+    st.integers(),
+    st.text(max_size=8),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.booleans(),
+    st.tuples(st.integers(), st.text(max_size=4)),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=8),
+)
+mixed_pairs_strategy = st.lists(
+    st.tuples(st.one_of(st.text(max_size=6), st.integers()), _mixed_value),
+    max_size=60,
+)
+
 
 class TestRecordBatch:
     @given(records_strategy)
@@ -66,6 +82,13 @@ class TestRecordBatch:
         batch = RecordBatch([], nbytes=0)
         batch.extend(["ab", "cde"])
         assert batch.nbytes == 5 == batch_nbytes(batch.records)
+
+    @given(records_strategy, records_strategy)
+    def test_extend_charge_equals_per_record_sum(self, first, more):
+        batch = RecordBatch(list(first))
+        assert batch.nbytes == sum(logical_sizeof(r) for r in first)
+        batch.extend(more)
+        assert batch.nbytes == sum(logical_sizeof(r) for r in first + more)
 
     def test_sort_preserves_size(self):
         batch = RecordBatch([("b", 2), ("a", 1)])
@@ -138,6 +161,16 @@ class TestPartitionBatch:
         assert {p: b.records for p, b in batches.items()} == expected
         for batch in batches.values():
             assert batch.nbytes == sum(pair_size(k, v) for k, v in batch.records)
+
+    @given(mixed_pairs_strategy, st.integers(min_value=1, max_value=4))
+    def test_bulk_sizing_equals_per_pair_sum_on_mixed_pairs(self, pairs, n):
+        # Partitions are sized as whole batches; whatever mix of key and
+        # value types lands in one, the charge is the per-pair sum.
+        batches = partition_batch(pairs, HashPartitioner(n))
+        assert sum(len(b.records) for b in batches.values()) == len(pairs)
+        for batch in batches.values():
+            assert batch.nbytes == sum(pair_size(k, v) for k, v in batch.records)
+            assert batch.nbytes == sum(logical_sizeof(r) for r in batch.records)
 
     def test_empty_partitions_absent(self):
         assert partition_batch([], HashPartitioner(4)) == {}

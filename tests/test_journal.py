@@ -547,6 +547,42 @@ class TestMultiBucketDilation:
         run = replay_lines([encode_record(r) for r in out])
         assert run.makespan == out[-1]["makespan"]
 
+    @pytest.mark.parametrize(
+        "factors",
+        [{"network": 1.5}, {"disk": 0.5, "compute": 2.0}, {"atomic": 3.0, "network": 0.25}],
+    )
+    def test_remap_equals_the_linear_scan_it_replaced(self, monkeypatch, factors):
+        """The prefix-sum + bisect remap is the old per-timestamp scan over
+        the insertion points, record for record and bit for bit."""
+        from repro.evaluation.workloads import workload_by_name
+        from repro.obs import journal as journal_mod
+
+        def linear_scan_remap(inserted):
+            points = sorted(inserted.items())
+
+            def remap(t):
+                shift = 0.0
+                for end, extra in points:
+                    if end <= t:
+                        shift += extra
+                    else:
+                        break
+                return t + shift
+
+            return remap
+
+        row = run_workload(
+            workload_by_name("naive_bayes", "tiny"), engines="hamr", journal=True
+        )
+        records = row.hamr_journal.records
+        fast = dilate_bucket_charges(records, factors)
+        monkeypatch.setattr(journal_mod, "_timeline_remap", linear_scan_remap)
+        reference = dilate_bucket_charges(records, factors)
+        assert fast[-1]["makespan"] != records[-1]["makespan"]
+        assert len(fast) == len(reference)
+        for got, want in zip(fast, reference):
+            assert encode_record(got) == encode_record(want)
+
     def test_rejects_bad_factor_dicts(self):
         _env, _result, writer = _run_journaled_wordcount()
         with pytest.raises(ValueError, match="bucket"):
