@@ -1,0 +1,181 @@
+"""Where a command's runs come from: executed live, or loaded from a journal.
+
+:class:`EngineRun` gives one engine's column of a live
+:class:`~repro.evaluation.runner.BenchmarkRow` the attribute surface of
+:class:`~repro.obs.replay.ReplayedRun` (workload, label, data_size,
+engine, fidelity, fabric, makespan, tracer, trace_dropped), so the views
+print either without asking which it is.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from contextlib import contextmanager
+
+from repro.evaluation.cli import CLIError
+from repro.evaluation.runner import run_workload
+from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
+from repro.obs.journal import JournalError, JournalWriter, load_journal
+from repro.obs.replay import ReplayedRun, replay_records
+
+ENGINES = ("hamr", "hadoop")
+
+
+def announce(what: str) -> None:
+    print(f"  running {what} ...", file=sys.stderr, flush=True)
+
+
+def warn_dropped(dropped: int, context: str) -> None:
+    """Surface sim-trace ring-buffer evictions: a silently truncated trace
+    must never read as complete."""
+    if dropped:
+        print(
+            f"WARNING: {dropped} trace records dropped ({context}; "
+            "raise --trace-max-records to keep them)",
+            file=sys.stderr,
+        )
+
+
+# -- live runs ----------------------------------------------------------------------
+
+
+def expand_filters(args) -> tuple[list[str], list[str]]:
+    """Validate ``--workload``/``--engine`` and expand them to lists."""
+    if args.workload not in (*TABLE2_ORDER, "all"):
+        raise CLIError(
+            f"unknown workload {args.workload!r} "
+            f"(choose from: {', '.join(TABLE2_ORDER)}, all)"
+        )
+    if args.engine not in ("both", *ENGINES):
+        raise CLIError(
+            f"unknown engine {args.engine!r} (choose from: both, hamr, hadoop)"
+        )
+    workloads = list(TABLE2_ORDER) if args.workload == "all" else [args.workload]
+    engines = list(ENGINES) if args.engine == "both" else [args.engine]
+    return workloads, engines
+
+
+def fabric_opts(args, workload) -> dict:
+    """run_workload kwargs for ``--fabric``/``--partitioner``/``--racks``.
+
+    ``--racks N`` counts *racks*; it is converted to workers-per-rack
+    against the workload's cluster spec (contiguous worker groups, the
+    paper's 16-node testbed split N ways). The defaults map to ``None``
+    so the flagless path stays byte-identical to the legacy wiring.
+    """
+    rack_size = None
+    if args.racks is not None:
+        rack_size = max(1, workload.spec().num_workers // args.racks)
+    return {
+        "fabric": None if args.fabric == "direct" else args.fabric,
+        "partitioner": None if args.partitioner == "hash" else args.partitioner,
+        "rack_size": rack_size,
+    }
+
+
+def journal_writers(args):
+    """The ``journal=`` factory of a journaled live run: one writer per
+    engine, the fidelity preset into its header."""
+    return lambda engine: JournalWriter(meta={"fidelity": args.fidelity})
+
+
+class EngineRun:
+    """One engine's column of a live BenchmarkRow."""
+
+    def __init__(self, row, engine: str, fidelity: str, fabric: str):
+        self.workload, self.label, self.data_size = row.name, row.label, row.data_size
+        self.engine, self.fidelity, self.fabric = engine, fidelity, fabric
+        self.makespan = row.hamr_seconds if engine == "hamr" else row.idh_seconds
+        self.tracer = getattr(row, f"{engine}_obs")
+        self.trace_dropped = getattr(row, f"{engine}_trace_dropped")
+        self.hostprof = getattr(row, f"{engine}_hostprof")
+        self.journal = getattr(row, f"{engine}_journal")
+        self.monitor = getattr(row, f"{engine}_watch")
+
+
+def live_runs(args, per_workload=None, **options):
+    """The one live-run loop: for each selected workload, announce it (when
+    there are several), execute it under the fabric flags, and yield an
+    :class:`EngineRun` per selected engine after warning about dropped
+    trace records. ``options`` go to ``run_workload`` as given;
+    ``per_workload(name)`` adds the ones that depend on the workload.
+    """
+    workloads, engines = expand_filters(args)
+    for name in workloads:
+        if len(workloads) > 1:
+            announce(name)
+        workload = workload_by_name(name, args.fidelity)
+        row = run_workload(
+            workload,
+            engines=args.engine,
+            trace_max_records=getattr(args, "trace_max_records", None),
+            **fabric_opts(args, workload),
+            **options,
+            **(per_workload(name) if per_workload else {}),
+        )
+        for engine in engines:
+            run = EngineRun(row, engine, args.fidelity, args.fabric)
+            warn_dropped(run.trace_dropped, f"{name} on {engine}")
+            yield run
+
+
+# -- run references: a journal path, or a workload:engine spec to execute -----------
+
+
+def parse_ref(ref: str) -> "tuple[str, str] | None":
+    """``None`` for a journal path, ``(workload, engine)`` for a live spec.
+
+    Doctor's corpus selectors share the ``workload:engine`` syntax but mean
+    "look the run up", not "execute it"; they keep their own resolver
+    (:func:`repro.obs.doctor.resolve_spec`).
+    """
+    if os.path.exists(ref) or ref.endswith((".jsonl", ".jsonl.gz")):
+        return None
+    workload, sep, engine = ref.partition(":")
+    if not sep or workload not in TABLE2_ORDER or engine not in ENGINES:
+        raise CLIError(
+            f"{ref!r} is neither a journal file nor a <workload>:<engine> spec "
+            f"(workloads: {', '.join(TABLE2_ORDER)}; engines: hamr, hadoop)"
+        )
+    return workload, engine
+
+
+def run_spec(args, spec: tuple[str, str], **options) -> EngineRun:
+    """Execute one parsed ``workload:engine`` spec through the live-run loop."""
+    workload, engine = spec
+    selected = argparse.Namespace(**{**vars(args), "workload": workload, "engine": engine})
+    return next(live_runs(selected, **options))
+
+
+@contextmanager
+def journal_errors(path: str):
+    """Unreadable or malformed journals name the file they came from."""
+    try:
+        yield
+    except (OSError, JournalError) as exc:
+        raise CLIError(f"{path}: {exc}") from exc
+
+
+def warn_recorded(run: ReplayedRun, path: str, covers: "str | None" = None) -> None:
+    """What a loaded journal's footer says the reader must know: it was
+    truncated (``covers`` names what a one-journal command derives from
+    it), or the recording run dropped trace records."""
+    if run.partial and covers:
+        print(
+            "WARNING: journal is partial (reconstructed footer) — "
+            f"{covers} cover the recorded prefix only",
+            file=sys.stderr,
+        )
+    elif run.partial:
+        print(f"WARNING: {path} is partial (reconstructed footer)", file=sys.stderr)
+    warn_dropped(run.trace_dropped, f"recorded in {path}")
+
+
+def load_run(path: str, allow_partial: bool, covers: "str | None" = None) -> ReplayedRun:
+    """The one journal loader: decode, replay, warn."""
+    with journal_errors(path):
+        run = replay_records(load_journal(path, allow_partial=allow_partial))
+    warn_recorded(run, path, covers)
+    return run

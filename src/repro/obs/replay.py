@@ -115,16 +115,6 @@ class ReplayedRun:
     def trace_max_records(self) -> Optional[int]:
         return self.footer.get("trace_max_records")
 
-    def title(self) -> str:
-        """The live CLI's report/timeline heading for this run."""
-        engine = self.engine
-        if self.fabric != "direct":
-            engine = f"{engine}@{self.fabric}"
-        return (
-            f"== {self.label} ({self.data_size}) on {engine} — "
-            f"makespan {self.makespan:.3f}s =="
-        )
-
 
 def replay_records(records: list[dict]) -> ReplayedRun:
     """Fold validated journal records into a fresh tracer."""

@@ -162,13 +162,9 @@ def parse_scenario(text: Optional[str]) -> Scenario:
         if not sep or not value:
             raise ScenarioError(f"scenario term {part!r} is not key=value")
         if key == "nodes":
-            nodes = _parse_int(key, value)
-            if nodes < 2:
-                raise ScenarioError(f"nodes must be >= 2 (master + worker): {value}")
+            nodes = _parse_count(key, value)
         elif key == "racks":
-            racks = _parse_int(key, value)
-            if racks < 1:
-                raise ScenarioError(f"racks must be >= 1: {value}")
+            racks = _parse_count(key, value)
         elif key == "fabric":
             if value not in FABRICS:
                 raise ScenarioError(
@@ -210,6 +206,17 @@ def _parse_int(key: str, value: str) -> int:
         raise ScenarioError(f"{key}: not an integer: {value!r}") from None
 
 
+def _parse_count(key: str, value: str) -> int:
+    """A ``nodes``/``racks`` value, in scenarios and sweeps alike: an integer
+    no smaller than the cluster can be (a doubling sweep from 0 never ends)."""
+    count = _parse_int(key, value)
+    if key == "nodes" and count < 2:
+        raise ScenarioError(f"nodes must be >= 2 (master + worker): {value}")
+    if key == "racks" and count < 1:
+        raise ScenarioError(f"racks must be >= 1: {value}")
+    return count
+
+
 def parse_sweep(text: str) -> tuple[str, list]:
     """Parse a sweep spec into ``(key, values)``.
 
@@ -226,7 +233,7 @@ def parse_sweep(text: str) -> tuple[str, list]:
     if key not in BUCKETS + ("serde", "nodes", "racks"):
         raise ScenarioError(f"cannot sweep {key!r}")
     integral = key in ("nodes", "racks")
-    conv = (lambda v: _parse_int(key, v)) if integral else (lambda v: _parse_speed(key, v))
+    conv = (lambda v: _parse_count(key, v)) if integral else (lambda v: _parse_speed(key, v))
     if ".." in spec:
         lo_text, _, rest = spec.partition("..")
         hi_text, _, step_text = rest.partition(":")
@@ -234,8 +241,10 @@ def parse_sweep(text: str) -> tuple[str, list]:
         if hi < lo:
             raise ScenarioError(f"sweep range is empty: {spec!r}")
         values = []
-        if step_text.strip():
-            step = conv(step_text.strip())
+        step_text = step_text.strip()
+        if step_text:
+            # a step is a difference, not a cluster size: no floor applies
+            step = _parse_int(key, step_text) if integral else conv(step_text)
             if step <= 0:
                 raise ScenarioError(f"sweep step must be positive: {spec!r}")
             v = lo

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.evaluation.runner import run_workload
-from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
+from repro.evaluation.workloads import workload_by_name
 from repro.obs import BUCKETS, EDGE_BARRIER, EDGE_SHUFFLE, EDGE_STALL
 from repro.obs.critpath import (
     OTHER,
@@ -146,14 +146,9 @@ class TestSyntheticPaths:
 
 
 @pytest.fixture(scope="module")
-def tiny_rows():
+def tiny_rows(tiny_fleet):
     """One traced tiny-fidelity run per Table 2 workload, both engines."""
-    rows = {}
-    for name in TABLE2_ORDER:
-        rows[name] = run_workload(
-            workload_by_name(name, "tiny"), engines="both", obs=True
-        )
-    return rows
+    return tiny_fleet
 
 
 class TestTracedRuns:

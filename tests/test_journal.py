@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from repro.apps import wordcount
 from repro.apps.base import AppEnv
 from repro.cluster.spec import small_cluster_spec
+from repro.evaluation.cli.views import heading
 from repro.evaluation.obsreport import report_json
 from repro.evaluation.runner import run_workload
 from repro.evaluation.telemetryreport import telemetry_json
-from repro.evaluation.workloads import table2_workloads
 from repro.obs.blame import BUCKETS
 from repro.obs.journal import (
     JOURNAL_SCHEMA,
@@ -240,7 +240,9 @@ class TestReplay:
         assert run.label == "WordCount"
         assert run.makespan == result.makespan
         assert run.trace_dropped == 0
-        assert "WordCount" in run.title()
+        assert heading(run) == (
+            f"== WordCount ({run.data_size}) on hamr — makespan {result.makespan:.3f}s =="
+        )
 
     def test_replay_reconstructs_wordcount_byte_identically(self):
         env, _result, writer = _run_journaled_wordcount()
@@ -256,22 +258,21 @@ class TestReplay:
             json.dumps(env.obs.to_chrome_trace(), sort_keys=True)
         )
 
-    def test_replay_equals_live_for_all_table2_workloads(self):
+    def test_replay_equals_live_for_all_table2_workloads(self, tiny_fleet):
         """The acceptance bar: every Table 2 workload x both engines
         replays to a byte-identical report from the journal alone."""
-        for w in table2_workloads("tiny"):
-            row = run_workload(w, engines="both", journal=True)
+        for name, row in tiny_fleet.items():
             for engine, writer, tracer in (
                 ("hamr", row.hamr_journal, row.hamr_obs),
                 ("hadoop", row.hadoop_journal, row.hadoop_obs),
             ):
                 run = replay_lines(writer.lines)
-                assert report_json(run.tracer, w.name, engine) == report_json(
-                    tracer, w.name, engine
-                ), f"{w.name}/{engine} replay diverged from the live report"
-                assert telemetry_json(run.tracer, w.name, engine) == (
-                    telemetry_json(tracer, w.name, engine)
-                ), f"{w.name}/{engine} replay diverged from the live timeline"
+                assert report_json(run.tracer, name, engine) == report_json(
+                    tracer, name, engine
+                ), f"{name}/{engine} replay diverged from the live report"
+                assert telemetry_json(run.tracer, name, engine) == (
+                    telemetry_json(tracer, name, engine)
+                ), f"{name}/{engine} replay diverged from the live timeline"
 
     def test_replay_rejects_unknown_mid_journal_record(self):
         writer = JournalWriter()

@@ -223,12 +223,10 @@ class TestJournaledFrames:
 
 class TestCleanRunsNeverStall:
     @pytest.mark.parametrize("name", TABLE2_ORDER)
-    def test_default_window_stays_quiet(self, name):
+    def test_default_window_stays_quiet(self, name, tiny_fleet):
         # default interval/window (25s/300s), both engines, tiny fidelity:
         # a clean run must never flag STALLED or breach its default SLO
-        row = run_workload(
-            workload_by_name(name, "tiny"), engines="both", watch=True
-        )
+        row = tiny_fleet[name]
         for engine, monitor in (("hamr", row.hamr_watch),
                                 ("hadoop", row.hadoop_watch)):
             statuses = [f["status"] for f in monitor.frames]

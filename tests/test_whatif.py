@@ -14,7 +14,7 @@ import pytest
 
 from repro.evaluation.__main__ import main
 from repro.evaluation.runner import run_workload
-from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
+from repro.evaluation.workloads import workload_by_name
 from repro.obs.journal import encode_record, seed_bucket_slowdown
 from repro.obs.whatif import (
     WHATIF_SCHEMA,
@@ -35,11 +35,10 @@ NODES_TOLERANCE = 0.60
 
 
 @pytest.fixture(scope="module")
-def journals():
+def journals(tiny_fleet):
     """(workload, engine) -> journal records, tiny fidelity, all of Table 2."""
     out = {}
-    for name in TABLE2_ORDER:
-        row = run_workload(workload_by_name(name, "tiny"), journal=True)
+    for name, row in tiny_fleet.items():
         out[(name, "hamr")] = row.hamr_journal.records
         out[(name, "hadoop")] = row.hadoop_journal.records
     return out
@@ -97,6 +96,23 @@ class TestScenarioParsing:
     def test_sweep_rejects_malformed(self, bad):
         with pytest.raises(ScenarioError):
             parse_sweep(bad)
+
+    @pytest.mark.parametrize("bad,floor", [
+        ("nodes=0..8", "nodes must be >= 2"),  # doubling from 0 never ended
+        ("nodes=-2..4", "nodes must be >= 2"),
+        ("nodes=1..8:1", "nodes must be >= 2"),
+        ("nodes=0..8:2", "nodes must be >= 2"),
+        ("nodes=1,4", "nodes must be >= 2"),
+        ("racks=0..4", "racks must be >= 1"),
+        ("racks=0..4:2", "racks must be >= 1"),
+    ])
+    def test_sweep_has_the_scenario_floors(self, bad, floor):
+        with pytest.raises(ScenarioError, match=floor):
+            parse_sweep(bad)
+
+    def test_sweep_step_is_not_floored(self):
+        assert parse_sweep("nodes=2..5:1") == ("nodes", [2, 3, 4, 5])
+        assert parse_sweep("racks=1..4") == ("racks", [1, 2, 4])
 
 
 # -- the identity invariant ---------------------------------------------------------
