@@ -333,13 +333,10 @@ class NodeRuntime:
             )
             if obs.enabled:
                 obs.charge(self.job, COMPUTE, sim.now - t0, node=self.node.node_id, span=span)
-            prof = _hostprof.current()
-            if prof is None:
+            with _hostprof.scope(
+                _hostprof.ENGINE, "load", flowlet.name, batch.nrecords, batch.nbytes
+            ):
                 flowlet.load(instance.ctx, batch.records)
-            else:
-                with prof.scope(_hostprof.ENGINE, f"load:{flowlet.name}"):
-                    prof.units(batch.nrecords, batch.nbytes)
-                    flowlet.load(instance.ctx, batch.records)
             yield from self._drain_ctx(instance, lease, span)
 
     # -- map / partial reduce -----------------------------------------------------------
@@ -405,17 +402,13 @@ class NodeRuntime:
                     obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=tspan)
                 if flowlet.kind is FlowletKind.MAP:
                     assert isinstance(flowlet, Map)
-                    prof = _hostprof.current()
-                    if prof is None:
+                    # host-clock frame around the synchronous user-map
+                    # loop only (a scope must never contain a yield)
+                    with _hostprof.scope(
+                        _hostprof.ENGINE, "map", flowlet.name, bin_.nrecords, bin_.nbytes
+                    ):
                         for key, value in bin_:
                             flowlet.map(instance.ctx, key, value)
-                    else:
-                        # host-clock frame around the synchronous user-map
-                        # loop only (a scope must never contain a yield)
-                        with prof.scope(_hostprof.ENGINE, f"map:{flowlet.name}"):
-                            prof.units(bin_.nrecords, bin_.nbytes)
-                            for key, value in bin_:
-                                flowlet.map(instance.ctx, key, value)
                 else:
                     assert isinstance(flowlet, PartialReduce)
                     yield from self._fold_bin(instance, flowlet, bin_, tspan)
@@ -427,28 +420,26 @@ class NodeRuntime:
     def _fold_bin(self, instance: FlowletInstance, flowlet: PartialReduce, bin_: Bin, span=None):
         """Fold one bin into the per-key accumulators, modeling atomic
         contention per touched key and accounting accumulator memory."""
-        prof = _hostprof.current()
-        if prof is not None:
-            prof.push(_hostprof.ENGINE, f"partial_reduce:{flowlet.name}")
-            prof.units(bin_.nrecords, bin_.nbytes)
-        touched: dict[Any, int] = {}
-        for key, value in bin_:
-            if key in instance.accs:
-                instance.accs[key] = flowlet.combine(instance.accs[key], value)
-            else:
-                instance.accs[key] = flowlet.combine(flowlet.initial(key), value)
-            touched[key] = touched.get(key, 0) + 1
-        # Memory delta for touched accumulators; spill everything if over
-        # budget. Accumulator stores of aggregated-output flowlets are
-        # key-space-bounded, hence charged unscaled.
-        acc_div = self._divisor(flowlet.aggregated_output)
-        delta = 0
-        for key in touched:
-            new_size = pair_nbytes(key, instance.accs[key])
-            delta += new_size - instance.acc_bytes.get(key, 0)
-            instance.acc_bytes[key] = new_size
-        if prof is not None:  # frame ends before the first possible yield
-            prof.pop()
+        # the frame ends before the first possible yield
+        with _hostprof.scope(
+            _hostprof.ENGINE, "partial_reduce", flowlet.name, bin_.nrecords, bin_.nbytes
+        ):
+            touched: dict[Any, int] = {}
+            for key, value in bin_:
+                if key in instance.accs:
+                    instance.accs[key] = flowlet.combine(instance.accs[key], value)
+                else:
+                    instance.accs[key] = flowlet.combine(flowlet.initial(key), value)
+                touched[key] = touched.get(key, 0) + 1
+            # Memory delta for touched accumulators; spill everything if over
+            # budget. Accumulator stores of aggregated-output flowlets are
+            # key-space-bounded, hence charged unscaled.
+            acc_div = self._divisor(flowlet.aggregated_output)
+            delta = 0
+            for key in touched:
+                new_size = pair_nbytes(key, instance.accs[key])
+                delta += new_size - instance.acc_bytes.get(key, 0)
+                instance.acc_bytes[key] = new_size
         if delta > 0 and not self.node.alloc(delta / acc_div):
             yield from self._spill_accumulators(instance, flowlet, extra=delta, span=span)
         # Contended atomic updates serialize per key cell (§5.2); vector
@@ -533,15 +524,11 @@ class NodeRuntime:
                     obs.charge(
                         self.job, COMPUTE, self.sim.now - t0, node=node_id, span=fspan
                     )
-                prof = _hostprof.current()
-                if prof is None:
+                with _hostprof.scope(
+                    _hostprof.ENGINE, "finalize", flowlet.name, batch.nrecords, batch.nbytes
+                ):
                     for key, acc in batch:
                         flowlet.finalize(instance.ctx, key, acc)
-                else:
-                    with prof.scope(_hostprof.ENGINE, f"finalize:{flowlet.name}"):
-                        prof.units(batch.nrecords, batch.nbytes)
-                        for key, acc in batch:
-                            flowlet.finalize(instance.ctx, key, acc)
                 resident = sum(instance.acc_bytes.values()) / acc_div
                 if resident > 0:
                     self.node.free(resident)
@@ -632,15 +619,11 @@ class NodeRuntime:
                 return
         instance.group_bytes += adj_bytes
         instance.group_raw_bytes += bin_.nbytes
-        prof = _hostprof.current()
-        if prof is None:
+        with _hostprof.scope(
+            _hostprof.ENGINE, "collect", instance.flowlet.name, bin_.nrecords, bin_.nbytes
+        ):
             for key, value in bin_:
                 instance.groups.setdefault(key, []).append(value)
-        else:
-            with prof.scope(_hostprof.ENGINE, f"collect:{instance.flowlet.name}"):
-                prof.units(bin_.nrecords, bin_.nbytes)
-                for key, value in bin_:
-                    instance.groups.setdefault(key, []).append(value)
 
     def _spill_groups(self, instance: FlowletInstance, span=None):
         # Snapshot and clear synchronously (no yields) so concurrent
@@ -746,15 +729,11 @@ class NodeRuntime:
                 )
                 if obs.enabled:
                     obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=rspan)
-                prof = _hostprof.current()
-                if prof is None:
+                with _hostprof.scope(
+                    _hostprof.ENGINE, "reduce", flowlet.name, nrecords, nbytes
+                ):
                     for key in keys:
                         flowlet.reduce(instance.ctx, key, instance.groups[key])
-                else:
-                    with prof.scope(_hostprof.ENGINE, f"reduce:{flowlet.name}"):
-                        prof.units(nrecords, nbytes)
-                        for key in keys:
-                            flowlet.reduce(instance.ctx, key, instance.groups[key])
                 yield from self._drain_ctx(instance, lease, rspan)
             self._note_task_done(instance, rspan)
         finally:
@@ -820,15 +799,10 @@ class NodeRuntime:
         edge = self.graph.edges[bin_.edge_id]
         obs, sim, node_id = self.obs, self.sim, self.node.node_id
         if edge.combiner is not None and self.engine.config.use_combiners:
-            prof = _hostprof.current()
-            if prof is None:
+            with _hostprof.scope(
+                _hostprof.ENGINE, "combine", instance.flowlet.name, bin_.nrecords, bin_.nbytes
+            ):
                 combined = edge.combiner.apply(bin_.pairs)
-            else:
-                with prof.scope(
-                    _hostprof.ENGINE, f"combine:{instance.flowlet.name}"
-                ):
-                    prof.units(bin_.nrecords, bin_.nbytes)
-                    combined = edge.combiner.apply(bin_.pairs)
             in_div = self._divisor(bin_.aggregated)
             t0 = sim.now
             yield self.node.record_compute(

@@ -47,12 +47,9 @@ def batch_nbytes(records: Iterable[Any]) -> int:
     measure is the semantics, :func:`~repro.common.sizeof.sizeof_many`
     is how it is computed (column-wise when the records share a shape).
     """
-    prof = _hostprof.current()
-    if prof is None:
-        return sizeof_many(records)
-    with prof.scope(_hostprof.DATAPLANE, "sizing"):
+    with _hostprof.scope(_hostprof.DATAPLANE, "sizing") as frame:
         total = sizeof_many(records)
-        prof.units(0, total)
+        frame.units(0, total)
     return total
 
 
@@ -218,19 +215,15 @@ def chunk_records(
         and records.nbytes <= chunk_bytes
     ):
         return [records] if records.records else []
-    prof = _hostprof.current()
-    if prof is not None:
-        prof.push(_hostprof.DATAPLANE, "chunk_records")
-    builder = BatchBuilder(chunk_bytes, aggregated=aggregated)
-    chunks = []
-    for record in records:
-        sealed = builder.add(record)
-        if sealed is not None:
-            chunks.append(sealed)
-    last = builder.drain()
-    if last is not None:
-        chunks.append(last)
-    if prof is not None:
-        prof.units(builder.records_added, sum(c.nbytes for c in chunks))
-        prof.pop()
+    with _hostprof.scope(_hostprof.DATAPLANE, "chunk_records") as frame:
+        builder = BatchBuilder(chunk_bytes, aggregated=aggregated)
+        chunks = []
+        for record in records:
+            sealed = builder.add(record)
+            if sealed is not None:
+                chunks.append(sealed)
+        last = builder.drain()
+        if last is not None:
+            chunks.append(last)
+        frame.units(builder.records_added, sum(c.nbytes for c in chunks))
     return chunks

@@ -55,26 +55,22 @@ def partition_batch(
     non-empty partitions appear in the result; pair order within a
     partition is input order.
     """
-    prof = _hostprof.current()
-    if prof is not None:
-        prof.push(_hostprof.DATAPLANE, "partition_batch")
-    part = partitioner.partition
-    batches: dict[int, RecordBatch] = {}
-    for pair in pairs:
-        p = part(pair[0])
-        batch = batches.get(p)
-        if batch is None:
-            batch = batches[p] = RecordBatch(aggregated=aggregated)
-        batch.records.append(pair)
-    nrecords = 0
-    nbytes = 0
-    for batch in batches.values():
-        batch._nbytes = sizeof_many(batch.records)
-        nrecords += len(batch.records)
-        nbytes += batch._nbytes
-    if prof is not None:
-        prof.units(nrecords, nbytes)
-        prof.pop()
+    with _hostprof.scope(_hostprof.DATAPLANE, "partition_batch") as frame:
+        part = partitioner.partition
+        batches: dict[int, RecordBatch] = {}
+        for pair in pairs:
+            p = part(pair[0])
+            batch = batches.get(p)
+            if batch is None:
+                batch = batches[p] = RecordBatch(aggregated=aggregated)
+            batch.records.append(pair)
+        nrecords = 0
+        nbytes = 0
+        for batch in batches.values():
+            batch._nbytes = sizeof_many(batch.records)
+            nrecords += len(batch.records)
+            nbytes += batch._nbytes
+        frame.units(nrecords, nbytes)
     return batches
 
 

@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.apps.base import AppResult
 from repro.evaluation.paper import PAPER_TABLE2, PaperRow, SHAPE_BANDS
 from repro.evaluation.workloads import Workload
+from repro.obs import hostprof as _hostprof
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Tracer
@@ -97,7 +98,7 @@ def run_workload(
     its observability tracer on the row (``hamr_obs`` / ``hadoop_obs``).
     With ``profile=True`` each run is host-time profiled (a fresh
     :class:`~repro.obs.hostprof.HostProfiler` per engine, attached to the
-    sim kernel and activated globally for dataplane/storage hooks) and
+    sim kernel and active for the engine/dataplane/storage scopes) and
     the row carries the snapshots — the virtual results are byte-identical
     either way.
 
@@ -134,15 +135,10 @@ def run_workload(
     def _run(runner, env):
         prof = None
         if profile:
-            from repro.obs.hostprof import HostProfiler
-
-            prof = HostProfiler()
-            env.cluster.sim.hostprof = prof
+            prof = _hostprof.HostProfiler()
+            env.cluster.sim.attach(prof)
         t0 = time.perf_counter()
-        if prof is not None:
-            with prof.activation():
-                result = runner(env, workload.params, workload.records)
-        else:
+        with _hostprof.activation(prof):
             result = runner(env, workload.params, workload.records)
         wall = time.perf_counter() - t0
         return result, wall, (prof.snapshot() if prof is not None else None)
@@ -190,7 +186,7 @@ def run_workload(
             else:
                 config = watch if isinstance(watch, WatchConfig) else None
                 monitor = LiveMonitor(env.obs, config=config)
-            env.cluster.sim.progress = monitor
+            env.cluster.sim.attach(monitor)
         result, wall, prof = _run(runner, env)
         if monitor is not None:
             # terminal frame before the footer seals the journal

@@ -400,19 +400,14 @@ class HadoopEngine:
                 if fail:
                     # the attempt dies after burning its input read and compute
                     return False
-                prof = _hostprof.current()
-                if prof is None:
+                # host-clock frame around the synchronous user-map loop
+                # only (a scope must never contain a yield)
+                with _hostprof.scope(
+                    _hostprof.ENGINE, "map", records=split.nrecords, nbytes=split.nbytes
+                ):
                     for record in records:
                         key, value = record
                         job.mapper.map(ctx, key, value)
-                else:
-                    # host-clock frame around the synchronous user-map loop
-                    # only (a scope must never contain a yield)
-                    with prof.scope(_hostprof.ENGINE, "map"):
-                        prof.units(split.nrecords, split.nbytes)
-                        for record in records:
-                            key, value = record
-                            job.mapper.map(ctx, key, value)
                 pairs = ctx.take()
                 self._merge_counters(state, ctx)
 
@@ -425,20 +420,19 @@ class HadoopEngine:
                 )
                 raw_bytes = sum(b.nbytes for b in by_partition.values())
                 total_bytes = 0
-                if prof is not None:
-                    prof.push(_hostprof.ENGINE, "map.sort")
-                    prof.units(len(pairs), raw_bytes)
-                for p, batch in by_partition.items():
-                    batch.sort(key=lambda kv: repr(kv[0]))
-                    if job.combiner is not None:
-                        batch = RecordBatch(
-                            job.combiner.apply(batch.records),
-                            aggregated=batch.aggregated,
-                        )
-                    out.partitions[p] = batch
-                    total_bytes += batch.nbytes
-                if prof is not None:  # frame ends before the next yield
-                    prof.pop()
+                # the frame ends before the next yield
+                with _hostprof.scope(
+                    _hostprof.ENGINE, "map.sort", records=len(pairs), nbytes=raw_bytes
+                ):
+                    for p, batch in by_partition.items():
+                        batch.sort(key=lambda kv: repr(kv[0]))
+                        if job.combiner is not None:
+                            batch = RecordBatch(
+                                job.combiner.apply(batch.records),
+                                aggregated=batch.aggregated,
+                            )
+                        out.partitions[p] = batch
+                        total_bytes += batch.nbytes
                 # Sort CPU over the pre-combine volume, spill count from buffer size.
                 t0 = sim.now
                 yield node.record_compute(
@@ -570,15 +564,11 @@ class HadoopEngine:
                             # run; its size is the segments' cached sizes
                             # summed, never a re-sizing pass.
                             merged = RecordBatch(nbytes=0)
-                            prof = _hostprof.current()
-                            if prof is not None:
-                                prof.push(_hostprof.ENGINE, "reduce.merge")
-                            for seg in segments:
-                                merged.records.extend(seg.records)
-                                merged._nbytes += seg.nbytes
-                            merged.sort(key=lambda kv: repr(kv[0]))
-                            if prof is not None:
-                                prof.pop()
+                            with _hostprof.scope(_hostprof.ENGINE, "reduce.merge"):
+                                for seg in segments:
+                                    merged.records.extend(seg.records)
+                                    merged._nbytes += seg.nbytes
+                                merged.sort(key=lambda kv: repr(kv[0]))
                             run = yield from spill_batch(
                                 spill, merged, sorted_by_key=True, parent=rspan
                             )
@@ -606,27 +596,20 @@ class HadoopEngine:
                 groups: dict[Any, list] = {}
                 merge_records = 0
                 merge_bytes = 0
-                prof = _hostprof.current()
                 for run in spill_runs:
                     pairs = yield from spill.read_back(run)
                     spill.free(run)
                     obs.edge(spill.last_span_id, rspan, EDGE_BARRIER)
-                    if prof is not None:
-                        prof.push(_hostprof.ENGINE, "reduce.merge")
-                    for key, value in pairs:
-                        groups.setdefault(key, []).append(value)
-                        merge_records += 1
-                    if prof is not None:
-                        prof.pop()
+                    with _hostprof.scope(_hostprof.ENGINE, "reduce.merge"):
+                        for key, value in pairs:
+                            groups.setdefault(key, []).append(value)
+                            merge_records += 1
                     merge_bytes += run.nbytes
-                if prof is not None:
-                    prof.push(_hostprof.ENGINE, "reduce.merge")
-                for seg in segments:
-                    for key, value in seg:
-                        groups.setdefault(key, []).append(value)
-                        merge_records += 1
-                if prof is not None:
-                    prof.pop()
+                with _hostprof.scope(_hostprof.ENGINE, "reduce.merge"):
+                    for seg in segments:
+                        for key, value in seg:
+                            groups.setdefault(key, []).append(value)
+                            merge_records += 1
                 merge_bytes += resident_bytes
                 t0 = sim.now
                 yield node.record_compute(
@@ -639,14 +622,11 @@ class HadoopEngine:
                 )
                 if obs.enabled:
                     obs.charge(job.name, COMPUTE, sim.now - t0, node=node.node_id, span=rspan)
-                if prof is None:
+                with _hostprof.scope(
+                    _hostprof.ENGINE, "reduce", records=merge_records, nbytes=merge_bytes
+                ):
                     for key in sorted(groups, key=repr):
                         job.reducer.reduce(ctx, key, groups[key])
-                else:
-                    with prof.scope(_hostprof.ENGINE, "reduce"):
-                        prof.units(merge_records, merge_bytes)
-                        for key in sorted(groups, key=repr):
-                            job.reducer.reduce(ctx, key, groups[key])
                 output_pairs = ctx.take()
                 self._merge_counters(state, ctx)
                 if accounted_bytes:

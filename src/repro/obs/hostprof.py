@@ -17,26 +17,39 @@ Design constraints, in order:
    determinism suites). Instrumentation sites therefore only wrap
    *synchronous* code — a scope must never contain a generator ``yield``,
    or suspended host time would be mis-attributed to the frame.
-2. **Off by default, near-zero when off.** Hooks are guarded by a single
-   ``is None`` check (``Simulator.hostprof`` / :func:`current`).
+2. **Off by default, near-zero when off.** The kernel tests one
+   ``is None`` per dispatch; an instrumentation site gets one shared
+   do-nothing scope back from :func:`scope`. Either way the measured
+   code has a single body, timed or not.
 3. **Exact accounting.** Self/total times use integer nanoseconds and
    telescope: the per-bucket self-times sum *exactly* to the measured
-   root total (``sum(buckets.values()) == total_ns``).
+   root total (``sum(buckets.values()) == total_ns``). Frames outside
+   this module are only ever opened by ``with``, so a raising body
+   cannot leave one on the stack.
 
-The profiler is handed out two ways: the sim kernel reads the
-``Simulator.hostprof`` attribute (plain attribute, no import of this
-package from ``repro.sim``), while dataplane/storage/engine hot paths
-use the module-global :func:`current` (activated around a run by the
-evaluation runner). Identifiers with unbounded cardinality (per-task
-process names like ``wc.map12``) are collapsed via
-:func:`normalize_label` (digit runs become ``*``).
+To profile a run, attach the profiler to the kernel and make it the
+active one for the run's duration (the evaluation runner does both)::
+
+    prof = HostProfiler()
+    sim.attach(prof)            # sim-kernel dispatch + process frames
+    with activation(prof):      # engine / dataplane / storage scopes
+        ...run...
+
+A :class:`HostProfiler` is a :class:`repro.sim.KernelHooks`; the
+engines, dataplane and storage have no profiler handle threaded through
+and open their frames with the module-level :func:`scope`. Identifiers
+with unbounded cardinality (per-task process names like ``wc.map12``)
+are collapsed via :func:`normalize_label` (digit runs become ``*``).
 """
 
 from __future__ import annotations
 
 import re
 import time
+from contextlib import contextmanager
 from typing import Any, Callable, Optional
+
+from repro.sim.core import KernelHooks
 
 __all__ = [
     "HOSTPROF_SCHEMA",
@@ -47,9 +60,8 @@ __all__ = [
     "STORAGE",
     "HostProfiler",
     "normalize_label",
-    "current",
-    "activate",
-    "deactivate",
+    "activation",
+    "scope",
     "merge_snapshots",
 ]
 
@@ -80,14 +92,15 @@ def normalize_label(name: str) -> str:
     return _DIGIT_RUN.sub("*", name)
 
 
-class HostProfiler:
+class HostProfiler(KernelHooks):
     """Scoped host-nanosecond accounting with exact self/total telescoping.
 
     A frame is pushed per instrumented scope; on pop the elapsed host
     nanoseconds are split into *self* (elapsed minus child time) and
     rolled up into a flat view keyed ``(bucket, label)`` and a top-down
     tree keyed by the full frame path. ``clock`` is injectable (tests use
-    a fake deterministic timer).
+    a fake deterministic timer). Attached to a simulator it frames every
+    event dispatch and every process resume.
     """
 
     def __init__(
@@ -109,6 +122,28 @@ class HostProfiler:
         self._samples: list[tuple[float, int]] = []
         self._sample_interval_ns = sample_interval_ns
         self._last_sample_ns = -sample_interval_ns
+        # sim-process name -> frame label, so the regex runs once per name
+        self._process_labels: dict[str, str] = {}
+
+    # -- kernel hooks ---------------------------------------------------------------
+
+    def dispatch_start(self, now: float, event: Any) -> None:
+        self.push(SIM_KERNEL, "dispatch")
+
+    def dispatch_end(self, now: float, event: Any) -> None:
+        self.pop()
+        self.tick(now)
+
+    def resume_start(self, process: Any) -> None:
+        label = self._process_labels.get(process.name)
+        if label is None:
+            # collapse digit runs so wc.map12 / wc.map3 share one row
+            label = "process:" + normalize_label(process.name)
+            self._process_labels[process.name] = label
+        self.push(ENGINE, label)
+
+    def resume_end(self, process: Any) -> None:
+        self.pop()
 
     # -- hot path -----------------------------------------------------------------
 
@@ -145,26 +180,6 @@ class HostProfiler:
             node[2] += elapsed
         self._bucket_self[bucket] = self._bucket_self.get(bucket, 0) + self_ns
 
-    class _Scope:
-        __slots__ = ("_prof", "_bucket", "_label")
-
-        def __init__(self, prof: "HostProfiler", bucket: str, label: str):
-            self._prof = prof
-            self._bucket = bucket
-            self._label = label
-
-        def __enter__(self):
-            self._prof.push(self._bucket, self._label)
-            return self._prof
-
-        def __exit__(self, *exc):
-            self._prof.pop()
-            return False
-
-    def scope(self, bucket: str, label: str) -> "HostProfiler._Scope":
-        """Context manager measuring one synchronous section."""
-        return HostProfiler._Scope(self, bucket, label)
-
     def units(self, records: int = 0, nbytes: int = 0) -> None:
         """Attribute work units (real records/bytes) to the current frame.
 
@@ -183,7 +198,7 @@ class HostProfiler:
     def tick(self, virtual_time: float) -> None:
         """Record a (virtual time, cumulative host ns) clock sample.
 
-        Called by the sim kernel after each event dispatch; strided so a
+        Taken after each event dispatch; strided so a
         long run keeps a bounded, deterministic-size sample track for the
         Chrome/Perfetto second-clock counter.
         """
@@ -254,50 +269,72 @@ class HostProfiler:
             "clock": [[t, ns] for t, ns in self._samples],
         }
 
-    def activation(self) -> "_Activation":
-        """Context manager installing this profiler as :func:`current`."""
-        return _Activation(self)
-
 
 # -- module-global active profiler ------------------------------------------------
 #
-# Dataplane and storage hot paths have no tracer handle threaded through;
-# they ask for the active profiler here. ``None`` (the default) keeps the
-# guard to a single global read + identity check.
+# Engine, dataplane and storage hot paths have no tracer handle threaded
+# through; they open frames on whichever profiler is active here. ``None``
+# (the default) costs a site one global read and a shared no-op scope.
 
 _ACTIVE: Optional[HostProfiler] = None
 
 
-def current() -> Optional[HostProfiler]:
-    """The active profiler, or None when profiling is off (the default)."""
-    return _ACTIVE
-
-
-def activate(prof: Optional[HostProfiler]) -> None:
+@contextmanager
+def activation(prof: Optional[HostProfiler]):
+    """Make ``prof`` the profiler that :func:`scope` frames land on,
+    restoring the previous one on exit. ``None`` is accepted and means
+    "unprofiled", so a caller needs no fork of its own."""
     global _ACTIVE
-    _ACTIVE = prof
+    previous, _ACTIVE = _ACTIVE, prof
+    try:
+        yield prof
+    finally:
+        _ACTIVE = previous
 
 
-def deactivate() -> None:
-    global _ACTIVE
-    _ACTIVE = None
+@contextmanager
+def _frame(prof: HostProfiler, bucket: str, label: str, records: int, nbytes: int):
+    prof.push(bucket, label)
+    prof.units(records, nbytes)
+    try:
+        yield prof  # its units() lands on this frame: it is the top one
+    finally:
+        prof.pop()
 
 
-class _Activation:
-    __slots__ = ("_prof", "_previous")
+class _NullScope:
+    """What :func:`scope` hands out while no profiler is active: a
+    context manager whose ``as`` target also takes (and drops) units."""
 
-    def __init__(self, prof: HostProfiler):
-        self._prof = prof
-        self._previous: Optional[HostProfiler] = None
+    __slots__ = ()
 
-    def __enter__(self) -> HostProfiler:
-        self._previous = current()
-        activate(self._prof)
-        return self._prof
+    def __enter__(self) -> "_NullScope":
+        return self
 
     def __exit__(self, *exc):
-        activate(self._previous)
         return False
+
+    def units(self, records: int = 0, nbytes: int = 0) -> None:
+        pass
+
+
+_NULL_SCOPE = _NullScope()
+
+
+def scope(bucket: str, kind: str, name: str = "", records: int = 0, nbytes: int = 0):
+    """Context manager framing one synchronous section as ``kind[:name]``.
+
+    The one way code outside ``repro.obs`` opens a profiler frame. The
+    body must not contain a generator ``yield`` (design constraint 1).
+    ``records``/``nbytes`` are the section's work units; a site that
+    learns them only afterwards calls ``units()`` on the ``as`` target
+    instead. With no profiler active this returns a shared do-nothing
+    scope and never formats the label.
+    """
+    prof = _ACTIVE
+    if prof is None:
+        return _NULL_SCOPE
+    return _frame(prof, bucket, f"{kind}:{name}" if name else kind, records, nbytes)
 
 
 # -- snapshot arithmetic -----------------------------------------------------------

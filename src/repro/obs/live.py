@@ -1,13 +1,12 @@
 """Live run monitoring: virtual-time progress, ETA, flow gauges, watchdog.
 
-:class:`LiveMonitor` attaches to the sim kernel as the duck-typed
-``sim.progress`` observer (mirroring ``sim.hostprof`` — the kernel never
-imports this module). After every dispatched event the kernel calls
-``tick(now)``; when the virtual clock crosses the next frame boundary the
-monitor captures a dashboard frame: per-stage completion fractions from
-the engines' ``progress.total`` / ``progress.done`` metrics, an ETA
-projection, flow-control gauges (stall events, stall blame, inbox depth)
-and a watchdog verdict.
+:class:`LiveMonitor` is a :class:`repro.sim.KernelHooks` observer
+(``sim.attach(monitor)`` — the kernel never imports this module). After
+every dispatched event it looks at the clock; when virtual time crosses
+the next frame boundary it captures a dashboard frame: per-stage
+completion fractions from the engines' ``progress.total`` /
+``progress.done`` metrics, an ETA projection, flow-control gauges (stall
+events, stall blame, inbox depth) and a watchdog verdict.
 
 The monitor is strictly **read-only** against the run: it never schedules
 events, never touches the virtual clock, and only *reads* tracer state —
@@ -32,6 +31,7 @@ from typing import Optional
 
 from repro.obs.blame import STALL
 from repro.obs.telemetry import QUEUE
+from repro.sim.core import KernelHooks
 
 #: schema tag for the ``watch`` CLI's JSON payload
 LIVE_SCHEMA = "repro.obs.live/v1"
@@ -94,12 +94,12 @@ def refresh_frame_projections(frames: list[dict], window: float) -> list[dict]:
     return watchdog_statuses(frames, window)
 
 
-class LiveMonitor:
+class LiveMonitor(KernelHooks):
     """Virtual-time progress engine for one engine run.
 
-    Attach with ``env.cluster.sim.progress = monitor`` *before* the run
-    and call :meth:`finish` when it completes (before the journal footer,
-    so the final frame lands inside the journal body).
+    Attach with ``env.cluster.sim.attach(monitor)`` *before* the run and
+    call :meth:`finish` when it completes (before the journal footer, so
+    the final frame lands inside the journal body).
     """
 
     def __init__(self, tracer, config: Optional[WatchConfig] = None, slo=None):
@@ -124,8 +124,8 @@ class LiveMonitor:
 
     # -- kernel hook -------------------------------------------------------------
 
-    def tick(self, now: float) -> None:
-        """Called by the sim kernel after every dispatched event."""
+    def dispatch_end(self, now: float, event) -> None:
+        """After every dispatched event: capture a frame when one is due."""
         if now < self._next_due:
             return
         self._next_due = math.floor(now / self.config.interval + 1.0) * self.config.interval

@@ -38,6 +38,7 @@ Example::
 from repro.sim.core import (
     AllOf,
     AnyOf,
+    KernelHooks,
     Process,
     SimEvent,
     Simulator,
@@ -56,6 +57,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
+    "KernelHooks",
     "Resource",
     "BandwidthResource",
     "SerializedCell",

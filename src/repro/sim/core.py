@@ -11,28 +11,76 @@ Design notes
 * Processes are generators resumed by the kernel. A process that raises
   propagates the exception to joiners; a failure nobody observes aborts the
   simulation rather than passing silently.
-* Dual-clock hook: when a host-time profiler is attached
-  (``Simulator.hostprof``, set externally — the kernel never imports
-  ``repro.obs``), every event dispatch and every process resume is
-  wrapped in a host-ns frame. The profiler only reads ``perf_counter``;
-  the virtual schedule is byte-identical with profiling on or off.
+* Observers plug in through one seam: :meth:`Simulator.attach` takes a
+  :class:`KernelHooks` and the kernel brackets every event dispatch and
+  every process resume with its callbacks. The kernel knows nothing else
+  about an observer — no name, no label, no bucket. Hooks are read-only:
+  they may look at the clock, the event and the process, never trigger
+  or schedule anything, so the virtual schedule is byte-identical with
+  any number of observers attached. With none attached the cost is one
+  ``is None`` test per dispatch and per resume.
 """
 
 from __future__ import annotations
 
 import heapq
-import re
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.common.errors import DeadlockError, SimulationError
 
 ProcessGen = Generator[Any, Any, Any]
 
-#: hostprof bucket names (mirrors repro.obs.hostprof, which we must not import)
-_HOSTPROF_KERNEL_BUCKET = "sim-kernel"
-_HOSTPROF_ENGINE_BUCKET = "engine"
 
-_DIGIT_RUN = re.compile(r"\d+")
+class KernelHooks:
+    """No-op base for kernel observers (see :meth:`Simulator.attach`).
+
+    ``dispatch_start``/``dispatch_end`` bracket the firing of one event
+    (the clock already reads ``now``); ``resume_start``/``resume_end``
+    bracket one resumption of a process generator, which always happens
+    inside a dispatch. Every start gets its end, also when the bracketed
+    code raises. Implementations override what they need and must not
+    trigger, schedule or otherwise touch simulation state.
+    """
+
+    __slots__ = ()
+
+    def dispatch_start(self, now: float, event: "SimEvent") -> None:
+        pass
+
+    def dispatch_end(self, now: float, event: "SimEvent") -> None:
+        pass
+
+    def resume_start(self, process: "Process") -> None:
+        pass
+
+    def resume_end(self, process: "Process") -> None:
+        pass
+
+
+class _NestedHooks(KernelHooks):
+    """Two observers as one: ``outer`` starts first and ends last."""
+
+    __slots__ = ("_outer", "_inner")
+
+    def __init__(self, outer: KernelHooks, inner: KernelHooks):
+        self._outer = outer
+        self._inner = inner
+
+    def dispatch_start(self, now: float, event: "SimEvent") -> None:
+        self._outer.dispatch_start(now, event)
+        self._inner.dispatch_start(now, event)
+
+    def dispatch_end(self, now: float, event: "SimEvent") -> None:
+        self._inner.dispatch_end(now, event)
+        self._outer.dispatch_end(now, event)
+
+    def resume_start(self, process: "Process") -> None:
+        self._outer.resume_start(process)
+        self._inner.resume_start(process)
+
+    def resume_end(self, process: "Process") -> None:
+        self._inner.resume_end(process)
+        self._outer.resume_end(process)
 
 
 class SimEvent:
@@ -66,18 +114,20 @@ class SimEvent:
         """Arrange for this event to fire ``delay`` seconds from now."""
         if self.triggered:
             raise SimulationError(f"event {self.name or id(self)} triggered twice")
+        # schedule first: a rejected (negative) delay must leave the event
+        # untriggered, so a corrected retry works and waiters don't hang
+        self.sim._schedule(delay, self)
         self.triggered = True
         self.value = value
-        self.sim._schedule(delay, self)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "SimEvent":
         """Arrange for this event to fire with an exception."""
         if self.triggered:
             raise SimulationError(f"event {self.name or id(self)} triggered twice")
+        self.sim._schedule(delay, self)  # before mutating, as in trigger()
         self.triggered = True
         self.exception = exception
-        self.sim._schedule(delay, self)
         return self
 
     # -- kernel internals ---------------------------------------------------
@@ -166,12 +216,11 @@ class Process:
     another process joins it.
     """
 
-    __slots__ = ("sim", "name", "generator", "completion", "_waited_on", "_prof_label")
+    __slots__ = ("sim", "name", "generator", "completion", "_waited_on")
 
     def __init__(self, sim: "Simulator", generator: ProcessGen, name: str = ""):
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
-        self._prof_label: Optional[str] = None  # cached hostprof label
         self.generator = generator
         self.completion = SimEvent(sim, name=f"{self.name}.completion")
         self._waited_on = False
@@ -188,13 +237,9 @@ class Process:
 
     def _resume(self, value: Any, exception: Optional[BaseException]) -> None:
         self.sim._blocked.discard(self)
-        prof = self.sim.hostprof
-        if prof is not None:
-            label = self._prof_label
-            if label is None:
-                # collapse digit runs so wc.map12 / wc.map3 share one row
-                label = self._prof_label = "process:" + _DIGIT_RUN.sub("*", self.name)
-            prof.push(_HOSTPROF_ENGINE_BUCKET, label)
+        hooks = self.sim._hooks
+        if hooks is not None:
+            hooks.resume_start(self)
         try:
             try:
                 if exception is not None:
@@ -212,8 +257,8 @@ class Process:
             self.sim._blocked.add(self)
             event.add_callback(self._on_event)
         finally:
-            if prof is not None:
-                prof.pop()
+            if hooks is not None:
+                hooks.resume_end(self)
 
     def _on_event(self, event: SimEvent) -> None:
         if event.exception is not None:
@@ -256,15 +301,15 @@ class Simulator:
         self._blocked: set[Process] = set()
         self._failures: list[tuple[Process, BaseException]] = []
         self._processes_started = 0
-        #: optional host-time profiler (duck-typed repro.obs.hostprof
-        #: HostProfiler); attached externally, never imported here
-        self.hostprof = None
-        #: optional progress observer (duck-typed repro.obs.live
-        #: LiveMonitor); ``tick(now)`` is called after each dispatched
-        #: event — read-only, it must never schedule events of its own
-        self.progress = None
+        self._hooks: Optional[KernelHooks] = None
 
     # -- public API ----------------------------------------------------------
+
+    def attach(self, hooks: KernelHooks) -> None:
+        """Attach an observer; its callbacks bracket every dispatch and
+        process resume from now on. Observers attached later nest inside
+        earlier ones: starts run in attach order, ends in reverse."""
+        self._hooks = hooks if self._hooks is None else _NestedHooks(self._hooks, hooks)
 
     def spawn(self, generator: ProcessGen, name: str = "") -> Process:
         """Start a new process running ``generator``."""
@@ -298,30 +343,15 @@ class Simulator:
         processes remain blocked with no pending events, and re-raises the
         first unobserved process failure.
         """
-        while self._heap:
-            time, _seq, event = heapq.heappop(self._heap)
-            if until is not None and time > until:
-                # Put it back; the caller may resume later.
-                heapq.heappush(self._heap, (time, _seq, event))
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until {until}: clock is already at {self.now}")
+        heap = self._heap
+        while heap:
+            if until is not None and heap[0][0] > until:
+                # Leave it queued; the caller may resume later.
                 self.now = until
                 return self.now
-            if time < self.now:
-                raise SimulationError(f"time went backwards: {time} < {self.now}")
-            self.now = time
-            prof = self.hostprof
-            if prof is None:
-                event._fire()
-            else:
-                prof.push(_HOSTPROF_KERNEL_BUCKET, "dispatch")
-                try:
-                    event._fire()
-                finally:
-                    prof.pop()
-                prof.tick(self.now)
-            progress = self.progress
-            if progress is not None:
-                progress.tick(self.now)
-            self._raise_unobserved_failure()
+            self._dispatch()
         if self._blocked:
             alive = ", ".join(sorted(p.name for p in self._blocked))
             raise DeadlockError(
@@ -333,24 +363,7 @@ class Simulator:
         """Fire a single event; returns False when the queue is empty."""
         if not self._heap:
             return False
-        time, _seq, event = heapq.heappop(self._heap)
-        if time < self.now:
-            raise SimulationError(f"time went backwards: {time} < {self.now}")
-        self.now = time
-        prof = self.hostprof
-        if prof is None:
-            event._fire()
-        else:
-            prof.push(_HOSTPROF_KERNEL_BUCKET, "dispatch")
-            try:
-                event._fire()
-            finally:
-                prof.pop()
-            prof.tick(self.now)
-        progress = self.progress
-        if progress is not None:
-            progress.tick(self.now)
-        self._raise_unobserved_failure()
+        self._dispatch()
         return True
 
     @property
@@ -358,6 +371,22 @@ class Simulator:
         return len(self._heap)
 
     # -- kernel internals ----------------------------------------------------
+
+    def _dispatch(self) -> None:
+        """Pop the earliest event, advance the clock to it and fire it."""
+        time, _seq, event = heapq.heappop(self._heap)
+        if time < self.now:
+            raise SimulationError(f"time went backwards: {time} < {self.now}")
+        self.now = time
+        hooks = self._hooks
+        if hooks is not None:
+            hooks.dispatch_start(time, event)
+        try:
+            event._fire()
+        finally:
+            if hooks is not None:
+                hooks.dispatch_end(time, event)
+        self._raise_unobserved_failure()
 
     def _schedule(self, delay: float, event: SimEvent) -> None:
         if delay < 0:

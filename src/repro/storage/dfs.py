@@ -118,27 +118,23 @@ class DFS:
         """
         if name in self._files:
             raise StorageError(f"DFS: file {name!r} already exists")
-        prof = _hostprof.current()
-        if prof is not None:
-            prof.push(_hostprof.STORAGE, "dfs.ingest")
-        file = DistributedFile(name)
-        self._files[name] = file
-        builder = BatchBuilder(
-            self.cost.hdfs_block_size,
-            scale_fn=self.cost.scaled_bytes,
-        )
-        for record in records:
-            sealed = builder.add(record)
-            if sealed is not None:
-                self._seal_block(file, sealed.records, sealed.nbytes)
-        last = builder.drain()
-        if last is not None:
-            self._seal_block(file, last.records, last.nbytes)
-        elif not file.blocks:
-            self._seal_block(file, [], 0)
-        if prof is not None:
-            prof.units(builder.records_added, sum(b.nbytes for b in file.blocks))
-            prof.pop()
+        with _hostprof.scope(_hostprof.STORAGE, "dfs.ingest") as frame:
+            file = DistributedFile(name)
+            self._files[name] = file
+            builder = BatchBuilder(
+                self.cost.hdfs_block_size,
+                scale_fn=self.cost.scaled_bytes,
+            )
+            for record in records:
+                sealed = builder.add(record)
+                if sealed is not None:
+                    self._seal_block(file, sealed.records, sealed.nbytes)
+            last = builder.drain()
+            if last is not None:
+                self._seal_block(file, last.records, last.nbytes)
+            elif not file.blocks:
+                self._seal_block(file, [], 0)
+            frame.units(builder.records_added, file.nbytes)
         return file
 
     def _seal_block(self, file: DistributedFile, records: list[Any], nbytes: int) -> None:

@@ -74,19 +74,13 @@ class SpillManager:
         must equal the per-record sum, which is re-derived otherwise).
         Returns the new :class:`SpillRun`.
         """
-        prof = _hostprof.current()
-        if prof is None:
+        # host-clock frame around the synchronous staging part only
+        # (the charged disk/serde below are virtual-clock yields)
+        with _hostprof.scope(_hostprof.STORAGE, "spill") as frame:
             recs = list(records)
             if nbytes is None:
                 nbytes = batch_nbytes(recs)
-        else:
-            # host-clock frame around the synchronous staging part only
-            # (the charged disk/serde below are virtual-clock yields)
-            with prof.scope(_hostprof.STORAGE, "spill"):
-                recs = list(records)
-                if nbytes is None:
-                    nbytes = batch_nbytes(recs)
-                prof.units(len(recs), nbytes)
+            frame.units(len(recs), nbytes)
         run = SpillRun(self._next_id, self.node.node_id, recs, nbytes, sorted_by_key)
         self._next_id += 1
         self._live[run.run_id] = run
@@ -142,11 +136,9 @@ class SpillManager:
         obs.count("spill.bytes_read_back", run.nbytes, node=node_id)
         if reacquire_memory:
             self.node.alloc(run.nbytes)
-        prof = _hostprof.current()
-        if prof is None:
-            return list(run.records)
-        with prof.scope(_hostprof.STORAGE, "spill.read_back"):
-            prof.units(run.nrecords, run.nbytes)
+        with _hostprof.scope(
+            _hostprof.STORAGE, "spill.read_back", records=run.nrecords, nbytes=run.nbytes
+        ):
             return list(run.records)
 
     def free(self, run: SpillRun) -> None:

@@ -28,11 +28,10 @@ from repro.obs.hostprof import (
     SIM_KERNEL,
     STORAGE,
     HostProfiler,
-    activate,
-    current,
-    deactivate,
+    activation,
     merge_snapshots,
     normalize_label,
+    scope,
 )
 from repro.obs.spans import Tracer
 from repro.sim import Simulator
@@ -203,24 +202,129 @@ class TestClockTrack:
         assert prof._sample_interval_ns > 1
 
 
+def _labels(prof):
+    return [row["label"] for row in prof.snapshot()["flat"]]
+
+
 class TestActivation:
     def test_activation_installs_and_restores(self):
-        assert current() is None
         prof = HostProfiler(clock=FakeClock())
-        with prof.activation():
-            assert current() is prof
-            inner = HostProfiler(clock=FakeClock())
-            with inner.activation():
-                assert current() is inner
-            assert current() is prof
-        assert current() is None
+        inner = HostProfiler(clock=FakeClock())
+        with scope(ENGINE, "before"):
+            pass
+        with activation(prof):
+            with scope(ENGINE, "outer"):
+                pass
+            with activation(inner):
+                with scope(ENGINE, "inner"):
+                    pass
+            with activation(None):  # None means unprofiled, not "keep"
+                with scope(ENGINE, "off"):
+                    pass
+            with scope(ENGINE, "outer", "again"):
+                pass
+        with scope(ENGINE, "after"):
+            pass
+        assert _labels(prof) == ["outer", "outer:again"]
+        assert _labels(inner) == ["inner"]
 
-    def test_manual_activate_deactivate(self):
+    def test_activation_restores_when_the_body_raises(self):
         prof = HostProfiler(clock=FakeClock())
-        activate(prof)
-        assert current() is prof
-        deactivate()
-        assert current() is None
+        with pytest.raises(RuntimeError):
+            with activation(prof):
+                raise RuntimeError("boom")
+        with scope(ENGINE, "after"):
+            pass
+        assert _labels(prof) == []
+
+
+class TestScope:
+    def test_null_scope_is_shared_and_formats_nothing(self):
+        class Explosive:
+            def __format__(self, spec):
+                raise AssertionError("label formatted with no profiler active")
+
+        first = scope(ENGINE, "map", Explosive(), 1, 2)
+        assert first is scope(DATAPLANE, "sizing")  # one object, no allocation
+        with first as frame:
+            frame.units(3, 4)  # accepted and dropped
+
+    def test_upfront_and_late_units_land_on_the_frame(self):
+        prof, clock = _prof()
+        with activation(prof):
+            with scope(ENGINE, "map", "words", 100, 6400):
+                clock.advance(10)
+            with scope(DATAPLANE, "partition_batch") as frame:
+                clock.advance(5)
+                frame.units(7, 70)
+        rows = {row["label"]: row for row in prof.snapshot()["flat"]}
+        assert (rows["map:words"]["records"], rows["map:words"]["nbytes"]) == (100, 6400)
+        assert rows["map:words"]["self_ns"] == 10
+        assert (rows["partition_batch"]["records"], rows["partition_batch"]["nbytes"]) == (7, 70)
+
+
+class TestRaisingBodies:
+    """A body that raises inside a framed section must not leak the frame:
+    exact accounting (design constraint 3) has to survive user errors."""
+
+    def _assert_exact(self, prof):
+        assert prof._stack == []
+        assert prof.total_ns > 0
+        assert sum(prof.bucket_self_ns().values()) == prof.total_ns
+
+    def test_partition_batch_with_a_raising_partitioner(self):
+        from repro.dataplane import partition_batch
+
+        class Broken:
+            def partition(self, key):
+                raise KeyError(key)
+
+        prof = HostProfiler(clock=FakeClock(step=7))
+        with activation(prof):
+            with pytest.raises(KeyError):
+                partition_batch([("a", 1)], Broken())
+            with scope(ENGINE, "later"):  # must open at the root, not under a stale frame
+                pass
+        self._assert_exact(prof)
+        assert [node["path"] for node in prof.snapshot()["tree"]] == [
+            ["dataplane/partition_batch"], ["engine/later"],
+        ]
+
+    def test_hamr_job_whose_combine_raises(self):
+        from repro.cluster import Cluster, small_cluster_spec
+        from repro.common.errors import SimulationError
+        from repro.core import (
+            CollectionSource, FlowletGraph, HamrEngine, Loader, Map, PartialReduce,
+        )
+
+        def combine(acc, value):
+            raise ZeroDivisionError("user combine")
+
+        def tokenize(ctx, _offset, line):
+            for word in line.split():
+                ctx.emit(word, 1)
+
+        def graph():
+            g = FlowletGraph("wc")
+            lines = g.add(Loader("lines", CollectionSource([(0, "a b a"), (1, "b c")])))
+            words = g.add(Map("words", fn=tokenize))
+            count = g.add(PartialReduce("count", initial=lambda k: 0, combine=combine))
+            g.connect(lines, words)
+            g.connect(words, count)
+            return g
+
+        errors = []
+        for prof in (None, HostProfiler()):
+            engine = HamrEngine(Cluster(small_cluster_spec(num_workers=2)))
+            if prof is not None:
+                engine.cluster.sim.attach(prof)
+            with activation(prof):
+                with pytest.raises(SimulationError) as info:
+                    engine.run(graph())
+            errors.append((str(info.value), repr(info.value.__cause__)))
+        assert errors[0] == errors[1]
+        assert "ZeroDivisionError" in errors[0][1]
+        self._assert_exact(prof)
 
 
 class TestMerge:
@@ -259,7 +363,7 @@ class TestSimulatorHook:
             sim = Simulator()
             prof = HostProfiler(clock=FakeClock())
             if profiled:
-                sim.hostprof = prof
+                sim.attach(prof)
             Process(sim, worker(sim), name="w1.task7")
             sim.run()
             makespans.append(sim.now)
@@ -496,22 +600,32 @@ class TestProfileCli:
         assert "unknown engine" in capsys.readouterr().err
 
     def test_profile_json_to_stdout(self, capsys):
+        """The CI ``profile-smoke`` gate: schema, bucket-sum invariant and
+        non-empty views for both engines, from the CLI's own JSON."""
         from repro.evaluation.__main__ import main
 
-        code = main(
-            [
-                "profile",
-                "--workload", "wordcount",
-                "--fidelity", "tiny",
-                "--engine", "hamr",
-                "--json", "-",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out)  # stdout is pure JSON
-        assert payload["schema"] == HOSTPROF_SCHEMA
-        entry = payload["workloads"]["wordcount"]["hamr"]
-        snap = entry["hostprof"]
-        assert sum(snap["buckets"].values()) == snap["total_ns"]
-        assert entry["fidelity"]["schema"] == FIDELITY_SCHEMA
+        for workload in ("wordcount", "histogram_movies"):
+            code = main(
+                [
+                    "profile",
+                    "--workload", workload,
+                    "--fidelity", "tiny",
+                    "--engine", "both",
+                    "--json", "-",
+                ]
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            payload = json.loads(out)  # stdout is pure JSON
+            assert payload["schema"] == HOSTPROF_SCHEMA
+            entry = payload["workloads"][workload]
+            for engine in ("hamr", "hadoop"):
+                where = f"{workload}/{engine}"
+                snap = entry[engine]["hostprof"]
+                assert snap["schema"] == HOSTPROF_SCHEMA
+                assert snap["total_ns"] > 0, f"{where}: empty profile"
+                assert sum(snap["buckets"].values()) == snap["total_ns"], where
+                assert snap["flat"], f"{where}: no flat rows"
+                fid = entry[engine]["fidelity"]
+                assert fid["schema"] == FIDELITY_SCHEMA
+                assert fid["operators"], f"{where}: empty fidelity join"

@@ -1,0 +1,115 @@
+"""Layering rules, checked on the source tree so the seams cannot erode.
+
+* ``repro.sim`` and ``repro.common`` are the bottom of the stack: they
+  import nothing from ``repro.obs`` or ``repro.evaluation`` (not even
+  lazily), and the kernel does not know the profiler by name.
+* Outside ``repro.obs`` a profiler frame is opened one way only —
+  ``with hostprof.scope(...)``. Nothing asks for the active profiler and
+  nothing calls ``push``/``pop`` on an object it got from the module,
+  because a bare pair leaks its frame when the code in between raises.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+HOSTPROF = "repro.obs.hostprof"
+
+
+def _modules(*packages):
+    roots = [SRC / p for p in packages] if packages else [SRC]
+    return sorted(path for root in roots for path in root.rglob("*.py"))
+
+
+def _imported_modules(tree):
+    """Every module named by an import statement, at any nesting depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_bottom_layers_import_no_observer():
+    upward = [
+        (str(path.relative_to(SRC)), name)
+        for path in _modules("sim", "common")
+        for name in _imported_modules(ast.parse(path.read_text()))
+        if name.startswith(("repro.obs", "repro.evaluation"))
+    ]
+    assert not upward
+
+
+def test_kernel_does_not_name_the_profiler():
+    hits = [str(p) for p in _modules("sim") if "hostprof" in p.read_text()]
+    assert not hits, f"'hostprof' occurs under src/repro/sim: {hits}"
+
+
+def _root_name(node):
+    while isinstance(node, (ast.Attribute, ast.Call)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _hostprof_misuse(tree):
+    """``(lineno, what)`` for each forbidden use of the profiler module."""
+    from_module = set()  # the module itself, or anything imported from it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            from_module.update(
+                alias.asname or alias.name for alias in node.names if alias.name == HOSTPROF
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro.obs":
+            from_module.update(
+                alias.asname or alias.name for alias in node.names if alias.name == "hostprof"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == HOSTPROF:
+            for alias in node.names:
+                if alias.name == "current":
+                    yield node.lineno, "imports hostprof.current"
+                from_module.add(alias.asname or alias.name)
+    # names bound to what a call into the module returned: `prof = X.f()`,
+    # `with X.scope(...) as frame`
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+            value = node.value
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+            value, targets = node.context_expr, [node.optional_vars]
+        else:
+            continue
+        if isinstance(value, ast.Call) and _root_name(value) in from_module:
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = _root_name(node.func.value)
+        if node.func.attr == "current" and owner in from_module:
+            yield node.lineno, "calls hostprof.current()"
+        if node.func.attr in ("push", "pop") and owner in bound:
+            yield node.lineno, f"calls .{node.func.attr}() on a profiler object"
+
+
+def test_misuse_detector_sees_what_it_should():
+    bad = ast.parse(
+        "from repro.obs import hostprof as _hp\n"
+        "prof = _hp.current()\n"
+        "prof.push('engine', 'x')\n"
+        "with _hp.scope('engine', 'y') as frame:\n"
+        "    frame.pop()\n"
+        "stack = []\n"
+        "stack.pop()\n"  # an unrelated .pop() is fine
+    )
+    assert [line for line, _ in _hostprof_misuse(bad)] == [2, 3, 5]
+
+
+def test_frames_open_only_through_scope():
+    misuse = [
+        (str(path.relative_to(SRC)), line, what)
+        for path in _modules()
+        if SRC / "obs" not in path.parents
+        for line, what in _hostprof_misuse(ast.parse(path.read_text()))
+    ]
+    assert not misuse

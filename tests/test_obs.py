@@ -39,11 +39,11 @@ def _run_traced_wordcount(seed=0, target_bytes=50_000, profile=False):
     records = wordcount.generate_input(params)
     env = AppEnv(small_cluster_spec(num_workers=3), obs=True)
     if profile:
-        from repro.obs.hostprof import HostProfiler
+        from repro.obs.hostprof import HostProfiler, activation
 
         prof = HostProfiler()
-        env.cluster.sim.hostprof = prof
-        with prof.activation():
+        env.cluster.sim.attach(prof)
+        with activation(prof):
             result = wordcount.run_hamr(env, params, records)
         return env, result, prof
     result = wordcount.run_hamr(env, params, records)

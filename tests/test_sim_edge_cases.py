@@ -111,6 +111,39 @@ class TestRunControl:
         assert sim.now == 2.0
 
 
+    def test_negative_delay_rejected_before_the_event_is_marked_triggered(self):
+        sim = Simulator()
+        for arm in ("trigger", "fail"):
+            event = sim.event()
+            got = []
+
+            def waiter(event=event, got=got):
+                try:
+                    got.append((yield event))
+                except ValueError as exc:
+                    got.append(exc)
+
+            sim.spawn(waiter())
+            payload = "v" if arm == "trigger" else ValueError("late")
+            with pytest.raises(SimulationError, match="negative delay"):
+                getattr(event, arm)(payload, delay=-1.0)
+            assert not event.triggered
+            getattr(event, arm)(payload, delay=1.0)  # the corrected retry works
+            sim.run()
+            assert got == [payload]  # and the waiter did not hang
+
+    def test_run_until_the_past_is_rejected_and_leaves_the_clock_alone(self):
+        sim = Simulator()
+        sim.timeout(6.0)
+        sim.timeout(9.0)
+        assert sim.run(until=6.0) == 6.0
+        with pytest.raises(SimulationError, match="already at"):
+            sim.run(until=3.0)
+        assert sim.now == 6.0  # the clock never goes backwards
+        assert sim.run(until=6.0) == 6.0  # "until now" stays a no-op
+        assert sim.run() == 9.0
+
+
 class TestQueueEdgeCases:
     def test_try_get(self):
         sim = Simulator()

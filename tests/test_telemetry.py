@@ -41,11 +41,11 @@ def _run_traced(engine="hamr", seed=0, target_bytes=50_000, profile=False, fabri
     env = AppEnv(small_cluster_spec(num_workers=3), obs=True, fabric=fabric)
     runner = wordcount.run_hamr if engine == "hamr" else wordcount.run_hadoop
     if profile:
-        from repro.obs.hostprof import HostProfiler
+        from repro.obs.hostprof import HostProfiler, activation
 
         prof = HostProfiler()
-        env.cluster.sim.hostprof = prof
-        with prof.activation():
+        env.cluster.sim.attach(prof)
+        with activation(prof):
             result = runner(env, params, records)
     else:
         result = runner(env, params, records)
