@@ -9,6 +9,8 @@ runs reproducible across processes and sessions.
 
 from __future__ import annotations
 
+import bisect
+import struct
 from typing import Any, Iterable, Sequence
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -37,10 +39,14 @@ def stable_hash(key: Any) -> int:
     if isinstance(key, bool):
         return _fnv1a(b"B1" if key else b"B0")
     if isinstance(key, int):
-        return _fnv1a(b"i" + key.to_bytes(16, "little", signed=True))
+        try:
+            return _fnv1a(b"i" + key.to_bytes(16, "little", signed=True))
+        except OverflowError:
+            # Outside [-2**127, 2**127): own tag and >= 17 signed bytes, so a
+            # wide int cannot collide with the fixed 16-byte encoding.
+            width = key.bit_length() // 8 + 1
+            return _fnv1a(b"I" + key.to_bytes(width, "little", signed=True))
     if isinstance(key, float):
-        import struct
-
         return _fnv1a(b"f" + struct.pack("<d", key))
     if key is None:
         return _fnv1a(b"n")
@@ -68,6 +74,12 @@ class Partitioner:
         return self.partition(key)
 
 
+#: The only key types the memo may hold: for these, ``a == b`` implies the
+#: same ``stable_hash`` bytes. Dict equality is coarser elsewhere
+#: (``1 == 1.0 == True``, ``0.0 == -0.0``, and tuples inherit both).
+_MEMO_KEY_TYPES = frozenset({str, bytes, int})
+
+
 class HashPartitioner(Partitioner):
     """The default partitioner: stable hash modulo partition count.
 
@@ -75,10 +87,25 @@ class HashPartitioner(Partitioner):
     "each node works on a portion of the whole key space"; an evenly
     distributed key space balances the workload, a skewed one does not —
     which is exactly the HistogramRatings pathology of §5.2.
+
+    Each distinct key is hashed once per instance: keys of exact type
+    ``str``/``bytes``/``int`` — where ``==`` implies identical hash bytes —
+    are answered from a private memo (DESIGN.md §6.1.1). Engines build one
+    instance per run/job, so the memo never outlives a run.
     """
 
+    def __init__(self, num_partitions: int):
+        super().__init__(num_partitions)
+        self._memo: dict[Any, int] = {}
+
     def partition(self, key: Any) -> int:
-        return stable_hash(key) % self.num_partitions
+        if type(key) not in _MEMO_KEY_TYPES:
+            return stable_hash(key) % self.num_partitions
+        try:
+            return self._memo[key]
+        except KeyError:
+            p = self._memo[key] = stable_hash(key) % self.num_partitions
+            return p
 
 
 class ModPartitioner(Partitioner):
@@ -106,8 +133,6 @@ class RangePartitioner(Partitioner):
             raise ValueError("range boundaries must be sorted")
 
     def partition(self, key: Any) -> int:
-        import bisect
-
         return bisect.bisect_left(self.boundaries, key)
 
 

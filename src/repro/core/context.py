@@ -60,6 +60,14 @@ class TaskContext:
 
     # -- emission ---------------------------------------------------------------
 
+    def _edge_to(self, name: str) -> Edge:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise GraphError(
+                f"{self._instance.flowlet.name!r} has no edge to {name!r}"
+            ) from None
+
     def emit(self, key: Any, value: Any, to: Optional[str] = None) -> None:
         """Send a pair downstream.
 
@@ -69,12 +77,7 @@ class TaskContext:
         local disk write, "finally to disk as output", §3.1).
         """
         if to is not None:
-            try:
-                edges: Iterable[Edge] = (self._by_name[to],)
-            except KeyError:
-                raise GraphError(
-                    f"{self._instance.flowlet.name!r} has no edge to {to!r}"
-                ) from None
+            edges: Iterable[Edge] = (self._edge_to(to),)
         elif self._out_edges:
             edges = self._out_edges
         else:
@@ -97,13 +100,7 @@ class TaskContext:
         Equivalent to emitting on a BROADCAST edge; usable on SHUFFLE edges
         for control data (e.g. K-Means centroid updates, Alg. 1 step 5).
         """
-        edges = (
-            [self._by_name[to]]
-            if to is not None
-            else list(self._out_edges)
-        )
-        if to is not None and to not in self._by_name:
-            raise GraphError(f"{self._instance.flowlet.name!r} has no edge to {to!r}")
+        edges = self._out_edges if to is None else (self._edge_to(to),)
         for edge in edges:
             sealed = self._packer.add(edge.edge_id, BROADCAST_PARTITION, key, value)
             if sealed is not None:

@@ -121,6 +121,9 @@ class HadoopEngine:
             worker.node_id: index for index, worker in enumerate(cluster.workers)
         }
         self._job_seq = 0
+        # reducer count -> partitioner, shared by this engine's jobs so an
+        # iterative chain hashes each distinct key once, not once per job
+        self._partitioners: dict[int, HashPartitioner] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -174,7 +177,9 @@ class HadoopEngine:
 
         splits = self.dfs.splits(job.input_file)
         num_reducers = job.num_reducers or self.num_workers
-        partitioner = HashPartitioner(num_reducers)
+        partitioner = self._partitioners.get(num_reducers)
+        if partitioner is None:
+            partitioner = self._partitioners[num_reducers] = HashPartitioner(num_reducers)
         slots = [
             Resource(sim, cost.hadoop_slots_per_node, name=f"n{w.node_id}.slots")
             for w in self.cluster.workers

@@ -14,7 +14,7 @@ from repro.common.partitioner import (
 
 keys = st.one_of(
     st.text(max_size=40),
-    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(),
     st.binary(max_size=40),
     st.booleans(),
     st.none(),
@@ -46,6 +46,34 @@ class TestStableHash:
         with pytest.raises(TypeError):
             stable_hash(["list"])
 
+    def test_pinned_values(self):
+        # The committed virtual results rest on these encodings: a drifted
+        # value reshuffles every workload.
+        assert stable_hash("the") == 12616109885787641377
+        assert stable_hash(0) == 5820242641327481636
+        assert stable_hash(-1) == 869225371789770004
+        assert stable_hash(2**40) == 9331187744175695151
+        assert stable_hash(1.5) == 3289171655170387708
+        assert stable_hash(("a", 1)) == 1240359459253859747
+
+    def test_ints_at_the_16_byte_edge_keep_their_values(self):
+        assert stable_hash(2**127 - 1) == 869084634301358996
+        assert stable_hash(-(2**127)) == 5820383378815892644
+
+    @pytest.mark.parametrize(
+        "key", [2**127, -(2**127) - 1, 2**200, -(2**200)],
+        ids=["2**127", "-2**127-1", "2**200", "-2**200"],
+    )
+    def test_wide_ints_hash(self, key):
+        # used to raise OverflowError("int too big to convert")
+        assert 0 <= stable_hash(key) < 2**64
+        assert HashPartitioner(7).partition(key) == stable_hash(key) % 7
+
+    def test_wide_ints_are_distinct(self):
+        wide = [2**127, 2**127 + 1, -(2**127) - 1, 2**135, -(2**135), 2**200, -(2**200)]
+        narrow = [2**127 - 1, -(2**127), 0, -1]
+        assert len({stable_hash(k) for k in wide + narrow}) == len(wide + narrow)
+
 
 class TestHashPartitioner:
     @given(keys, st.integers(min_value=1, max_value=64))
@@ -67,6 +95,61 @@ class TestHashPartitioner:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
+
+
+class _Word(str):
+    """A ``str`` subclass: equal to its base value, outside the memo's types."""
+
+
+#: keys that compare equal (or never equal) across types yet hash differently
+memo_traps = st.sampled_from([
+    0, 0.0, -0.0, False, 1, 1.0, True, float("nan"), 2**127, "a", _Word("a"), b"a",
+    (1, "a"), (1.0, "a"), (True, "a"), (0.0,), (-0.0,), ((1, "a"), 1), ((1.0, "a"), 1),
+])
+
+
+class TestHashPartitionerMemo:
+    """Each distinct key is hashed once per instance — and the memo is exact."""
+
+    @given(st.lists(st.one_of(keys, memo_traps), max_size=30),
+           st.integers(min_value=1, max_value=64))
+    def test_whole_list_matches_stable_hash_in_either_order(self, key_list, n):
+        expected = [stable_hash(k) % n for k in key_list]
+        forward = HashPartitioner(n)
+        assert [forward.partition(k) for k in key_list] == expected
+        backward = HashPartitioner(n)
+        assert [backward.partition(k) for k in reversed(key_list)] == expected[::-1]
+
+    def test_instances_share_nothing(self):
+        words = [f"w{i}" for i in range(50)]
+        small, large = HashPartitioner(3), HashPartitioner(64)
+        assert [small.partition(w) for w in words] == [stable_hash(w) % 3 for w in words]
+        assert [large.partition(w) for w in words] == [stable_hash(w) % 64 for w in words]
+        assert [small.partition(w) for w in words] == [stable_hash(w) % 3 for w in words]
+
+    @pytest.mark.parametrize("engine", ["hamr", "hadoop"])
+    def test_one_hash_per_distinct_word_per_run(self, engine, monkeypatch):
+        from repro.common import partitioner as module
+        from repro.evaluation.runner import run_workload
+        from repro.evaluation.workloads import workload_by_name
+
+        calls = []
+        real = module.stable_hash
+
+        def counting(key):
+            calls.append(key)
+            return real(key)
+
+        monkeypatch.setattr(module, "stable_hash", counting)
+        workload = workload_by_name("wordcount", "tiny")
+        distinct = {w for _off, line in workload.records for w in line.split()}
+        for _run in range(2):
+            # a second run in the same process pays for its own misses: the
+            # memo lives on the run's partitioner, not in the module
+            calls.clear()
+            run_workload(workload, engines=engine)
+            assert len(calls) == len(distinct)
+            assert set(calls) == distinct
 
 
 class TestModPartitioner:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.partitioner import HashPartitioner
+from repro.common.partitioner import HashPartitioner, stable_hash
 from repro.common.sizeof import logical_sizeof, pair_size
 from repro.cluster import Cluster, small_cluster_spec
 from repro.dataplane import (
@@ -171,6 +171,18 @@ class TestPartitionBatch:
         for batch in batches.values():
             assert batch.nbytes == sum(pair_size(k, v) for k, v in batch.records)
             assert batch.nbytes == sum(logical_sizeof(r) for r in batch.records)
+
+    def test_equal_keys_of_different_types_keep_their_own_partitions(self):
+        # 1 == 1.0 == True share a dict slot but not a stable_hash, so one
+        # must never answer for another out of the partitioner's memo.
+        pairs = [(key, i) for i, key in enumerate([1, 1.0, True, 1.0, True, 1] * 3)]
+        for n in range(2, 10):
+            expected: dict[int, list] = {}
+            for key, value in pairs:
+                expected.setdefault(stable_hash(key) % n, []).append((key, value))
+            batches = partition_batch(pairs, HashPartitioner(n))
+            # repr, because (1, 0) == (1.0, 0) == (True, 0)
+            assert repr({p: b.records for p, b in batches.items()}) == repr(expected)
 
     def test_empty_partitions_absent(self):
         assert partition_batch([], HashPartitioner(4)) == {}

@@ -7,9 +7,14 @@
   ``with hostprof.scope(...)``. Nothing asks for the active profiler and
   nothing calls ``push``/``pop`` on an object it got from the module,
   because a bare pair leaks its frame when the code in between raises.
+* The third-party modules ``src/repro`` imports are exactly the declared
+  runtime dependencies, so ``pyproject.toml`` cannot list what nothing uses.
 """
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -39,6 +44,17 @@ def test_bottom_layers_import_no_observer():
         if name.startswith(("repro.obs", "repro.evaluation"))
     ]
     assert not upward
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]}
+    imported = {
+        name.partition(".")[0]
+        for path in _modules()
+        for name in _imported_modules(ast.parse(path.read_text()))
+    }
+    assert imported - set(sys.stdlib_module_names) - {"repro"} == declared
 
 
 def test_kernel_does_not_name_the_profiler():
