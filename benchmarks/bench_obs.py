@@ -50,11 +50,14 @@ import sys
 
 import pytest
 
+from repro.core.engine import PARTITIONERS
+from repro.dataplane.fabrics import FABRICS
 from repro.evaluation.runner import run_workload
 from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
 from repro.obs import BUCKETS
 from repro.obs.critpath import from_tracer
 from repro.obs.history import DEFAULT_HISTORY_PATH, append_history, history_row, resolve_commit
+from repro.obs.runspec import ENGINES, RunSpec
 
 BENCH_SCHEMA = "repro.obs.bench/v5"
 
@@ -142,8 +145,8 @@ def _engine_entry(tracer, virtual_seconds, wall_seconds=0.0, hostprof=None):
 
 def run_row(
     name: str, fidelity: str, engines: str = "both",
-    journal_stem: str | None = None, fabric: str = "direct",
-    partitioner: str = "hash",
+    journal_stem: str | None = None, fabric: str = RunSpec.fabric,
+    partitioner: str = RunSpec.partitioner,
 ) -> dict:
     """Run one traced+profiled workload row and build its artifact entry.
 
@@ -152,10 +155,10 @@ def run_row(
     :mod:`repro.obs.journal`) — replayable via
     ``python -m repro.evaluation replay`` with byte-identical output.
 
-    ``fabric`` selects the exchange fabric for both engines (fabric
-    sweeps); non-direct entries carry a ``"fabric"`` key so the diff
-    gate keys them as ``engine@fabric`` and never compares them against
-    a direct baseline row.
+    ``fabric`` and ``partitioner`` select the exchange configuration for
+    both engines (fabric sweeps); off-default entries carry it, so the
+    diff gate keys them ``engine@fabric+partitioner`` and never compares
+    them against a default baseline row.
     """
     journal = None
     if journal_stem is not None:
@@ -165,8 +168,7 @@ def run_row(
     workload = workload_by_name(name, fidelity)
     row = run_workload(
         workload, engines=engines, obs=True, profile=True, journal=journal,
-        fabric=None if fabric == "direct" else fabric,
-        partitioner=None if partitioner == "hash" else partitioner,
+        fabric=fabric, partitioner=partitioner,
     )
     if journal_stem is not None:
         for engine, writer in (
@@ -195,13 +197,9 @@ def run_row(
     # Off-default exchange configurations are stamped per engine entry so
     # the diff gate and trend series key on them (default entries stay
     # key-free — the committed baseline artifact is unchanged).
-    for engine in ("hamr", "hadoop"):
-        if engine not in entry:
-            continue
-        if fabric != "direct":
-            entry[engine]["fabric"] = fabric
-        if partitioner != "hash":
-            entry[engine]["partitioner"] = partitioner
+    for engine in ENGINES:
+        if engine in entry:
+            RunSpec(name, engine, fabric, partitioner).stamp(entry[engine])
     snaps = {}
     if row.hamr_hostprof is not None:
         snaps["hamr"] = {"hostprof": row.hamr_hostprof}
@@ -287,15 +285,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--fabric",
-        default="direct",
-        choices=["direct", "tree", "twolevel", "rdma"],
+        default=RunSpec.fabric,
+        choices=FABRICS,
         help="exchange fabric for both engines (fabric sweeps; non-direct "
         "entries are keyed engine@fabric by the diff gate)",
     )
     parser.add_argument(
         "--partitioner",
-        default="hash",
-        choices=["hash", "shard"],
+        default=RunSpec.partitioner,
+        choices=PARTITIONERS,
         help="partition-ownership strategy for both engines (non-hash "
         "entries are stamped so trend series never mix strategies)",
     )

@@ -65,11 +65,10 @@ def _executor(name: str, engine: str, fidelity: str, model: WhatIfModel):
             return dilated[-1].get("makespan")
         if scenario.nodes is not None:
             workload.num_workers = scenario.nodes - 1
-        rack_size = None
-        if scenario.racks is not None:
-            rack_size = max(1, workload.spec().num_workers // scenario.racks)
+        fabric = scenario.fabric or model.run.spec.fabric
         fresh = run_workload(
-            workload, engines=engine, fabric=scenario.fabric, rack_size=rack_size
+            workload, engines=engine, fabric=fabric,
+            rack_size=workload.spec().rack_size_for(fabric, scenario.racks),
         )
         return fresh.hamr_seconds if engine == "hamr" else fresh.idh_seconds
 

@@ -9,6 +9,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.spec import ClusterSpec, small_cluster_spec
 from repro.core.engine import HamrConfig, HamrEngine
 from repro.mapreduce.engine import HadoopConfig, HadoopEngine
+from repro.obs.runspec import RunSpec
 from repro.storage.dfs import DFS
 from repro.storage.kvstore import KVStore
 from repro.storage.localfs import LocalFS
@@ -30,7 +31,9 @@ class AppEnv:
     """One benchmark execution environment: a fresh cluster + both engines.
 
     Use a fresh env per (benchmark, engine) measurement so virtual clocks
-    and storage states never bleed between runs.
+    and storage states never bleed between runs. ``fabric`` and
+    ``partitioner`` are set on both engine configs; ``rack_size`` unset
+    is ``ClusterSpec.rack_size_for(fabric)``.
     """
 
     def __init__(
@@ -41,28 +44,19 @@ class AppEnv:
         obs: bool = False,
         journal=None,
         trace_max_records: Optional[int] = None,
-        fabric: Optional[str] = None,
-        partitioner: Optional[str] = None,
+        fabric: str = RunSpec.fabric,
+        partitioner: str = RunSpec.partitioner,
         rack_size: Optional[int] = None,
     ):
         self.spec = spec if spec is not None else small_cluster_spec()
-        if rack_size is None and fabric == "twolevel" and self.spec.rack_size == 0:
-            # A rack-aware fabric on a rackless spec would silently route
-            # direct; default to four racks (the paper's 16-node testbed
-            # split 4x4, scaled down for smaller specs).
-            rack_size = max(1, self.spec.num_workers // 4)
-        if rack_size is not None:
+        if rack_size is None:
+            rack_size = self.spec.rack_size_for(fabric)
+        if rack_size != self.spec.rack_size:
             self.spec = self.spec.with_racks(rack_size)
-        if fabric is not None:
-            hamr_config = hamr_config or HamrConfig()
-            hamr_config.fabric = fabric
-            hadoop_config = hadoop_config or HadoopConfig()
-            hadoop_config.fabric = fabric
-        if partitioner is not None:
-            hamr_config = hamr_config or HamrConfig()
-            hamr_config.partitioner = partitioner
-            hadoop_config = hadoop_config or HadoopConfig()
-            hadoop_config.partitioner = partitioner
+        hamr_config = hamr_config or HamrConfig()
+        hadoop_config = hadoop_config or HadoopConfig()
+        hamr_config.fabric = hadoop_config.fabric = fabric
+        hamr_config.partitioner = hadoop_config.partitioner = partitioner
         self.cluster = Cluster(
             self.spec, obs=obs, journal=journal,
             trace_max_records=trace_max_records,

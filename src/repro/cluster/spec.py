@@ -20,6 +20,7 @@ Running a 300 MB input with ``S = 1000`` therefore reproduces the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.common.units import GB, KB, MB
@@ -176,6 +177,18 @@ class ClusterSpec:
     def with_racks(self, rack_size: int) -> "ClusterSpec":
         """The same cluster re-cabled into racks of ``rack_size`` workers."""
         return replace(self, rack_size=rack_size)
+
+    def rack_size_for(self, fabric: str, racks: Optional[int] = None) -> int:
+        """Workers per rack of a run on ``fabric``: ``racks`` groups of
+        contiguous workers when given, else this spec's own racks. A rackless
+        spec under the rack-aware ``twolevel`` fabric, which would silently
+        route direct, gets four racks (the paper's 16-node testbed split
+        4x4, scaled down for smaller specs)."""
+        if racks is None:
+            if self.rack_size or fabric != "twolevel":
+                return self.rack_size
+            racks = 4
+        return max(1, self.num_workers // racks)
 
 
 #: Table 1 of the paper, verbatim.

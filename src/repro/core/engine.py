@@ -31,6 +31,10 @@ from repro.obs import STARTUP
 from repro.storage.kvstore import KVStore
 from repro.storage.localfs import LocalFS
 
+#: shuffle-ownership strategies both engine configs accept, in
+#: documentation order (see ``HamrConfig.partitioner``)
+PARTITIONERS = ("hash", "shard")
+
 
 @dataclass
 class HamrConfig:

@@ -18,8 +18,11 @@ import argparse
 import importlib
 import sys
 
+from repro.core.engine import PARTITIONERS
+from repro.dataplane.fabrics import FABRICS
 from repro.evaluation.cli import CLIError
 from repro.evaluation.workloads import TABLE2_ORDER
+from repro.obs.runspec import RunSpec
 
 #: flags that must be positive wherever a command accepts them
 POSITIVE = ("trace_max_records", "racks", "bins", "interval", "window", "workers")
@@ -48,13 +51,13 @@ def _shared_groups() -> dict[str, argparse.ArgumentParser]:
         ),
         "fabric": _group(
             ("--fabric", dict(
-                default="direct", choices=["direct", "tree", "twolevel", "rdma"],
+                default=RunSpec.fabric, choices=FABRICS,
                 help="exchange fabric; direct is the legacy byte-identical path "
                 "(DESIGN.md §7.3). Off-direct runs are labelled engine@fabric and "
                 "stamp the fabric into journals and JSON documents",
             )),
             ("--partitioner", dict(
-                default="hash", choices=["hash", "shard"],
+                default=RunSpec.partitioner, choices=PARTITIONERS,
                 help="partition ownership: hash (owner = partition %% workers) or "
                 "shard (locality-first: owners are the nodes holding input shards)",
             )),

@@ -7,6 +7,7 @@ live through the same loop as the live commands.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 from repro.evaluation.cli import CLIError, views
 from repro.evaluation.cli.present import present, save_journal, write_chrome
@@ -66,11 +67,10 @@ def _explain_side(args, ref: str, spec):
         "workload": run.workload,
         "engine": run.engine,
         "fidelity": run.fidelity,
-        "fabric": run.fabric if run.fabric != "direct" else None,
         "seeded_slowdown": seeded,
     }
     meta = {key: value for key, value in meta.items() if value is not None}
-    return side_from_tracer(run.tracer, ref, meta=meta)
+    return side_from_tracer(run.tracer, ref, meta=run.spec.stamp(meta))
 
 
 def explain(args) -> None:
@@ -89,43 +89,39 @@ def _executor(args, model):
     """``scenario -> measured makespan`` for whatif's self-audit, or None
     where the scenario cannot be executed. Re-runs the recorded workload on
     the recorded fabric/partitioner/racks, not on this invocation's flags."""
-    run = model.run
-    engine, fidelity = run.engine, run.fidelity or args.fidelity
-    base_fabric = run.fabric if run.fabric != "direct" else None
-    base_partitioner = run.partitioner if run.partitioner != "hash" else None
+    spec = model.run.spec
+    fidelity = model.run.fidelity or args.fidelity
 
     def execute(sc):
-        if run.workload not in TABLE2_ORDER or engine not in ENGINES:
+        if spec.workload not in TABLE2_ORDER or spec.engine not in ENGINES:
             return None
         print(
-            f"  executing {sc.describe()} on {run.workload}:{engine} ...",
+            f"  executing {sc.describe()} on {spec.workload}:{spec.engine} ...",
             file=sys.stderr,
             flush=True,
         )
-        wl = workload_by_name(run.workload, fidelity)
+        if not sc.bucket_only and (sc.serde_speed is not None or sc.bucket_speeds):
+            return None  # no serde knob; mixed structural + bucket: not executable
+        wl = workload_by_name(spec.workload, fidelity)
+        if sc.nodes is not None:
+            wl.num_workers = sc.nodes - 1
+        target = replace(spec, fabric=sc.fabric or spec.fabric)
+        rack_size = model.rack_size or None
+        if sc.racks is not None:
+            rack_size = wl.spec().rack_size_for(target.fabric, sc.racks)
+        fresh = EngineRun(
+            run_workload(
+                wl, engines=spec.engine, journal=sc.bucket_only, fabric=target.fabric,
+                partitioner=spec.partitioner, rack_size=rack_size,
+            ),
+            target, fidelity,
+        )
         if sc.bucket_only:
             # Independent end-to-end check: a fresh run, dilated by the
             # same transform the REPRO_OBS_SLOWDOWN seeding applies.
-            fresh = run_workload(
-                wl, engines=engine, journal=True,
-                fabric=base_fabric, partitioner=base_partitioner,
-                rack_size=model.rack_size or None,
-            )
-            records = EngineRun(fresh, engine, fidelity, run.fabric).journal.records
+            records = fresh.journal.records
             return dilate_bucket_charges(records, sc.time_factors)[-1].get("makespan")
-        if sc.serde_speed is not None or sc.bucket_speeds:
-            return None  # no serde knob; mixed structural + bucket: not executable
-        if sc.nodes is not None:
-            wl.num_workers = sc.nodes - 1
-        rack_size = model.rack_size or None
-        if sc.racks is not None:
-            rack_size = max(1, wl.spec().num_workers // sc.racks)
-        fresh = run_workload(
-            wl, engines=engine, partitioner=base_partitioner,
-            fabric=sc.fabric if sc.fabric is not None else base_fabric,
-            rack_size=rack_size,
-        )
-        return EngineRun(fresh, engine, fidelity, run.fabric).makespan
+        return fresh.makespan
 
     return execute
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from repro.evaluation.cli.runs import announce, fabric_opts
+from repro.evaluation.cli.runs import announce
 from repro.evaluation.figures import figure3a, figure3b
 from repro.evaluation.runner import run_workload
 from repro.evaluation.tables import table1 as render_table1
 from repro.evaluation.tables import table2, table3
 from repro.evaluation.workloads import workload_by_name
+from repro.obs.runspec import RunSpec
 
 SWEEP = ("table2", "table3", "fig3a", "fig3b")
 
@@ -37,8 +38,11 @@ def sweep(args) -> None:
 
 def bench(args) -> None:
     workload = workload_by_name(args.name, args.fidelity)
-    row = run_workload(workload, **fabric_opts(args, workload))
-    suffix = "" if args.fabric == "direct" else f" [{args.fabric} fabric]"
+    row = run_workload(
+        workload, fabric=args.fabric, partitioner=args.partitioner,
+        rack_size=workload.spec().rack_size_for(args.fabric, args.racks),
+    )
+    suffix = "" if args.fabric == RunSpec.fabric else f" [{args.fabric} fabric]"
     print(
         f"{row.label} ({row.data_size}): IDH {row.idh_seconds:.3f}s, "
         f"HAMR {row.hamr_seconds:.3f}s, speedup {row.speedup:.2f}x "

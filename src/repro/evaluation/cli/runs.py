@@ -2,8 +2,8 @@
 
 :class:`EngineRun` gives one engine's column of a live
 :class:`~repro.evaluation.runner.BenchmarkRow` the attribute surface of
-:class:`~repro.obs.replay.ReplayedRun` (workload, label, data_size,
-engine, fidelity, fabric, makespan, tracer, trace_dropped), so the views
+:class:`~repro.obs.replay.ReplayedRun` (spec, workload, label, data_size,
+engine, fidelity, makespan, tracer, trace_dropped), so the views
 print either without asking which it is.
 """
 
@@ -19,8 +19,7 @@ from repro.evaluation.runner import run_workload
 from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
 from repro.obs.journal import JournalError, JournalWriter, load_journal
 from repro.obs.replay import ReplayedRun, replay_records
-
-ENGINES = ("hamr", "hadoop")
+from repro.obs.runspec import ENGINES, RunSpec
 
 
 def announce(what: str) -> None:
@@ -57,24 +56,6 @@ def expand_filters(args) -> tuple[list[str], list[str]]:
     return workloads, engines
 
 
-def fabric_opts(args, workload) -> dict:
-    """run_workload kwargs for ``--fabric``/``--partitioner``/``--racks``.
-
-    ``--racks N`` counts *racks*; it is converted to workers-per-rack
-    against the workload's cluster spec (contiguous worker groups, the
-    paper's 16-node testbed split N ways). The defaults map to ``None``
-    so the flagless path stays byte-identical to the legacy wiring.
-    """
-    rack_size = None
-    if args.racks is not None:
-        rack_size = max(1, workload.spec().num_workers // args.racks)
-    return {
-        "fabric": None if args.fabric == "direct" else args.fabric,
-        "partitioner": None if args.partitioner == "hash" else args.partitioner,
-        "rack_size": rack_size,
-    }
-
-
 def journal_writers(args):
     """The ``journal=`` factory of a journaled live run: one writer per
     engine, the fidelity preset into its header."""
@@ -82,11 +63,12 @@ def journal_writers(args):
 
 
 class EngineRun:
-    """One engine's column of a live BenchmarkRow."""
+    """One engine's column of a live BenchmarkRow: the run ``spec`` names."""
 
-    def __init__(self, row, engine: str, fidelity: str, fabric: str):
+    def __init__(self, row, spec: RunSpec, fidelity: str):
+        engine = spec.engine
         self.workload, self.label, self.data_size = row.name, row.label, row.data_size
-        self.engine, self.fidelity, self.fabric = engine, fidelity, fabric
+        self.spec, self.engine, self.fidelity = spec, engine, fidelity
         self.makespan = row.hamr_seconds if engine == "hamr" else row.idh_seconds
         self.tracer = getattr(row, f"{engine}_obs")
         self.trace_dropped = getattr(row, f"{engine}_trace_dropped")
@@ -111,12 +93,15 @@ def live_runs(args, per_workload=None, **options):
             workload,
             engines=args.engine,
             trace_max_records=getattr(args, "trace_max_records", None),
-            **fabric_opts(args, workload),
+            fabric=args.fabric,
+            partitioner=args.partitioner,
+            rack_size=workload.spec().rack_size_for(args.fabric, args.racks),
             **options,
             **(per_workload(name) if per_workload else {}),
         )
         for engine in engines:
-            run = EngineRun(row, engine, args.fidelity, args.fabric)
+            spec = RunSpec(name, engine, args.fabric, args.partitioner)
+            run = EngineRun(row, spec, args.fidelity)
             warn_dropped(run.trace_dropped, f"{name} on {engine}")
             yield run
 
@@ -124,28 +109,35 @@ def live_runs(args, per_workload=None, **options):
 # -- run references: a journal path, or a workload:engine spec to execute -----------
 
 
-def parse_ref(ref: str) -> "tuple[str, str] | None":
-    """``None`` for a journal path, ``(workload, engine)`` for a live spec.
+def parse_ref(ref: str) -> "RunSpec | None":
+    """``None`` for a journal path, else the live spec's workload and engine.
 
-    Doctor's corpus selectors share the ``workload:engine`` syntax but mean
-    "look the run up", not "execute it"; they keep their own resolver
-    (:func:`repro.obs.doctor.resolve_spec`).
+    A live spec is exactly ``workload:engine`` with a Table 2 workload; the
+    run's exchange configuration comes from ``--fabric``/``--partitioner``.
+    Doctor's corpus selectors share the grammar but mean "look the run up",
+    not "execute it" (:func:`repro.obs.doctor.resolve_spec`).
     """
     if os.path.exists(ref) or ref.endswith((".jsonl", ".jsonl.gz")):
         return None
-    workload, sep, engine = ref.partition(":")
-    if not sep or workload not in TABLE2_ORDER or engine not in ENGINES:
+    try:
+        spec = RunSpec.parse(ref)
+    except ValueError:
+        spec = None
+    if spec is None or spec.workload not in TABLE2_ORDER or ref != (
+        f"{spec.workload}:{spec.engine}"
+    ):
         raise CLIError(
             f"{ref!r} is neither a journal file nor a <workload>:<engine> spec "
-            f"(workloads: {', '.join(TABLE2_ORDER)}; engines: hamr, hadoop)"
+            f"(workloads: {', '.join(TABLE2_ORDER)}; engines: {', '.join(ENGINES)})"
         )
-    return workload, engine
+    return spec
 
 
-def run_spec(args, spec: tuple[str, str], **options) -> EngineRun:
+def run_spec(args, spec: RunSpec, **options) -> EngineRun:
     """Execute one parsed ``workload:engine`` spec through the live-run loop."""
-    workload, engine = spec
-    selected = argparse.Namespace(**{**vars(args), "workload": workload, "engine": engine})
+    selected = argparse.Namespace(
+        **{**vars(args), "workload": spec.workload, "engine": spec.engine}
+    )
     return next(live_runs(selected, **options))
 
 

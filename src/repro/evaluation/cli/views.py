@@ -21,28 +21,17 @@ from repro.obs.live import LIVE_SCHEMA, STATUS_RUNNING, STATUS_STALLED, render_w
 
 
 def subject(run, engine: "str | None" = None) -> str:
-    """``WordCount (16 GB) on hamr`` — off-direct runs say ``hamr@fabric``."""
-    if engine is None:
-        engine = run.engine if run.fabric == "direct" else f"{run.engine}@{run.fabric}"
-    return f"{run.label} ({run.data_size}) on {engine}"
+    """``WordCount (16 GB) on hamr`` — off-default runs say ``hamr@fabric+partitioner``."""
+    return f"{run.label} ({run.data_size}) on {engine or run.spec.engine_label}"
 
 
 def heading(run, detail: "str | None" = None) -> str:
     return f"== {subject(run)} — {detail or f'makespan {run.makespan:.3f}s'} =="
 
 
-def stamp_fabric(payload: dict, fabric: str) -> dict:
-    """Off-direct documents carry their fabric, so ``diff``/``explain``
-    never silently compare across fabrics; direct ones stay as they were
-    before fabrics existed."""
-    if fabric != "direct":
-        payload["fabric"] = fabric
-    return payload
-
-
 def _by_workload(schema: str, run, entries: dict) -> dict:
     document = {"schema": schema, "fidelity": run.fidelity, "workloads": entries}
-    return stamp_fabric(document, run.fabric)
+    return run.spec.stamp(document)
 
 
 class ReportView:
@@ -62,7 +51,7 @@ class ReportView:
             "workload": run.workload,
             "engines": entries[run.workload],
         }
-        return stamp_fabric(document, run.fabric)
+        return run.spec.stamp(document)
 
 
 class TimelineView:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.apps.base import AppResult
 from repro.evaluation.paper import PAPER_TABLE2, PaperRow, SHAPE_BANDS
 from repro.evaluation.workloads import Workload
 from repro.obs import hostprof as _hostprof
+from repro.obs.runspec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Tracer
@@ -87,8 +88,8 @@ def run_workload(
     journal=None,
     watch=None,
     trace_max_records: Optional[int] = None,
-    fabric: Optional[str] = None,
-    partitioner: Optional[str] = None,
+    fabric: str = RunSpec.fabric,
+    partitioner: str = RunSpec.partitioner,
     rack_size: Optional[int] = None,
 ) -> BenchmarkRow:
     """Run a workload on fresh environments and assemble its row.
@@ -147,23 +148,14 @@ def run_workload(
         writer = _writer_for(engine)
         if writer is not None:
             spec = workload.spec()
-            num_workers = spec.num_nodes - 1
-            # AppEnv defaults a rack-aware fabric to 4 racks when no
-            # explicit rack size is given; record the resolved value so
-            # offline consumers (whatif re-pricing) see the topology the
-            # run actually used.
-            resolved_rack = rack_size
-            if resolved_rack is None and fabric == "twolevel":
-                resolved_rack = spec.rack_size or max(1, num_workers // 4)
+            # the rack size the environment resolves, so offline consumers
+            # (whatif re-pricing) see the topology the run actually used
             header = dict(
-                workload=workload.name,
+                asdict(RunSpec(workload.name, engine, fabric, partitioner)),
                 label=workload.label,
                 data_size=workload.data_size,
-                engine=engine,
-                fabric=fabric or "direct",
-                partitioner=partitioner or "hash",
                 nodes=spec.num_nodes,
-                rack_size=resolved_rack or 0,
+                rack_size=spec.rack_size_for(fabric) if rack_size is None else rack_size,
             )
             # Provenance for the corpus index: which commit produced this
             # run. Deterministic within a checkout (REPRO_GIT_COMMIT

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from typing import Iterable, Optional
 
 from repro.obs.blame import BUCKETS
@@ -93,13 +94,10 @@ def summarize_records(
         "schema": CORPUS_SCHEMA,
         "fingerprint": fingerprint or journal_fingerprint(records),
         "path": path,
-        "workload": run.workload,
+        **asdict(run.spec),
         "label": run.label,
         "data_size": run.data_size,
-        "engine": run.engine,
         "fidelity": run.fidelity,
-        "fabric": run.fabric,
-        "partitioner": run.partitioner,
         "nodes": run.num_nodes,
         "rack_size": run.rack_size,
         "commit": run.header.get("commit"),

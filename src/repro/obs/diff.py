@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.blame import BUCKETS
+from repro.obs.runspec import ENGINES, RunSpec
 
 DIFF_SCHEMA = "repro.obs.diff/v1"
 
@@ -53,20 +54,19 @@ def _blame_from_report(engine_report: dict) -> dict[str, float]:
 
 
 def normalize(artifact: dict, source: str = "<artifact>") -> dict:
-    """Normalize an artifact to ``{workload: {engine: EngineRecord}}``."""
+    """Normalize an artifact to ``{workload: {engine label: EngineRecord}}``:
+    an off-default run (``hamr@twolevel+shard``) never gates against a
+    default baseline row."""
     schema = artifact.get("schema", "")
     rows: dict[str, dict[str, EngineRecord]] = {}
     if schema.startswith(_BENCH_PREFIX):
         for workload, row in artifact.get("rows", {}).items():
             engines = {}
-            for engine in ("hamr", "hadoop"):
+            for engine in ENGINES:
                 entry = row.get(engine)
                 if entry is None:
                     continue
-                # Non-direct runs are keyed engine@fabric so a fabric
-                # sweep never gates against a direct baseline row.
-                fabric = entry.get("fabric")
-                key = f"{engine}@{fabric}" if fabric and fabric != "direct" else engine
+                key = RunSpec.from_entry(workload, engine, entry).engine_label
                 traffic = entry.get("telemetry", {}).get("traffic")
                 host_shares = entry.get("hostprof", {}).get("shares")
                 engines[key] = EngineRecord(
@@ -86,7 +86,9 @@ def normalize(artifact: dict, source: str = "<artifact>") -> dict:
         engines = {}
         for engine, engine_report in artifact.get("engines", {}).items():
             critpath = engine_report.get("critpath")
-            engines[engine] = EngineRecord(
+            # a report document stamps its exchange configuration once, top level
+            key = RunSpec.from_entry(workload, engine, artifact).engine_label
+            engines[key] = EngineRecord(
                 virtual_seconds=engine_report["virtual_end"],
                 blame=_blame_from_report(engine_report),
                 critpath=dict(critpath["rollup"]) if critpath else None,

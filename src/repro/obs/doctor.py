@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.obs.blame import BUCKETS, NETWORK
-from repro.obs.corpus import filter_rows, find_by_fingerprint
+from repro.obs.corpus import find_by_fingerprint
 from repro.obs.explain import ExplainResult, explain, side_from_tracer
 from repro.obs.replay import ReplayedRun
+from repro.obs.runspec import RunSpec
 from repro.obs.telemetry import build_skew_report
 
 DOCTOR_SCHEMA = "repro.obs.doctor/v1"
@@ -73,26 +74,15 @@ def _is_hex(text: str) -> bool:
     return len(text) >= 8 and all(c in "0123456789abcdef" for c in text)
 
 
-def parse_series_spec(spec: str) -> dict:
-    """``workload:engine[@fabric][+partitioner]`` → corpus filter dict."""
-    partitioner = "hash"
-    if "+" in spec:
-        spec, partitioner = spec.rsplit("+", 1)
-    fabric = "direct"
-    if "@" in spec:
-        spec, fabric = spec.rsplit("@", 1)
-    workload, sep, engine = spec.partition(":")
-    if not sep or not workload or engine not in ("hamr", "hadoop"):
-        raise DoctorError(
-            f"bad run selector {spec!r} (expected "
-            "workload:engine[@fabric][+partitioner])"
-        )
-    return {
-        "workload": workload,
-        "engine": engine,
-        "fabric": fabric,
-        "partitioner": partitioner,
-    }
+def _selector(text: str) -> RunSpec:
+    try:
+        return RunSpec.parse(text)
+    except ValueError as exc:
+        raise DoctorError(str(exc)) from None
+
+
+def _indexed(rows: list[dict], spec: RunSpec) -> list[dict]:
+    return [row for row in rows if RunSpec.from_header(row) == spec]
 
 
 def resolve_spec(rows: list[dict], spec: str, index_path: str) -> str:
@@ -114,7 +104,7 @@ def resolve_spec(rows: list[dict], spec: str, index_path: str) -> str:
                 f"fingerprint prefix {spec!r} is ambiguous ({listing})"
             )
         return locate_journal(matched[0], index_path)
-    matched = filter_rows(rows, parse_series_spec(spec))
+    matched = _indexed(rows, _selector(spec))
     if not matched:
         raise DoctorError(f"no corpus row matches {spec!r}")
     if len(matched) > 1:
@@ -161,26 +151,17 @@ def resolve_shift(
     makespans sit closest to the reference median / the latest value.
     Returns ``(path_a, path_b, shift_verdict)``.
     """
-    from repro.obs.history import detect_shift, entry_matches
+    from repro.obs.history import detect_shift, series_entries
 
-    where = parse_series_spec(spec)
-    entries: list[tuple[float, Optional[str]]] = []
-    for row in history:
-        entry = (
-            row.get("rows", {}).get(where["workload"], {}).get(where["engine"])
-        )
-        if entry is None or metric not in entry:
-            continue
-        if not entry_matches(entry, where["fabric"], where["partitioner"]):
-            continue
-        entries.append((float(entry[metric]), row.get("commit")))
+    selected = _selector(spec)
+    entries = series_entries(history, selected, metric)
     verdict = detect_shift([value for value, _commit in entries], **detect_kwargs)
     if verdict.get("status") != "SHIFT":
         raise DoctorError(
             f"no sustained shift in the {spec!r} series "
             f"(status {verdict.get('status')!r}) — nothing to diagnose"
         )
-    candidates = filter_rows(corpus_rows, where)
+    candidates = _indexed(corpus_rows, selected)
     if not candidates:
         raise DoctorError(f"no corpus rows match the shifted series {spec!r}")
     baseline_commit = entries[verdict["index"] - 1][1] if verdict["index"] else None
@@ -275,10 +256,7 @@ def _traffic_drift(a: dict, b: dict) -> list[dict]:
 
 def _identity(run: ReplayedRun) -> dict:
     return {
-        "workload": run.workload,
-        "engine": run.engine,
-        "fabric": run.fabric,
-        "partitioner": run.partitioner,
+        **asdict(run.spec),
         "nodes": run.num_nodes,
         "commit": run.header.get("commit"),
         "fidelity": run.fidelity,

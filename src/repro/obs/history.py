@@ -21,8 +21,10 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+from dataclasses import asdict
 from typing import Any, Optional
 
+from repro.obs.runspec import ENGINES, RunSpec
 from repro.obs.slo import stall_share
 
 HISTORY_SCHEMA = "repro.obs.history/v1"
@@ -73,12 +75,13 @@ def history_row(payload: dict, commit: Optional[str] = None) -> dict:
     rows: dict[str, dict[str, dict]] = {}
     for workload in sorted(payload.get("rows", {})):
         per_engine = payload["rows"][workload]
-        for engine in ("hamr", "hadoop"):
+        for engine in ENGINES:
             entry = per_engine.get(engine)
             if not entry:
                 continue
             traffic = entry.get("telemetry", {}).get("traffic", {})
             hostprof = entry.get("hostprof") or {}
+            spec = RunSpec.from_entry(workload, engine, entry)
             rows.setdefault(workload, {})[engine] = {
                 "virtual_seconds": entry.get("virtual_seconds", 0.0),
                 "wall_seconds": entry.get("wall_seconds", 0.0),
@@ -93,8 +96,8 @@ def history_row(payload: dict, commit: Optional[str] = None) -> dict:
                 # the run's exchange configuration: trend series are keyed
                 # on it, so a twolevel sweep never pollutes the direct
                 # baseline's shift band
-                "fabric": entry.get("fabric", "direct"),
-                "partitioner": entry.get("partitioner", "hash"),
+                "fabric": spec.fabric,
+                "partitioner": spec.partitioner,
             }
     return {
         "schema": HISTORY_SCHEMA,
@@ -134,55 +137,29 @@ def load_history(path: str) -> list[dict]:
     return rows
 
 
-def entry_matches(entry: dict, fabric: str, partitioner: str) -> bool:
-    """Does a history entry belong to this exchange-configuration series?
+def series_entries(
+    history: list[dict], spec: RunSpec, metric: str
+) -> list[tuple[float, Optional[str]]]:
+    """``(value, commit)`` of one metric per history row holding the run.
 
-    Rows written before fabrics were recorded default to the legacy
-    direct/hash configuration, so old history files keep trending.
+    A series is a full run identity — workload × engine × fabric ×
+    partitioner — so cross-fabric runs never mix into one band; rows
+    written before fabrics were recorded are default-configuration runs,
+    so old history files keep trending.
     """
-    return (
-        entry.get("fabric", "direct") == fabric
-        and entry.get("partitioner", "hash") == partitioner
-    )
-
-
-def series(
-    history: list[dict],
-    workload: str,
-    engine: str,
-    metric: str,
-    fabric: str = "direct",
-    partitioner: str = "hash",
-) -> list[float]:
-    """One metric's value per history row (rows missing the series skipped).
-
-    A series is a full run configuration — workload × engine × fabric ×
-    partitioner — so cross-fabric runs never mix into one band.
-    """
-    values = []
+    out = []
     for row in history:
-        entry = row.get("rows", {}).get(workload, {}).get(engine)
-        if entry is not None and metric in entry and entry_matches(
-            entry, fabric, partitioner
-        ):
-            values.append(float(entry[metric]))
-    return values
+        entry = row.get("rows", {}).get(spec.workload, {}).get(spec.engine)
+        if entry is not None and metric in entry and RunSpec.from_entry(
+            spec.workload, spec.engine, entry
+        ) == spec:
+            out.append((float(entry[metric]), row.get("commit")))
+    return out
 
 
-def series_label(
-    workload: str, engine: str, fabric: str = "direct", partitioner: str = "hash"
-) -> str:
-    """The canonical series selector: ``workload:engine[@fabric][+part]``.
-
-    Exactly the spec ``python -m repro.evaluation doctor --shift``
-    accepts, so trend output can print ready-to-run doctor commands.
-    """
-    label = f"{workload}:{engine}"
-    if fabric != "direct":
-        label += f"@{fabric}"
-    if partitioner != "hash":
-        label += f"+{partitioner}"
-    return label
+def series(history: list[dict], spec: RunSpec, metric: str) -> list[float]:
+    """One metric's value per history row (rows missing the run skipped)."""
+    return [value for value, _commit in series_entries(history, spec, metric)]
 
 
 # -- change-point detection ---------------------------------------------------------
@@ -277,34 +254,20 @@ def trend_report(
 ) -> dict:
     """Shift verdicts for every workload × engine × fabric × partitioner
     series in the history."""
-    pairs: set[tuple[str, str, str, str]] = set()
-    for row in history:
-        for workload, per_engine in row.get("rows", {}).items():
-            for engine, entry in per_engine.items():
-                pairs.add(
-                    (
-                        workload,
-                        engine,
-                        entry.get("fabric", "direct"),
-                        entry.get("partitioner", "hash"),
-                    )
-                )
+    specs = {
+        RunSpec.from_entry(workload, engine, entry)
+        for row in history
+        for workload, per_engine in row.get("rows", {}).items()
+        for engine, entry in per_engine.items()
+    }
     results = []
-    for workload, engine, fabric, partitioner in sorted(pairs):
-        if workloads is not None and workload not in workloads:
+    for spec in sorted(specs):
+        if workloads is not None and spec.workload not in workloads:
             continue
-        if engines is not None and engine not in engines:
+        if engines is not None and spec.engine not in engines:
             continue
-        values = series(history, workload, engine, metric, fabric, partitioner)
-        verdict = detect_shift(values, **detect_kwargs)
-        verdict.update(
-            {
-                "workload": workload,
-                "engine": engine,
-                "fabric": fabric,
-                "partitioner": partitioner,
-            }
-        )
+        verdict = detect_shift(series(history, spec, metric), **detect_kwargs)
+        verdict.update(asdict(spec))
         results.append(verdict)
     return {
         "schema": TREND_SCHEMA,
@@ -327,10 +290,8 @@ def render_trend(report: dict, history_path: Optional[str] = None) -> str:
     ]
     doctor_commands = []
     for r in report["results"]:
-        label = series_label(
-            r["workload"], r["engine"],
-            r.get("fabric", "direct"), r.get("partitioner", "hash"),
-        )
+        # the canonical selector: exactly what `doctor --shift` accepts
+        label = str(RunSpec.from_header(r))
         if r["status"] == "SHORT":
             detail = f"(only {r['n']} rows)"
             lines.append(

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.journal import JournalError, load_journal, read_journal
+from repro.obs.runspec import RunSpec
 from repro.obs.spans import Span, SpanEdge, Tracer
 
 
@@ -49,15 +50,14 @@ class ReplayedRun:
         self.header = header
         self.footer = footer
         self.tracer = tracer
+        #: the run's identity (v1 headers predate fabrics: the defaults)
+        self.spec = RunSpec.from_header(header)
+        self.workload, self.engine = self.spec.workload, self.spec.engine
         #: live-dashboard frames (``fr`` records, ``t`` key stripped) in
         #: emission order — empty unless the run was watched
         self.frames = frames or []
         #: the run's ``wcfg`` record (interval/window), if watched
         self.watch_config = watch_config
-
-    @property
-    def workload(self) -> Optional[str]:
-        return self.header.get("workload")
 
     @property
     def label(self) -> Optional[str]:
@@ -68,21 +68,8 @@ class ReplayedRun:
         return self.header.get("data_size")
 
     @property
-    def engine(self) -> Optional[str]:
-        return self.header.get("engine")
-
-    @property
     def fidelity(self) -> Optional[str]:
         return self.header.get("fidelity")
-
-    @property
-    def fabric(self) -> str:
-        """The run's exchange fabric (v1 journals predate fabrics: direct)."""
-        return self.header.get("fabric", "direct")
-
-    @property
-    def partitioner(self) -> str:
-        return self.header.get("partitioner", "hash")
 
     @property
     def num_nodes(self) -> Optional[int]:

@@ -476,14 +476,12 @@ class WhatIfModel:
         worker-to-worker) and returns ``total`` (new/old total wire
         bytes) and ``busiest`` (new/old busiest-node tx+rx bytes).
         """
+        from repro.cluster.spec import ClusterSpec
         from repro.dataplane.fabrics import Topology, make_fabric, reroute_payload
 
         workers = self.num_workers
-        rack_size = 0
-        if racks is not None:
-            rack_size = max(1, workers // racks)
-        elif fabric_name == "twolevel":
-            rack_size = self.rack_size or max(1, workers // 4)
+        recorded = ClusterSpec(num_nodes=workers + 1, rack_size=self.rack_size)
+        rack_size = recorded.rack_size_for(fabric_name, racks)
         fabric = make_fabric(fabric_name, Topology(workers, rack_size))
         old_total = 0.0
         new_total = 0.0
@@ -646,10 +644,10 @@ class WhatIfModel:
         serde_central = 1.0
         serde_variants = [1.0]
         fabric_changed = scenario.fabric is not None and (
-            scenario.fabric != self.run.fabric or scenario.racks is not None
+            scenario.fabric != self.run.spec.fabric or scenario.racks is not None
         )
         if fabric_changed or (scenario.racks is not None and scenario.fabric is None):
-            fabric_name = scenario.fabric or self.run.fabric
+            fabric_name = scenario.fabric or self.run.spec.fabric
             ratios = self.reprice_fabric(fabric_name, scenario.racks)
             rho_central = ratios["total"]
             rho_variants = [rho_central, ratios["busiest"], 1.0]
@@ -840,7 +838,7 @@ def whatif_dict(
         "schema": WHATIF_SCHEMA,
         "workload": run.workload,
         "engine": run.engine,
-        "fabric": run.fabric,
+        "fabric": run.spec.fabric,
         "data_size": run.data_size,
         "fidelity": run.fidelity,
         "nodes": model.num_workers + 1,

@@ -93,6 +93,35 @@ class TestNormalize:
         with pytest.raises(ArtifactError, match="unrecognized schema"):
             normalize({"schema": "repro.obs.nonsense/v9"}, source="x.json")
 
+    def test_bench_rows_key_by_the_full_run_identity(self):
+        # a `bench_obs.py --partitioner shard` artifact never gates against
+        # the hash baseline
+        with open("BENCH_obs.json") as fh:
+            sharded = json.load(fh)
+        for row in sharded["rows"].values():
+            for engine in ("hamr", "hadoop"):
+                row[engine]["partitioner"] = "shard"
+        assert {
+            key for engines in normalize(sharded).values() for key in engines
+        } == {"hamr+shard", "hadoop+shard"}
+        result = diff_artifacts(load_artifact("BENCH_obs.json"), normalize(sharded))
+        assert not any(result.rows.values()) and result.ok
+
+    @pytest.mark.parametrize(
+        "stamp,key",
+        [({}, "hamr"), ({"fabric": "twolevel"}, "hamr@twolevel"),
+         ({"partitioner": "shard"}, "hamr+shard"),
+         ({"fabric": "rdma", "partitioner": "shard"}, "hamr@rdma+shard")],
+    )
+    def test_report_documents_key_by_their_stamp(self, stamp, key):
+        artifact = {
+            "schema": "repro.obs.report/v2",
+            "workload": "wordcount",
+            "engines": {"hamr": {"virtual_end": 45.0}},
+            **stamp,
+        }
+        assert list(normalize(artifact)["wordcount"]) == [key]
+
 
 class TestDiff:
     def test_identical_artifacts_are_ok(self):

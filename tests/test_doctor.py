@@ -24,7 +24,6 @@ from repro.obs.doctor import (
     DoctorError,
     diagnose,
     locate_journal,
-    parse_series_spec,
     render_doctor,
     resolve_shift,
     resolve_spec,
@@ -160,20 +159,34 @@ class TestSeededSelfTest:
 
 
 class TestSpecResolution:
-    def test_parse_series_spec_defaults_and_overrides(self):
-        assert parse_series_spec("wordcount:hamr") == {
-            "workload": "wordcount", "engine": "hamr",
-            "fabric": "direct", "partitioner": "hash",
-        }
-        assert parse_series_spec("pagerank:hadoop@twolevel+shard") == {
-            "workload": "pagerank", "engine": "hadoop",
-            "fabric": "twolevel", "partitioner": "shard",
-        }
+    def test_parse_series_spec_defaults_and_overrides(self, doctor_dir):
+        # an omitted suffix selects the direct/hash run; an explicit one
+        # selects only the run configured that way
+        rows = list(doctor_dir["rows"])
+        default = next(r for r in rows if r["workload"] == "terasort")
+        override = dict(default, fabric="twolevel", partitioner="shard",
+                        path=str(doctor_dir["root"] / "seeded.journal.jsonl"))
+        rows.append(override)
+        index = doctor_dir["index"]
+        assert resolve_spec(rows, "terasort:hamr", index) == default["path"]
+        assert resolve_spec(rows, "terasort:hamr@direct+hash", index) == default["path"]
+        assert resolve_spec(
+            rows, "terasort:hamr@twolevel+shard", index
+        ) == override["path"]
+        with pytest.raises(DoctorError, match="no corpus row matches"):
+            resolve_spec(rows, "terasort:hamr@twolevel", index)
 
-    @pytest.mark.parametrize("bad", ["wordcount", ":hamr", "wordcount:spark"])
+    @pytest.mark.parametrize("bad", [
+        "wordcount", ":hamr", "wordcount:spark",
+        # suffixes out of order, empty, or naming no fabric/partitioner
+        "wordcount:hamr+shard@twolevel", "wordcount:hamr@", "wordcount:hamr@bogus+",
+        "wordcount:hamr+", "wordcount:hamr@bogus",
+    ])
     def test_bad_series_specs_raise(self, bad):
         with pytest.raises(DoctorError, match="bad run selector"):
-            parse_series_spec(bad)
+            resolve_spec([], bad, "")
+        with pytest.raises(DoctorError, match="bad run selector"):
+            resolve_shift([], [], bad)
 
     def test_paths_pass_through(self, doctor_dir):
         path = str(doctor_dir["root"] / "base.journal.jsonl")

@@ -7,6 +7,8 @@ single-hop accounting bit-exactly, and the rack-aware / tree / RDMA
 fabrics deliver their modeled savings without changing job output.
 """
 
+import json
+
 import pytest
 
 from repro.apps import wordcount
@@ -617,3 +619,29 @@ class TestFabricDiffKeying:
         # the keys don't intersect: no comparison, hence no false drift
         assert result.rows["wordcount"] == {}
         assert not result.drift
+
+
+@pytest.mark.parametrize(
+    "flags,stamp",
+    [(("--fabric", fabric), {"fabric": fabric}) for fabric in ("tree", "twolevel", "rdma")]
+    + [(("--partitioner", "shard"), {"partitioner": "shard"})],
+    ids=["tree", "twolevel", "rdma", "shard"],
+)
+def test_off_default_report_completes_and_stamps_its_configuration(
+    flags, stamp, tmp_path, capsys
+):
+    """Every off-default exchange configuration completes the tiny WordCount
+    on both engines, and the report document carries exactly the fields
+    that are not the default."""
+    from repro.evaluation.__main__ import main
+
+    out = tmp_path / "report.json"
+    argv = ["report", "--workload", "wordcount", "--fidelity", "tiny", *flags]
+    assert main([*argv, "--json", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert {key: report[key] for key in ("fabric", "partitioner") if key in report} == stamp
+    for engine in ("hamr", "hadoop"):
+        entry = report["engines"][engine]
+        assert entry["virtual_end"] > 0, engine
+        assert entry["trace_dropped"] == 0, engine

@@ -1,6 +1,7 @@
 """Tests for perf-history rows and sustained-shift detection."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,17 +13,17 @@ from repro.obs.history import (
     append_history,
     detect_shift,
     encode_row,
-    entry_matches,
     history_row,
     load_history,
     render_trend,
     resolve_commit,
     series,
-    series_label,
     trend_report,
 )
+from repro.obs.runspec import RunSpec
 
 BENCH = "BENCH_obs.json"
+WC_HAMR = RunSpec("wordcount", "hamr")
 
 
 @pytest.fixture(scope="module")
@@ -96,47 +97,53 @@ class TestHistoryRows:
     def test_series_skips_rows_missing_the_pair(self):
         rows = _synthetic_history([1.0, 2.0])
         rows.append({"schema": HISTORY_SCHEMA, "rows": {}})
-        assert series(rows, "wordcount", "hamr", "virtual_seconds") == [1.0, 2.0]
+        assert series(rows, WC_HAMR, "virtual_seconds") == [1.0, 2.0]
 
     def test_series_are_keyed_on_the_exchange_configuration(self):
         rows = _synthetic_history([1.0, 2.0])
-        twolevel = _synthetic_history([9.0])[0]
-        twolevel["rows"]["wordcount"]["hamr"]["fabric"] = "twolevel"
-        rows.append(twolevel)
+        twolevel_row = _synthetic_history([9.0])[0]
+        twolevel_row["rows"]["wordcount"]["hamr"]["fabric"] = "twolevel"
+        rows.append(twolevel_row)
         # a twolevel run never pollutes the direct baseline's band...
-        assert series(rows, "wordcount", "hamr", "virtual_seconds") == [1.0, 2.0]
+        assert series(rows, WC_HAMR, "virtual_seconds") == [1.0, 2.0]
         # ...and trends as its own series
-        assert series(
-            rows, "wordcount", "hamr", "virtual_seconds", fabric="twolevel"
-        ) == [9.0]
+        twolevel = RunSpec("wordcount", "hamr", fabric="twolevel")
+        assert series(rows, twolevel, "virtual_seconds") == [9.0]
         shard = _synthetic_history([7.0])[0]
         shard["rows"]["wordcount"]["hamr"]["partitioner"] = "shard"
-        assert series(
-            [shard], "wordcount", "hamr", "virtual_seconds",
-            partitioner="shard",
-        ) == [7.0]
-        assert series(
-            [shard], "wordcount", "hamr", "virtual_seconds"
-        ) == []
+        sharded = RunSpec("wordcount", "hamr", partitioner="shard")
+        assert series([shard], sharded, "virtual_seconds") == [7.0]
+        assert series([shard], WC_HAMR, "virtual_seconds") == []
 
     def test_legacy_entries_default_to_direct_hash(self):
         # pre-fabric rows (no fabric/partitioner keys) keep trending in
         # the default series
-        entry = {"virtual_seconds": 1.0}
-        assert entry_matches(entry, "direct", "hash")
-        assert not entry_matches(entry, "twolevel", "hash")
+        rows = _synthetic_history([1.0])
+        assert series(rows, WC_HAMR, "virtual_seconds") == [1.0]
+        assert series(
+            rows, RunSpec("wordcount", "hamr", fabric="twolevel"), "virtual_seconds"
+        ) == []
 
     def test_series_label_is_a_doctor_spec(self):
-        assert series_label("wordcount", "hamr") == "wordcount:hamr"
-        assert series_label(
-            "terasort", "hadoop", fabric="twolevel"
-        ) == "terasort:hadoop@twolevel"
-        assert series_label(
-            "terasort", "hadoop", fabric="twolevel", partitioner="shard"
-        ) == "terasort:hadoop@twolevel+shard"
-        assert series_label(
-            "wordcount", "hamr", partitioner="shard"
-        ) == "wordcount:hamr+shard"
+        rows = []
+        for fabric, partitioner in [(None, None), ("twolevel", None),
+                                    ("twolevel", "shard"), (None, "shard")]:
+            for row in _synthetic_history([1.0, 2.0]):
+                entry = row["rows"]["wordcount"]["hamr"]
+                if fabric:
+                    entry["fabric"] = fabric
+                if partitioner:
+                    entry["partitioner"] = partitioner
+                rows.append(row)
+        text = render_trend(trend_report(rows))
+        labels = [line.split()[0] for line in text.splitlines()[3:-2]]
+        assert sorted(labels) == sorted([
+            "wordcount:hamr", "wordcount:hamr@twolevel",
+            "wordcount:hamr@twolevel+shard", "wordcount:hamr+shard",
+        ])
+        # each printed label selects exactly its own series
+        for label in labels:
+            assert series(rows, RunSpec.parse(label), "virtual_seconds") == [1.0, 2.0]
 
     def test_resolve_commit_prefers_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_GIT_COMMIT", "deadbee")
@@ -300,3 +307,35 @@ class TestTrendCLI:
         _write(_synthetic_history([41.2] * 7), path)
         assert main(["trend", str(path), "--window", bad]) == 2
         assert "--window must be positive" in capsys.readouterr().err
+
+
+# -- the committed legacy self-test history -----------------------------------------
+
+LEGACY = Path(__file__).parent / "golden" / "history"
+#: stable noise, then a sustained shift in the last two rows; the clean
+#: history is the first seven
+SELFTEST_VALUES = [41.2, 41.25, 41.2, 41.3, 41.15, 41.2, 41.25, 41.2, 55.0, 55.2]
+
+
+def test_legacy_history_trends_as_the_default_series(tmp_path, capsys):
+    """Rows written before fabrics were recorded (no fabric/partitioner keys)
+    trend as the default series: the shift flags with a ready-to-run doctor
+    command, the clean prefix stays quiet. CI runs `trend` on the same files."""
+    for name, count in (("shifted", 10), ("clean", 7)):
+        path = tmp_path / f"{name}.jsonl"
+        for i, value in enumerate(SELFTEST_VALUES[:count]):
+            append_history({
+                "schema": HISTORY_SCHEMA, "bench_schema": "repro.obs.bench/v5",
+                "fidelity": "small", "commit": f"c{i:02d}",
+                "rows": {"wordcount": {"hamr": {
+                    "virtual_seconds": value, "wall_seconds": 1.0,
+                    "stall_share": 0.63, "traffic_bytes": 5.4e10,
+                    "host_shares": None}}},
+            }, str(path))
+        assert path.read_bytes() == (LEGACY / f"{name}_history.jsonl").read_bytes()
+    assert main(["trend", str(LEGACY / "shifted_history.jsonl"), "--fail-on-shift"]) == 1
+    out = capsys.readouterr().out
+    assert "wordcount:hamr                   SHIFT" in out
+    assert "doctor --shift wordcount:hamr --history" in out
+    assert main(["trend", str(LEGACY / "clean_history.jsonl"), "--fail-on-shift"]) == 0
+    assert "no sustained shifts" in capsys.readouterr().out

@@ -9,6 +9,10 @@
   because a bare pair leaks its frame when the code in between raises.
 * The third-party modules ``src/repro`` imports are exactly the declared
   runtime dependencies, so ``pyproject.toml`` cannot list what nothing uses.
+* A run's identity has one home: outside ``repro.obs.runspec``, the engine
+  configs and the fabric registry no module spells the ``"direct"``/``"hash"``
+  defaults, and racks become workers per rack in one place
+  (``ClusterSpec.rack_size_for``), twolevel's four-rack default with them.
 """
 
 import ast
@@ -129,3 +133,72 @@ def test_frames_open_only_through_scope():
         for line, what in _hostprof_misuse(ast.parse(path.read_text()))
     ]
     assert not misuse
+
+
+# -- run identity: one home for the exchange defaults and the rack rule -------------
+
+#: where the exchange defaults may be spelled: the run-identity module, the
+#: engine configs and the fabric registry
+DEFAULTS_HOME = ("obs/runspec.py", "core/engine.py", "mapreduce/engine.py", "dataplane/fabrics.py")
+
+
+def _default_literals(tree):
+    """Lines spelling the literal ``"direct"`` or ``"hash"``: a comparison
+    against a default, a parameter, field or ``.get`` default, an ``or``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("direct", "hash")
+    )
+
+
+def _rack_conversions(tree):
+    """Lines of ``max(1, workers // racks)``: racks turned into workers per rack."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "max"
+        and len(node.args) == 2
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == 1
+        and isinstance(node.args[1], ast.BinOp)
+        and isinstance(node.args[1].op, ast.FloorDiv)
+    )
+
+
+def test_run_identity_detectors_see_what_they_should():
+    bad = ast.parse(
+        '"""The direct fabric and the hash partitioner, in prose."""\n'
+        'def f(fabric="direct"):\n'
+        '    if fabric != "direct":\n'
+        '        return entry.get("partitioner", "hash")\n'
+        '    return fabric or "direct"\n'
+        'label = f"{engine}@direct"\n'  # text inside an f-string is not a default
+        'kind = "directory"\n'
+        'rack_size = max(1, spec.num_workers // 4)\n'
+        'rack_size = max(1, workers // racks)\n'
+        'width = max(2, n // 4) + max(1, n / 4)\n'
+    )
+    assert _default_literals(bad) == [2, 3, 4, 5]
+    assert _rack_conversions(bad) == [8, 9]
+
+
+def test_exchange_defaults_are_spelled_in_one_home():
+    spelled = [
+        (rel, line)
+        for path in _modules()
+        if (rel := str(path.relative_to(SRC))) not in DEFAULTS_HOME
+        for line in _default_literals(ast.parse(path.read_text()))
+    ]
+    assert not spelled, f"use RunSpec's defaults instead: {spelled}"
+
+
+def test_the_rack_rule_has_one_home():
+    sites = [
+        str(path.relative_to(SRC))
+        for path in _modules()
+        for _line in _rack_conversions(ast.parse(path.read_text()))
+    ]
+    assert sites == ["cluster/spec.py"]

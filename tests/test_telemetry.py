@@ -35,7 +35,7 @@ def _sampler(enabled=True):
     return TimelineSampler(Simulator(), enabled=enabled)
 
 
-def _run_traced(engine="hamr", seed=0, target_bytes=50_000, profile=False, fabric=None):
+def _run_traced(engine="hamr", seed=0, target_bytes=50_000, profile=False, fabric="direct"):
     params = wordcount.WordCountParams(target_bytes=target_bytes, seed=seed)
     records = wordcount.generate_input(params)
     env = AppEnv(small_cluster_spec(num_workers=3), obs=True, fabric=fabric)
