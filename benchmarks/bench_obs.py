@@ -15,31 +15,22 @@ perf-regression gate uses)::
 Every selected Table 2 workload runs once per engine with tracing
 enabled; the artifact (schema ``repro.obs.bench/v5``) holds each row's
 virtual seconds, blame buckets (plus their ledger total, for the
-bucket-sum invariant), critical-path rollup, telemetry
-traffic-matrix totals (total/remote/per-mode exchange bytes, payload and
-record counts — drift-gated, so partitioner/exchange work is judged on
-shuffle volume), and a ``hostprof`` section (total host ns plus
-per-bucket shares from the dual-clock profiler), so later runs can be
-diffed with ``python -m repro.evaluation diff`` — where the
-task-seconds (and the bytes) went, not just how many there were. Each
-entry also records ``wall_seconds``: real host elapsed time for the run,
-deliberately *excluded* from the drift comparison (it varies machine to
-machine) but kept in the artifact so data-plane speedups are measurable
-before/after. Hostprof ``total_ns`` is likewise informational; only the
-bucket *shares* gate, under the diff's absolute ``--host-tolerance``
-band.
+bucket-sum invariant), critical-path rollup and telemetry traffic-matrix
+totals (total/remote/per-mode exchange bytes, payload and record
+counts), so later runs can be diffed with ``python -m repro.evaluation
+diff`` — where the task-seconds (and the bytes) went, not just how many
+there were.
+
+The artifact holds the virtual clock only: two runs of the same code
+write byte-identical files, so the perf gate is ``cmp`` against the
+committed file. Host time is measured by ``benchmarks/perf``;
+``--profile`` turns the host profiler on and writes its snapshots to a
+side file, never into the artifact.
 
 ``--append-history [PATH]`` additionally appends one compact perf-history
-row (schema ``repro.obs.history/v1``: the v5 totals, host shares and the
-producing git commit) to ``BENCH_history.jsonl`` — the append-only series
+row (schema ``repro.obs.history/v1``: the v5 totals and the producing git
+commit) to ``BENCH_history.jsonl`` — the append-only series
 ``python -m repro.evaluation trend`` scans for sustained regressions.
-
-``REPRO_OBS_SLOWDOWN=workload=factor`` scales one workload's recorded
-virtual seconds — a seeded synthetic regression for validating that the
-CI gate actually fails on drift. ``REPRO_OBS_HOST_SLOWDOWN=bucket=factor``
-does the same on the host clock: it multiplies one hostprof bucket's
-nanoseconds before shares are computed, shifting the recorded composition
-so the gate's host-share band can be self-tested.
 """
 
 import argparse
@@ -60,64 +51,13 @@ from repro.obs.history import DEFAULT_HISTORY_PATH, append_history, history_row,
 from repro.obs.runspec import ENGINES, RunSpec
 
 BENCH_SCHEMA = "repro.obs.bench/v5"
+DEFAULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 _rows: dict[str, dict] = {}  # accumulated across the parametrized cases
 _snapshots: dict[str, dict] = {}  # workload -> engine -> full hostprof snapshot
 
 
-def _synthetic_slowdown() -> tuple[str, float]:
-    """Parse ``REPRO_OBS_SLOWDOWN=workload=factor`` (gate validation)."""
-    raw = os.environ.get("REPRO_OBS_SLOWDOWN", "")
-    if not raw:
-        return "", 1.0
-    workload, _, factor = raw.partition("=")
-    try:
-        return workload, float(factor)
-    except ValueError:
-        raise SystemExit(
-            f"REPRO_OBS_SLOWDOWN must be 'workload=factor', got {raw!r}"
-        ) from None
-
-
-def _host_slowdown() -> tuple[str, float]:
-    """Parse ``REPRO_OBS_HOST_SLOWDOWN=bucket=factor`` (host-gate validation)."""
-    raw = os.environ.get("REPRO_OBS_HOST_SLOWDOWN", "")
-    if not raw:
-        return "", 1.0
-    bucket, _, factor = raw.partition("=")
-    try:
-        return bucket, float(factor)
-    except ValueError:
-        raise SystemExit(
-            f"REPRO_OBS_HOST_SLOWDOWN must be 'bucket=factor', got {raw!r}"
-        ) from None
-
-
-def _hostprof_entry(snapshot) -> dict:
-    """Bench-artifact ``hostprof`` section: total ns + per-bucket shares.
-
-    The synthetic host slowdown (if any) is applied to the chosen
-    bucket's ns *before* shares are computed — exactly the composition
-    shift a real host-side regression in that subsystem would record.
-    """
-    if snapshot is None:
-        return {"total_ns": 0, "shares": {}}
-    slow_bucket, slow_factor = _host_slowdown()
-    buckets = dict(snapshot["buckets"])
-    if slow_bucket in buckets:
-        buckets[slow_bucket] = int(buckets[slow_bucket] * slow_factor)
-    total = sum(buckets.values())
-    return {
-        # total_ns is informational (machine noise) — only shares gate
-        "total_ns": total,
-        "shares": {
-            bucket: round(ns / total, 6) if total else 0.0
-            for bucket, ns in sorted(buckets.items())
-        },
-    }
-
-
-def _engine_entry(tracer, virtual_seconds, wall_seconds=0.0, hostprof=None):
+def _engine_entry(tracer, virtual_seconds):
     jobs = tracer.blame.jobs() if tracer is not None else []
     blame = (
         tracer.blame.job_summary(jobs[0]) if jobs else {b: 0.0 for b in BUCKETS}
@@ -127,8 +67,6 @@ def _engine_entry(tracer, virtual_seconds, wall_seconds=0.0, hostprof=None):
     traffic = tracer.traffic_totals() if tracer is not None else {}
     return {
         "virtual_seconds": round(virtual_seconds, 6),
-        # wall_seconds is informational: host time, excluded from diffing
-        "wall_seconds": round(wall_seconds, 4),
         "blame": {bucket: round(blame[bucket], 6) for bucket in sorted(blame)},
         "blame_total": round(blame_total, 6),
         "critpath": {key: round(sec, 6) for key, sec in sorted(critpath.items())},
@@ -137,18 +75,15 @@ def _engine_entry(tracer, virtual_seconds, wall_seconds=0.0, hostprof=None):
         "telemetry": {
             "traffic": {key: traffic[key] for key in sorted(traffic)}
         },
-        # schema v5: host-clock composition; shares gate under the diff's
-        # --host-tolerance absolute band, total_ns never does
-        "hostprof": _hostprof_entry(hostprof),
     }
 
 
 def run_row(
     name: str, fidelity: str, engines: str = "both",
     journal_stem: str | None = None, fabric: str = RunSpec.fabric,
-    partitioner: str = RunSpec.partitioner,
+    partitioner: str = RunSpec.partitioner, profile: bool = False,
 ) -> dict:
-    """Run one traced+profiled workload row and build its artifact entry.
+    """Run one traced workload row and build its artifact entry.
 
     ``journal_stem`` additionally writes one durable run journal per
     engine to ``<journal_stem>.<name>.<engine>.journal.jsonl`` (see
@@ -159,6 +94,9 @@ def run_row(
     both engines (fabric sweeps); off-default entries carry it, so the
     diff gate keys them ``engine@fabric+partitioner`` and never compares
     them against a default baseline row.
+
+    ``profile`` attaches the host profiler and keeps its snapshots for
+    ``--profile``; the entry is byte-identical either way.
     """
     journal = None
     if journal_stem is not None:
@@ -167,7 +105,7 @@ def run_row(
         journal = lambda engine: JournalWriter(meta={"fidelity": fidelity})  # noqa: E731
     workload = workload_by_name(name, fidelity)
     row = run_workload(
-        workload, engines=engines, obs=True, profile=True, journal=journal,
+        workload, engines=engines, obs=True, profile=profile, journal=journal,
         fabric=fabric, partitioner=partitioner,
     )
     if journal_stem is not None:
@@ -178,22 +116,14 @@ def run_row(
                 journal_path = f"{journal_stem}.{name}.{engine}.journal.jsonl"
                 writer.save(journal_path)
                 print(f"wrote {journal_path}", file=sys.stderr)
-    slow_name, slow_factor = _synthetic_slowdown()
-    factor = slow_factor if name == slow_name else 1.0
     entry = {
         "data_size": workload.data_size,
         "speedup": round(row.speedup, 4) if engines == "both" else None,
     }
     if engines in ("both", "hamr"):
-        entry["hamr"] = _engine_entry(
-            row.hamr_obs, row.hamr_seconds * factor, row.hamr_wall_seconds,
-            row.hamr_hostprof,
-        )
+        entry["hamr"] = _engine_entry(row.hamr_obs, row.hamr_seconds)
     if engines in ("both", "hadoop"):
-        entry["hadoop"] = _engine_entry(
-            row.hadoop_obs, row.idh_seconds * factor, row.hadoop_wall_seconds,
-            row.hadoop_hostprof,
-        )
+        entry["hadoop"] = _engine_entry(row.hadoop_obs, row.idh_seconds)
     # Off-default exchange configurations are stamped per engine entry so
     # the diff gate and trend series key on them (default entries stay
     # key-free — the committed baseline artifact is unchanged).
@@ -218,11 +148,6 @@ def build_payload(rows: dict[str, dict], fidelity: str) -> dict:
     }
 
 
-def _default_path() -> pathlib.Path:
-    default = pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs.json"
-    return pathlib.Path(os.environ.get("REPRO_BENCH_OBS_PATH", default))
-
-
 def write_payload(payload: dict, path: pathlib.Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -240,7 +165,9 @@ def test_traced_row(
     from conftest import run_once
 
     engines = engines_filter or "both"
-    entry = run_once(benchmark, lambda: run_row(name, fidelity, engines))
+    entry = run_once(
+        benchmark, lambda: run_row(name, fidelity, engines, profile=profile_enabled)
+    )
     if profile_enabled:
         hostprof_sink[name] = _snapshots.get(name, {})
 
@@ -258,9 +185,8 @@ def test_write_bench_obs_json(fidelity, workloads_filter, engines_filter):
     if workloads_filter or engines_filter:
         pytest.skip("filtered run — not writing the full baseline artifact")
     assert set(_rows) == set(TABLE2_ORDER), "run the full parametrized set first"
-    path = _default_path()
-    write_payload(build_payload(_rows, fidelity), path)
-    print(f"\nwrote {path}")
+    write_payload(build_payload(_rows, fidelity), DEFAULT_PATH)
+    print(f"\nwrote {DEFAULT_PATH}")
 
 
 # -- plain-script mode (CI perf gate: no pytest-benchmark required) ---------------
@@ -298,13 +224,13 @@ def main(argv=None) -> int:
         "entries are stamped so trend series never mix strategies)",
     )
     parser.add_argument(
-        "--out", default=str(_default_path()), help="artifact output path"
+        "--out", default=str(DEFAULT_PATH), help="artifact output path"
     )
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="also write the full hostprof snapshots (flat/tree/clock) "
-        "to <out-stem>.hostprof.json",
+        help="run with the host profiler on and write its full snapshots "
+        "(flat/tree/clock) to <out-stem>.hostprof.json",
     )
     parser.add_argument(
         "--journal",
@@ -318,8 +244,8 @@ def main(argv=None) -> int:
         const=DEFAULT_HISTORY_PATH,
         default=None,
         metavar="PATH",
-        help="also append one perf-history row (totals + host shares + "
-        f"git commit) to PATH (default {DEFAULT_HISTORY_PATH}; see "
+        help="also append one perf-history row (totals + git commit) to "
+        f"PATH (default {DEFAULT_HISTORY_PATH}; see "
         "`python -m repro.evaluation trend`)",
     )
     args = parser.parse_args(argv)
@@ -338,7 +264,7 @@ def main(argv=None) -> int:
         print(f"  running {name} ({args.fidelity}, {args.engines}) ...", file=sys.stderr)
         rows[name] = run_row(
             name, args.fidelity, args.engines, journal_stem=journal_stem,
-            fabric=args.fabric, partitioner=args.partitioner,
+            fabric=args.fabric, partitioner=args.partitioner, profile=args.profile,
         )
     path = pathlib.Path(args.out)
     payload = build_payload(rows, args.fidelity)

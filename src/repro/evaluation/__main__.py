@@ -22,6 +22,7 @@ from repro.core.engine import PARTITIONERS
 from repro.dataplane.fabrics import FABRICS
 from repro.evaluation.cli import CLIError
 from repro.evaluation.workloads import TABLE2_ORDER
+from repro.obs.history import ROW_METRICS
 from repro.obs.runspec import RunSpec
 
 #: flags that must be positive wherever a command accepts them
@@ -109,7 +110,7 @@ def _shared_groups() -> dict[str, argparse.ArgumentParser]:
         "detector": _group(
             ("--metric", dict(
                 default="virtual_seconds",
-                choices=["virtual_seconds", "stall_share", "traffic_bytes", "wall_seconds"],
+                choices=ROW_METRICS,
                 help="history metric to scan (default virtual_seconds)",
             )),
             ("--min-history", dict(
@@ -185,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         "journal", "live:journal", f"{live} trace out",
         help="run workload(s) journaled; write one durable JSONL journal per "
         "workload x engine (PREFIX defaults to `run`)",
-        epilog="With REPRO_OBS_SLOWDOWN=<bucket>=<factor> set, the written journals "
-        "are dilated into a seeded synthetic regression.",
     )
     sub = command(
         "watch", "live:watch", f"{live} trace out slo json",
@@ -237,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         "whatif", "journals:whatif", "fidelity fabric trace json partial",
         help="predict a run's makespan under a counterfactual scenario, with bounds",
         epilog="Bucket-only scenarios are exact: --emit-journal writes the dilated "
-        "journal, byte-identical to a REPRO_OBS_SLOWDOWN-seeded re-run.",
+        "journal, which is also how a regression is seeded (disk=0.5: disk work "
+        "takes 2x).",
     )
     sub.add_argument("run", metavar="RUN", help="a journal file, or workload:engine to run first")
     sub.add_argument(
@@ -281,10 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--tolerance", type=float, default=0.01,
         help="relative virtual-seconds drift tolerance (default 1%%)",
-    )
-    sub.add_argument(
-        "--host-tolerance", type=float, default=0.15,
-        help="absolute hostprof bucket-share drift band (default 0.15)",
     )
     sub.add_argument(
         "--fail-on-drift", action="store_true",

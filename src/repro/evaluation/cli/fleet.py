@@ -38,12 +38,7 @@ def diff(args) -> int:
     """Compare two observability artifacts; optionally gate on drift."""
     from repro.obs.diff import diff_artifacts, render_diff
 
-    result = diff_artifacts(
-        _artifact(args.a),
-        _artifact(args.b),
-        tolerance=args.tolerance,
-        host_tolerance=args.host_tolerance,
-    )
+    result = diff_artifacts(_artifact(args.a), _artifact(args.b), tolerance=args.tolerance)
     if not any(result.rows.values()):
         raise CLIError(
             "the two artifacts share no workload × engine rows — nothing to compare"

@@ -118,7 +118,7 @@ def _executor(args, model):
         )
         if sc.bucket_only:
             # Independent end-to-end check: a fresh run, dilated by the
-            # same transform the REPRO_OBS_SLOWDOWN seeding applies.
+            # same transform the scenario journal is made with.
             records = fresh.journal.records
             return dilate_bucket_charges(records, sc.time_factors)[-1].get("makespan")
         return fresh.makespan

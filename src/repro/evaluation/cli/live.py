@@ -16,7 +16,6 @@ from repro.evaluation.cli.views import (
     heading,
     present_runs,
 )
-from repro.obs.journal import bucket_slowdown_from_env, encode_record, seed_bucket_slowdown
 
 
 def report(args) -> None:
@@ -106,24 +105,12 @@ def _journal_path(args, out: str, run) -> str:
 
 
 def journal(args) -> None:
-    """Run workload(s) with journaling on; write one JSONL file per run.
-
-    With ``REPRO_OBS_SLOWDOWN=<bucket>=<factor>`` the written journal is
-    dilated into a seeded synthetic regression.
-    """
-    seeded = bucket_slowdown_from_env()
+    """Run workload(s) with journaling on; write one JSONL file per run."""
     for run in live_runs(args, journal=journal_writers(args)):
-        path = _journal_path(args, args.out or "run", run)
         writer = run.journal
-        if seeded is None:
-            save_journal(path, writer.lines, f"{writer.events} events")
-            continue
-        bucket, factor = seeded
-        records = seed_bucket_slowdown(writer.records, bucket, factor)
         save_journal(
-            path,
-            map(encode_record, records),
-            f"{len(records) - 2} events, seeded {bucket}x{factor:g} slowdown",
+            _journal_path(args, args.out or "run", run), writer.lines,
+            f"{writer.events} events",
         )
 
 
@@ -149,9 +136,8 @@ def watch(args) -> None:
 
     Frames are journaled (``wcfg``/``fr`` records), so with ``--out`` the
     saved journal replays the dashboard byte-identically via ``replay
-    --view watch``. With ``REPRO_OBS_SLOWDOWN=<bucket>=<factor>`` the
-    journal is dilated first and the dashboard renders the slowed
-    timeline (ETAs and watchdog verdicts recomputed).
+    --view watch`` — also after ``whatif --emit-journal`` has dilated it
+    (ETAs and watchdog verdicts recomputed on the slowed timeline).
     """
     from repro.obs.live import LiveMonitor, WatchConfig
     from repro.obs.slo import spec_for
@@ -159,7 +145,6 @@ def watch(args) -> None:
     _positional_filters(args, args.workload_arg, args.engine_arg)
     overrides = _slo_overrides(args)
     config = WatchConfig(interval=args.interval, window=args.stall_window)
-    seeded = bucket_slowdown_from_env()
 
     def monitored(name):
         return {
@@ -171,19 +156,10 @@ def watch(args) -> None:
     def watched():
         for run in live_runs(args, monitored, journal=journal_writers(args)):
             run.watch_config = {"interval": config.interval, "window": config.window}
-            run.frames, lines = run.monitor.frames, run.journal.lines
-            if seeded is not None:
-                records = seed_bucket_slowdown(run.journal.records, *seeded)
-                run.frames = [
-                    {k: v for k, v in rec.items() if k != "t"}
-                    for rec in records
-                    if rec.get("t") == "fr"
-                ]
-                run.makespan = records[-1].get("makespan", run.makespan)
-                lines = map(encode_record, records)
+            run.frames = run.monitor.frames
             yield run
             if args.out:
-                save_journal(_journal_path(args, args.out, run), lines)
+                save_journal(_journal_path(args, args.out, run), run.journal.lines)
 
     present_runs(args, watched(), WatchView())
 

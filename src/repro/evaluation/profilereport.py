@@ -1,9 +1,9 @@
 """Render host-time profiles: bucket summary, flat hot list, top-down tree.
 
 The layout is deterministic (sorted by self/total host-ns, then label) —
-the *values* are host noise by nature. Anything that gates must consume
-bucket shares or call counts, not raw nanoseconds (that is what the
-bench v5 ``hostprof`` section and the perf gate's tolerance band do).
+the *values* are host noise by nature. Host time is gated only by
+``benchmarks/perf`` (paired runs, bounded metrics), never by a committed
+artifact.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -43,10 +42,6 @@ class BenchmarkRow:
     #: observability tracers of the two runs (None unless ``obs=True``)
     hamr_obs: "Optional[Tracer]" = field(default=None, repr=False)
     hadoop_obs: "Optional[Tracer]" = field(default=None, repr=False)
-    #: real wall-clock elapsed seconds per engine run (host time, not the
-    #: virtual clock — varies run to run, excluded from drift comparisons)
-    hamr_wall_seconds: float = 0.0
-    hadoop_wall_seconds: float = 0.0
     #: host-time profiler snapshots (repro.obs.hostprof/v1 dicts; None
     #: unless ``profile=True``) — host ns per bucket/operator, clock track
     hamr_hostprof: Optional[dict] = field(default=None, repr=False)
@@ -138,11 +133,9 @@ def run_workload(
         if profile:
             prof = _hostprof.HostProfiler()
             env.cluster.sim.attach(prof)
-        t0 = time.perf_counter()
         with _hostprof.activation(prof):
             result = runner(env, workload.params, workload.records)
-        wall = time.perf_counter() - t0
-        return result, wall, (prof.snapshot() if prof is not None else None)
+        return result, (prof.snapshot() if prof is not None else None)
 
     def _engine_run(runner, engine: str):
         writer = _writer_for(engine)
@@ -179,7 +172,7 @@ def run_workload(
                 config = watch if isinstance(watch, WatchConfig) else None
                 monitor = LiveMonitor(env.obs, config=config)
             env.cluster.sim.attach(monitor)
-        result, wall, prof = _run(runner, env)
+        result, prof = _run(runner, env)
         if monitor is not None:
             # terminal frame before the footer seals the journal
             monitor.finish(result.makespan)
@@ -192,24 +185,23 @@ def run_workload(
                 trace_dropped=trace["dropped"],
                 trace_max_records=trace["max_records"],
             )
-        return env, result, wall, prof, writer, monitor
+        return env, result, prof, writer, monitor
 
     hamr_result = hadoop_result = None
     hamr_obs = hadoop_obs = None
-    hamr_wall = hadoop_wall = 0.0
     hamr_prof = hadoop_prof = None
     hamr_dropped = hadoop_dropped = 0
     hamr_writer = hadoop_writer = None
     hamr_monitor = hadoop_monitor = None
     if engines in ("both", "hamr"):
-        env, hamr_result, hamr_wall, hamr_prof, hamr_writer, hamr_monitor = _engine_run(
+        env, hamr_result, hamr_prof, hamr_writer, hamr_monitor = _engine_run(
             workload.run_hamr, "hamr"
         )
         hamr_obs = env.obs if obs else None
         hamr_dropped = env.cluster.trace.dropped
     if engines in ("both", "hadoop"):
-        env, hadoop_result, hadoop_wall, hadoop_prof, hadoop_writer, hadoop_monitor = (
-            _engine_run(workload.run_hadoop, "hadoop")
+        env, hadoop_result, hadoop_prof, hadoop_writer, hadoop_monitor = _engine_run(
+            workload.run_hadoop, "hadoop"
         )
         hadoop_obs = env.obs if obs else None
         hadoop_dropped = env.cluster.trace.dropped
@@ -224,8 +216,6 @@ def run_workload(
         hadoop_result=hadoop_result,
         hamr_obs=hamr_obs,
         hadoop_obs=hadoop_obs,
-        hamr_wall_seconds=hamr_wall,
-        hadoop_wall_seconds=hadoop_wall,
         hamr_hostprof=hamr_prof,
         hadoop_hostprof=hadoop_prof,
         hamr_trace_dropped=hamr_dropped,

@@ -113,9 +113,6 @@ def summarize_records(
         "blame_total": round(blame_total, 6),
         "critpath": {key: round(sec, 6) for key, sec in sorted(rollup.items())},
         "traffic": {key: traffic[key] for key in sorted(traffic)},
-        # journals carry no host-clock data; shares stay None unless a
-        # future schema embeds them in the header/footer
-        "host_shares": run.header.get("host_shares"),
     }
     row.update(_straggler_section(run))
     return row

@@ -5,12 +5,12 @@ explicit variance/regression criteria, not one-shot numbers. This module
 diffs two artifacts — bench baselines (``repro.obs.bench/*``, e.g.
 the committed ``BENCH_obs.json``) or report exports
 (``repro.obs.report/*``) — per workload × engine: virtual seconds,
-blame-bucket deltas, critical-path composition, (bench v4+)
-telemetry traffic-matrix totals, and (bench v5+) hostprof bucket shares
-under a separate absolute tolerance band. The result renders as
-a deterministic ASCII table plus a JSON delta report, and carries a drift
-verdict against a configurable relative tolerance — the CI perf-regression
-gate is exactly this diff with ``--fail-on-drift``.
+blame-bucket deltas, critical-path composition and (bench v4+)
+telemetry traffic-matrix totals — the virtual clock only; host time is
+measured by ``benchmarks/perf``. The result renders as a deterministic
+ASCII table plus a JSON delta report, and carries a drift verdict
+against a configurable relative tolerance — the CI perf-regression gate
+runs this diff at ``--tolerance 0`` to explain any byte ``cmp`` rejects.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class EngineRecord:
     blame: dict[str, float] = field(default_factory=dict)
     critpath: Optional[dict[str, float]] = None  # rollup key -> path seconds
     traffic: Optional[dict[str, float]] = None  # telemetry traffic totals (v4+)
-    host_shares: Optional[dict[str, float]] = None  # hostprof bucket shares (v5+)
 
 
 def _blame_from_report(engine_report: dict) -> dict[str, float]:
@@ -68,7 +67,6 @@ def normalize(artifact: dict, source: str = "<artifact>") -> dict:
                     continue
                 key = RunSpec.from_entry(workload, engine, entry).engine_label
                 traffic = entry.get("telemetry", {}).get("traffic")
-                host_shares = entry.get("hostprof", {}).get("shares")
                 engines[key] = EngineRecord(
                     virtual_seconds=entry["virtual_seconds"],
                     blame=dict(entry.get("blame", {})),
@@ -76,9 +74,6 @@ def normalize(artifact: dict, source: str = "<artifact>") -> dict:
                     if entry.get("critpath") is not None
                     else None,
                     traffic=dict(traffic) if traffic is not None else None,
-                    host_shares=dict(host_shares)
-                    if host_shares is not None
-                    else None,
                 )
             rows[workload] = engines
     elif schema.startswith(_REPORT_PREFIX):
@@ -125,7 +120,6 @@ class DiffResult:
     only_b: list[str]
     tolerance: float
     drift: list[str] = field(default_factory=list)  # "workload/engine" keys
-    host_tolerance: float = 0.15  # absolute hostprof bucket-share band
 
     @property
     def ok(self) -> bool:
@@ -135,7 +129,6 @@ class DiffResult:
         return {
             "schema": DIFF_SCHEMA,
             "tolerance": self.tolerance,
-            "host_tolerance": self.host_tolerance,
             "ok": self.ok,
             "drift": sorted(self.drift),
             "only_a": sorted(self.only_a),
@@ -153,9 +146,7 @@ class DiffResult:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-def diff_artifacts(
-    a: dict, b: dict, tolerance: float = 0.01, host_tolerance: float = 0.15
-) -> DiffResult:
+def diff_artifacts(a: dict, b: dict, tolerance: float = 0.01) -> DiffResult:
     """Compare two normalized artifacts (see :func:`normalize`).
 
     A workload × engine drifts when its virtual seconds moved by more than
@@ -164,24 +155,17 @@ def diff_artifacts(
     total (total/remote/per-mode bytes, payloads, records) drifts beyond
     the same tolerance. Shuffle-volume regressions therefore gate exactly
     like makespan regressions. Blame buckets and critical-path composition
-    are reported per row for explanation only.
-
-    When both sides carry hostprof bucket shares (bench schema v5+), a
-    row also drifts if any bucket's share moved by more than
-    ``host_tolerance`` in absolute share points. Raw host nanoseconds are
-    machine noise and never gate; shares are composition and do.
+    are reported per row for explanation only. Host-clock leaves an older
+    artifact may still carry (``wall_seconds``, ``hostprof``) are ignored.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative: {tolerance}")
-    if host_tolerance < 0:
-        raise ValueError(f"host_tolerance must be non-negative: {host_tolerance}")
     shared = sorted(set(a) & set(b))
     result = DiffResult(
         rows={},
         only_a=sorted(set(a) - set(b)),
         only_b=sorted(set(b) - set(a)),
         tolerance=tolerance,
-        host_tolerance=host_tolerance,
     )
     for workload in shared:
         engines_a, engines_b = a[workload], b[workload]
@@ -219,21 +203,6 @@ def diff_artifacts(
                 comparison["traffic_delta"] = traffic_delta
                 comparison["traffic_drift"] = traffic_drift
                 if traffic_drift:
-                    drifted = True
-                    comparison["drift"] = True
-            if rec_a.host_shares is not None and rec_b.host_shares is not None:
-                host_delta = {}
-                host_drift = []
-                for bucket in sorted(set(rec_a.host_shares) | set(rec_b.host_shares)):
-                    delta = rec_b.host_shares.get(bucket, 0.0) - rec_a.host_shares.get(
-                        bucket, 0.0
-                    )
-                    host_delta[bucket] = round(delta, 6)
-                    if abs(delta) > host_tolerance:
-                        host_drift.append(bucket)
-                comparison["host_share_delta"] = host_delta
-                comparison["host_drift"] = host_drift
-                if host_drift:
                     drifted = True
                     comparison["drift"] = True
             row[engine] = comparison
@@ -323,36 +292,6 @@ def render_diff(result: DiffResult, label_a: str = "A", label_b: str = "B") -> s
                 ["workload", "engine", "verdict", "traffic-matrix total shift"],
                 traffic_rows,
                 title="Traffic deltas",
-            )
-        )
-    host_rows = []
-    for workload in sorted(result.rows):
-        for engine in sorted(result.rows[workload]):
-            c = result.rows[workload][engine]
-            delta = c.get("host_share_delta")
-            if delta is None:
-                continue
-            moved = [
-                f"{bucket} {100.0 * share:+.1f}pp"
-                for bucket, share in sorted(
-                    delta.items(), key=lambda kv: (-abs(kv[1]), kv[0])
-                )
-                if abs(share) > 1e-9
-            ][:3]
-            host_rows.append(
-                [
-                    workload,
-                    engine,
-                    "DRIFT" if c.get("host_drift") else "ok",
-                    ", ".join(moved) or "(unchanged)",
-                ]
-            )
-    if host_rows:
-        lines.append(
-            render_table(
-                ["workload", "engine", "verdict", "host-share shift"],
-                host_rows,
-                title=f"Host-share deltas (band ±{100.0 * result.host_tolerance:g}pp)",
             )
         )
     for label, missing in (("only in A", result.only_a), ("only in B", result.only_b)):

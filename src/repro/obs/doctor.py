@@ -26,8 +26,9 @@ cross-checked one by one. The doctor automates the chain end to end:
    the baseline journal, reproduces the regression.
 
 Everything is derived from the two journals alone, so reports are
-byte-deterministic — the seeded ``REPRO_OBS_SLOWDOWN`` self-test in CI
-asserts the injected bucket ranks #1 with the injected delta.
+byte-deterministic — the seeded-regression self-test in CI (a journal
+dilated by ``whatif --emit-journal``) asserts the injected bucket ranks
+#1 with the injected delta.
 """
 
 from __future__ import annotations
@@ -442,7 +443,7 @@ def _suggest_whatif(
     A bucket slowed by factor ``F`` inserts ``(F - 1) x`` the baseline's
     charged seconds into the timeline, so the observed makespan-delta
     contribution solves to ``F = 1 + delta / blame_a[bucket]`` — for a
-    seeded ``REPRO_OBS_SLOWDOWN`` dilation this recovers the injected
+    seeded bucket dilation this recovers the injected
     factor exactly. ``whatif`` bucket values are *speed* multipliers
     and record dilation is only exact in the slow-down direction
     (inserted time always fits the timeline; removed time can exceed

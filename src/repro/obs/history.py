@@ -1,9 +1,10 @@
 """Perf history: append-only bench rows plus change-point detection.
 
 ``BENCH_history.jsonl`` holds one JSON row per bench run — the schema-v5
-totals (virtual seconds, stall share, traffic bytes), the host-time
-shares, and the git commit that produced them — so the perf trajectory
-is a first-class artifact instead of a single committed snapshot.
+totals (virtual seconds, stall share, traffic bytes) and the git commit
+that produced them — so the perf trajectory is a first-class artifact
+instead of a single committed snapshot. Older rows may also carry
+``wall_seconds`` and ``host_shares``; they load, and nothing reads them.
 
 The ``trend`` CLI runs robust regression detection over each
 workload × engine series: a reference median and MAD band over the
@@ -34,7 +35,7 @@ TREND_SCHEMA = "repro.obs.trend/v1"
 DEFAULT_HISTORY_PATH = "BENCH_history.jsonl"
 
 #: metrics a history row records per workload × engine
-ROW_METRICS = ("virtual_seconds", "stall_share", "traffic_bytes", "wall_seconds")
+ROW_METRICS = ("virtual_seconds", "stall_share", "traffic_bytes")
 
 #: minimum reference rows before the detector renders a verdict
 DEFAULT_MIN_HISTORY = 4
@@ -80,11 +81,9 @@ def history_row(payload: dict, commit: Optional[str] = None) -> dict:
             if not entry:
                 continue
             traffic = entry.get("telemetry", {}).get("traffic", {})
-            hostprof = entry.get("hostprof") or {}
             spec = RunSpec.from_entry(workload, engine, entry)
             rows.setdefault(workload, {})[engine] = {
                 "virtual_seconds": entry.get("virtual_seconds", 0.0),
-                "wall_seconds": entry.get("wall_seconds", 0.0),
                 "stall_share": round(
                     stall_share(
                         entry.get("blame", {}), entry.get("blame_total", 0.0)
@@ -92,7 +91,6 @@ def history_row(payload: dict, commit: Optional[str] = None) -> dict:
                     6,
                 ),
                 "traffic_bytes": traffic.get("total_bytes", 0.0),
-                "host_shares": hostprof.get("shares"),
                 # the run's exchange configuration: trend series are keyed
                 # on it, so a twolevel sweep never pollutes the direct
                 # baseline's shift band

@@ -49,12 +49,12 @@ fr      live dashboard frame (progress, ETA, watchdog verdict)
 footer  event/span counts, makespan, trace-drop counter
 ======  =====================================================
 
-``REPRO_OBS_SLOWDOWN=<bucket>=<factor>`` (with a *blame bucket* on the
-left-hand side, e.g. ``disk=2.0``) turns the ``journal`` CLI verb into a
-seeded-regression generator: :func:`seed_bucket_slowdown` dilates the
-journal's virtual timeline so every span charged to that bucket takes
-``factor``× longer — the synthetic root cause the ``explain`` self-test
-must rank first.
+A seeded regression is data, not a run mode: :func:`dilate_bucket_charges`
+stretches a recorded journal so every span charged to a blame bucket takes
+``factor``× longer — the synthetic root cause ``explain`` and ``doctor``
+must rank first. From the CLI, ``whatif RUN --scenario disk=0.5
+--emit-journal OUT`` writes the journal with disk work taking 2×
+(scenario values are speeds, so the factor is their reciprocal).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ import bisect
 import io
 import itertools
 import json
-import os
 from typing import Any, Callable, Iterable, Optional, TextIO
 
 from repro.obs.blame import BUCKETS
@@ -363,34 +362,12 @@ def load_journal(path: str, *, allow_partial: bool = False) -> list[dict]:
 # -- seeded synthetic regression -----------------------------------------------------
 
 
-def bucket_slowdown_from_env() -> Optional[tuple[str, float]]:
-    """Parse ``REPRO_OBS_SLOWDOWN=<blame-bucket>=<factor>``.
-
-    Returns None when the variable is unset *or* names something that is
-    not a blame bucket (the workload-name form belongs to
-    ``benchmarks/bench_obs.py`` and must not trigger here).
-    """
-    raw = os.environ.get("REPRO_OBS_SLOWDOWN", "")
-    if not raw:
-        return None
-    bucket, _, factor = raw.partition("=")
-    if bucket not in BUCKETS:
-        return None
-    try:
-        return bucket, float(factor)
-    except ValueError:
-        raise SystemExit(
-            f"REPRO_OBS_SLOWDOWN must be 'bucket=factor', got {raw!r}"
-        ) from None
-
-
 def seed_bucket_slowdown(records: list[dict], bucket: str, factor: float) -> list[dict]:
     """Dilate a journal's virtual timeline: ``bucket`` work takes ``factor``×.
 
-    Thin wrapper over :func:`dilate_bucket_charges` for the historical
-    single-bucket form — byte-for-byte identical output to the original
-    seeded-regression generator (the ``explain`` self-test and the
-    ``whatif`` prediction-error gate both depend on that).
+    Thin wrapper over :func:`dilate_bucket_charges` for the single-bucket
+    form, byte-for-byte what ``whatif --scenario <bucket>=<1/factor>
+    --emit-journal`` writes.
     """
     return dilate_bucket_charges(records, {bucket: factor})
 

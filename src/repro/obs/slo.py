@@ -16,7 +16,7 @@ An :class:`SLOSpec` states four objectives for one workload × engine run:
 Any objective may be None (unbounded). :data:`DEFAULT_SLOS` encodes the
 committed ``BENCH_obs.json`` baseline (small fidelity) with headroom —
 1.25× on makespan and traffic, +0.10 on stall share — so the committed
-run passes and a seeded ``REPRO_OBS_SLOWDOWN`` regression breaches.
+run passes and a seeded 2× makespan regression breaches.
 
 Specs are evaluated post-run (``slo`` CLI verdict table, exit 1 on any
 FAIL) and live (:class:`repro.obs.live.LiveMonitor` escalates a frame to
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Optional
 
 from repro.obs.blame import STALL
 

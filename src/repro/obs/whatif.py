@@ -12,7 +12,7 @@ pessimistic bounds:
     runs ``s``× as fast, so charged seconds dilate by ``1/s``. For
     scenarios composed *only* of bucket speeds the prediction is computed
     by literally running :func:`~repro.obs.journal.dilate_bucket_charges`
-    — the same transform ``REPRO_OBS_SLOWDOWN`` seeding uses — so the
+    — the transform every seeded regression is made with — so the
     predicted makespan is **bit-exact** against the executable ground
     truth (the self-auditing half of the tool).
 ``nodes=16`` (cluster rescaling)
@@ -592,7 +592,7 @@ class WhatIfModel:
             )
         if scenario.bucket_only:
             # Executable scenario: run the real transform, byte-exact
-            # against a REPRO_OBS_SLOWDOWN-seeded run of the same journal.
+            # against the journal --emit-journal writes.
             dilated = dilate_bucket_charges(self.records, scenario.time_factors)
             predicted = dilated[-1].get("makespan", makespan)
             return Prediction(
@@ -715,8 +715,8 @@ class WhatIfModel:
     def scenario_journal(self, scenario: Scenario) -> list[dict]:
         """The dilated journal a bucket-only scenario predicts.
 
-        Byte-identical to what a ``REPRO_OBS_SLOWDOWN``-seeded re-run of
-        the same journal would write — the CI gate ``cmp``s the two.
+        ``seed_bucket_slowdown(records, b, 1/s)`` for a one-bucket
+        scenario ``b=s``, byte for byte (``tests/test_whatif.py``).
         """
         if not scenario.bucket_only:
             raise ScenarioError(

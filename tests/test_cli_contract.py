@@ -29,7 +29,6 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -59,13 +58,11 @@ def _commands(parser=None, prefix=()):
                 yield from _commands(sub, (*prefix, name))
 
 
-def run_cli(argv, env=None):
+def run_cli(argv):
     """``main(argv)`` -> (exit code, stdout, stderr); SystemExit counts as
     its code (argparse's own usage errors leave that way)."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stdout(
-        out
-    ), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:
@@ -247,51 +244,51 @@ def _first_fingerprint(_tmp):
         return json.loads(fh.readline())["fingerprint"][:12]
 
 
-#: (case id, argv (or callable -> argv), env, files the step writes).
+#: (case id, argv (or callable -> argv), files the step writes).
 #: Steps run in order in one scratch cwd; later steps read earlier files.
 GOLDEN_STEPS = [
-    ("table1", ["table1"], {}, []),
-    ("bench", ["bench", WL, "--fidelity", "tiny"], {}, []),
+    ("table1", ["table1"], []),
+    ("bench", ["bench", WL, "--fidelity", "tiny"], []),
     ("report", ["report", "--workload", WL, "--engine", "both", "--fidelity", "tiny",
-                "--json", "report.json"], {}, ["report.json"]),
-    ("report_stdout_json", ["report", *LIVE, "--json", "-"], {}, []),
+                "--json", "report.json"], ["report.json"]),
+    ("report_stdout_json", ["report", *LIVE, "--json", "-"], []),
     ("timeline", ["timeline", *LIVE, "--json", "timeline.json",
-                  "--chrome", "timeline_trace.json"], {},
+                  "--chrome", "timeline_trace.json"],
      ["timeline.json", "timeline_trace.json"]),
-    ("journal", ["journal", *LIVE, "--out", "run"], {}, [JOURNAL]),
-    ("journal_seeded", ["journal", *LIVE, "--out", "seeded.jsonl"],
-     {"REPRO_OBS_SLOWDOWN": "disk=2.0"}, ["seeded.jsonl"]),
-    ("replay_report", ["replay", JOURNAL, "--json", "-"], {}, []),
-    ("replay_report_text", ["replay", JOURNAL, "--chrome", "replay_trace.json"], {},
+    ("journal", ["journal", *LIVE, "--out", "run"], [JOURNAL]),
+    ("journal_seeded", ["whatif", JOURNAL, "--scenario", "disk=0.5",
+                        "--emit-journal", "seeded.jsonl"], ["seeded.jsonl"]),
+    ("replay_report", ["replay", JOURNAL, "--json", "-"], []),
+    ("replay_report_text", ["replay", JOURNAL, "--chrome", "replay_trace.json"],
      ["replay_trace.json"]),
     ("replay_timeline", ["replay", JOURNAL, "--view", "timeline",
-                         "--json", "replay_timeline.json"], {}, ["replay_timeline.json"]),
+                         "--json", "replay_timeline.json"], ["replay_timeline.json"]),
     ("replay_critpath", ["replay", JOURNAL, "--view", "critpath",
-                         "--json", "critpath.json"], {}, ["critpath.json"]),
+                         "--json", "critpath.json"], ["critpath.json"]),
     ("watch", ["watch", WL, "hamr", "--fidelity", "tiny", "--interval", "5",
-               "--out", "watched.jsonl", "--json", "watch.json"], {},
+               "--out", "watched.jsonl", "--json", "watch.json"],
      ["watch.json", "watched.jsonl"]),
     ("replay_watch", ["replay", "watched.jsonl", "--view", "watch",
-                      "--json", "replay_watch.json"], {}, ["replay_watch.json"]),
-    ("explain", ["explain", JOURNAL, "seeded.jsonl", "--json", "explain.json"], {},
+                      "--json", "replay_watch.json"], ["replay_watch.json"]),
+    ("explain", ["explain", JOURNAL, "seeded.jsonl", "--json", "explain.json"],
      ["explain.json"]),
     ("whatif", ["whatif", JOURNAL, "--scenario", "disk=0.5", "--sweep", "nodes=4..16",
-                "--emit-journal", "predicted.jsonl", "--json", "whatif.json"], {},
+                "--emit-journal", "predicted.jsonl", "--json", "whatif.json"],
      ["whatif.json", "predicted.jsonl"]),
     # --allow-partial: the scratch cwd also holds BENCH_history.jsonl (skipped)
     ("corpus_ingest", ["corpus", "ingest", ".", "--index", "corpus.jsonl",
-                       "--allow-partial"], {}, ["corpus.jsonl"]),
+                       "--allow-partial"], ["corpus.jsonl"]),
     ("corpus_ls", ["corpus", "ls", "--index", "corpus.jsonl", "--where", "engine=hamr",
-                   "--json", "corpus_ls.json"], {}, ["corpus_ls.json"]),
+                   "--json", "corpus_ls.json"], ["corpus_ls.json"]),
     ("corpus_show", lambda tmp: ["corpus", "show", _first_fingerprint(tmp),
-                                 "--index", "corpus.jsonl"], {}, []),
-    ("doctor", ["doctor", JOURNAL, "seeded.jsonl", "--json", "doctor.json"], {},
+                                 "--index", "corpus.jsonl"], []),
+    ("doctor", ["doctor", JOURNAL, "seeded.jsonl", "--json", "doctor.json"],
      ["doctor.json"]),
     ("diff", ["diff", "BENCH_obs.json", "BENCH_obs.json", "--fail-on-drift",
-              "--json", "diff.json"], {}, ["diff.json"]),
-    ("slo", ["slo", "BENCH_obs.json", "--json", "slo.json"], {}, ["slo.json"]),
-    ("slo_live", ["slo", WL, "hamr", "--fidelity", "tiny"], {}, []),
-    ("trend", ["trend", "BENCH_history.jsonl", "--json", "trend.json"], {},
+              "--json", "diff.json"], ["diff.json"]),
+    ("slo", ["slo", "BENCH_obs.json", "--json", "slo.json"], ["slo.json"]),
+    ("slo_live", ["slo", WL, "hamr", "--fidelity", "tiny"], []),
+    ("trend", ["trend", "BENCH_history.jsonl", "--json", "trend.json"],
      ["trend.json"]),
 ]
 
@@ -317,10 +314,10 @@ def run_golden_chain(workdir: Path) -> dict[str, bytes]:
     commit_memo = runner._COMMIT_CACHE[:]
     runner._COMMIT_CACHE[:] = ["golden"]
     try:
-        for case, argv, env, files in GOLDEN_STEPS:
+        for case, argv, files in GOLDEN_STEPS:
             if callable(argv):
                 argv = argv(workdir)
-            code, out, _err = run_cli(argv, env)
+            code, out, _err = run_cli(argv)
             exits.append(f"{case} {code}\n")
             produced[f"{case}.stdout"] = _pin(out.encode())
             for name in files:

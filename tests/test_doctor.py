@@ -1,7 +1,7 @@
 """Tests for the regression doctor.
 
 The load-bearing property is the seeded self-test: a journal dilated
-with ``REPRO_OBS_SLOWDOWN``-style bucket charges must come back from
+with ``seed_bucket_slowdown`` bucket charges must come back from
 ``diagnose`` with the injected bucket ranked #1 at HIGH confidence, a
 delta matching the injected time, and a counter-scenario that recovers
 the injected factor. Everything else (spec resolution, shift

@@ -161,23 +161,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error" in err
 
-    def test_journal_replay_explain_pipeline(self, tmp_path, capsys, monkeypatch):
+    def test_journal_replay_explain_pipeline(self, tmp_path, capsys):
+        """Record, seed a 2x disk regression with whatif, explain: disk first."""
         from repro.evaluation.__main__ import main
 
         base = tmp_path / "base.jsonl"
         rc = main(["journal", "--workload", "wordcount", "--engine", "hamr",
                    "--fidelity", "tiny", "--out", str(base)])
         assert rc == 0 and base.exists()
-        monkeypatch.setenv("REPRO_OBS_SLOWDOWN", "disk=2.0")
         inflated = tmp_path / "inflated.jsonl"
-        rc = main(["journal", "--workload", "wordcount", "--engine", "hamr",
-                   "--fidelity", "tiny", "--out", str(inflated)])
+        rc = main(["whatif", str(base), "--scenario", "disk=0.5",
+                   "--emit-journal", str(inflated)])
         assert rc == 0 and inflated.exists()
-        monkeypatch.delenv("REPRO_OBS_SLOWDOWN")
         capsys.readouterr()
         rc = main(["explain", str(base), str(inflated), "--json", "-"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == EXPLAIN_SCHEMA
         assert payload["dimensions"]["buckets"]["top"] == "disk"
+        top_row = payload["dimensions"]["buckets"]["rows"][0]
+        assert top_row["key"] == "disk" and top_row["delta"] > 0
         assert payload["b"]["seeded_slowdown"] == {"bucket": "disk", "factor": 2.0}
         assert payload["makespan_delta"] > 0

@@ -71,7 +71,8 @@ class TestHistoryRows:
             src["telemetry"]["traffic"]["total_bytes"]
         )
         assert 0.0 <= entry["stall_share"] <= 1.0
-        assert entry["host_shares"] == src["hostprof"]["shares"]
+        # the host clock lives in benchmarks/perf, not in history rows
+        assert not {"wall_seconds", "host_shares"} & set(entry)
 
     def test_rejects_non_bench_payloads(self):
         with pytest.raises(ValueError, match="not a bench payload"):

@@ -527,65 +527,6 @@ class TestCalibration:
         assert [label for _, _, _, label in rows] == ["map:a"]
 
 
-def _bench_artifact(shares_by_engine):
-    return {
-        "schema": "repro.obs.bench/v5",
-        "fidelity": "small",
-        "rows": {
-            "wordcount": {
-                "data_size": "16GB",
-                "speedup": 2.0,
-                **{
-                    engine: {
-                        "virtual_seconds": 100.0,
-                        "blame": {"compute": 50.0},
-                        "hostprof": {"total_ns": 1_000_000, "shares": shares},
-                    }
-                    for engine, shares in shares_by_engine.items()
-                },
-            }
-        },
-    }
-
-
-class TestDiffHostShares:
-    def test_shares_within_band_pass(self):
-        from repro.obs.diff import diff_artifacts, normalize
-
-        a = normalize(_bench_artifact({"hamr": {"engine": 0.8, "sim-kernel": 0.2}}))
-        b = normalize(_bench_artifact({"hamr": {"engine": 0.75, "sim-kernel": 0.25}}))
-        result = diff_artifacts(a, b, host_tolerance=0.15)
-        assert result.ok
-        comparison = result.rows["wordcount"]["hamr"]
-        assert comparison["host_share_delta"]["engine"] == pytest.approx(-0.05)
-        assert comparison["host_drift"] == []
-
-    def test_share_shift_beyond_band_drifts(self):
-        from repro.obs.diff import diff_artifacts, normalize, render_diff
-
-        a = normalize(_bench_artifact({"hamr": {"engine": 0.8, "sim-kernel": 0.2}}))
-        b = normalize(_bench_artifact({"hamr": {"engine": 0.5, "sim-kernel": 0.5}}))
-        result = diff_artifacts(a, b, host_tolerance=0.15)
-        assert not result.ok
-        assert result.drift == ["wordcount/hamr"]
-        comparison = result.rows["wordcount"]["hamr"]
-        assert comparison["host_drift"] == ["engine", "sim-kernel"]
-        text = render_diff(result)
-        assert "Host-share deltas" in text
-        assert result.to_dict()["host_tolerance"] == 0.15
-
-    def test_missing_shares_skip_host_gate(self):
-        from repro.obs.diff import diff_artifacts, normalize
-
-        artifact = _bench_artifact({"hamr": {"engine": 0.8, "sim-kernel": 0.2}})
-        del artifact["rows"]["wordcount"]["hamr"]["hostprof"]  # v4-era artifact
-        a = normalize(artifact)
-        b = normalize(_bench_artifact({"hamr": {"engine": 0.1, "sim-kernel": 0.9}}))
-        result = diff_artifacts(a, b, host_tolerance=0.15)
-        assert result.ok
-        assert "host_share_delta" not in result.rows["wordcount"]["hamr"]
-
-
 class TestProfileCli:
     def test_unknown_workload_exits_2(self, capsys):
         from repro.evaluation.__main__ import main

@@ -28,7 +28,6 @@ from repro.obs.journal import (
     RECORD_TYPES,
     JournalError,
     JournalWriter,
-    bucket_slowdown_from_env,
     decode_record,
     dilate_bucket_charges,
     encode_record,
@@ -343,18 +342,6 @@ class TestTraceDropped:
 
 
 class TestSeededSlowdown:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_SLOWDOWN", raising=False)
-        assert bucket_slowdown_from_env() is None
-        # the workload=factor form belongs to bench_obs, not the journal
-        monkeypatch.setenv("REPRO_OBS_SLOWDOWN", "wordcount=2.0")
-        assert bucket_slowdown_from_env() is None
-        monkeypatch.setenv("REPRO_OBS_SLOWDOWN", "disk=2.0")
-        assert bucket_slowdown_from_env() == ("disk", 2.0)
-        monkeypatch.setenv("REPRO_OBS_SLOWDOWN", "disk=fast")
-        with pytest.raises(SystemExit):
-            bucket_slowdown_from_env()
-
     def test_rejects_bad_arguments(self):
         _env, _result, writer = _run_journaled_wordcount()
         with pytest.raises(ValueError, match="bucket"):

@@ -13,6 +13,9 @@
   configs and the fabric registry no module spells the ``"direct"``/``"hash"``
   defaults, and racks become workers per rack in one place
   (``ClusterSpec.rack_size_for``), twolevel's four-rack default with them.
+* No environment-variable back doors: a run's inputs are its arguments.
+  Under ``src/`` only ``obs.history.resolve_commit`` reads the environment
+  (``REPRO_GIT_COMMIT``, provenance only — it never changes a result).
 """
 
 import ast
@@ -202,3 +205,63 @@ def test_the_rack_rule_has_one_home():
         for _line in _rack_conversions(ast.parse(path.read_text()))
     ]
     assert sites == ["cluster/spec.py"]
+
+
+# -- no environment-variable back doors ---------------------------------------------
+
+#: the one function allowed to read the environment: (module, function)
+ENV_READER = ("obs/history.py", "resolve_commit")
+
+
+def _environment_reads(tree):
+    """``(lineno, enclosing function)`` of each ``os.environ``/``os.getenv``
+    use, however ``os`` or the name was imported."""
+    os_names, direct = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            os_names.update(a.asname or a.name for a in node.names if a.name == "os")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            direct.update(
+                a.asname or a.name for a in node.names if a.name in ("environ", "getenv")
+            )
+    reads = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in os_names
+        ) or (isinstance(node, ast.Name) and node.id in direct):
+            reads.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return reads
+
+
+def test_environment_detector_sees_what_it_should():
+    bad = ast.parse(
+        "import os\n"
+        "import os as _os\n"
+        "from os import environ, getenv as ge\n"
+        "LEVEL = os.environ.get('X')\n"
+        "def f():\n"
+        "    return _os.getenv('Y') or environ['Z']\n"
+        "def g():\n"
+        "    return ge('W'), os.path.join('a', 'b'), config.environ\n"
+    )
+    assert _environment_reads(bad) == [(4, None), (6, "f"), (6, "f"), (8, "g")]
+
+
+def test_only_resolve_commit_reads_the_environment():
+    reads = [
+        (rel, line, function)
+        for path in _modules()
+        for line, function in _environment_reads(ast.parse(path.read_text()))
+        if (rel := str(path.relative_to(SRC)), function) != ENV_READER
+    ]
+    assert not reads, f"read the environment only in {ENV_READER}: {reads}"

@@ -3,7 +3,7 @@
 The engine's contract is self-auditing: the identity scenario predicts
 the journal's own makespan *exactly* (all 8 workloads x 2 engines),
 bucket-speed scenarios are bit-exact against the executable
-``REPRO_OBS_SLOWDOWN`` dilation transform, and structural scenarios
+``seed_bucket_slowdown`` dilation transform, and structural scenarios
 (nodes, fabric) stay within the documented prediction-error tolerances
 when validated against real re-runs.
 """
