@@ -29,8 +29,7 @@ LINES = [
 
 
 def tokenize(ctx, _offset, line):
-    for word in line.split():
-        ctx.emit(word, 1)
+    ctx.emit_many([(word, 1) for word in line.split()])
 
 
 def main() -> None:

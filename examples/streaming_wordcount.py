@@ -31,8 +31,7 @@ FEED = [
 
 
 def tokenize(ctx, _key, line):
-    for word in line.split():
-        ctx.emit(word, 1)
+    ctx.emit_many([(word, 1) for word in line.split()])
 
 
 def main() -> None:

@@ -92,8 +92,7 @@ def build_hadoop_job(params: ClassificationParams, centroids) -> MRJob:
         ctx.emit(best, line)  # full movie data through the shuffle (PUMA)
 
     def classify_reduce(ctx, cluster: int, lines: list) -> None:
-        for line in lines:
-            ctx.emit(parse_movie_line(line).movie_id, cluster)
+        ctx.emit_many([(parse_movie_line(line).movie_id, cluster) for line in lines])
 
     return MRJob(
         APP,

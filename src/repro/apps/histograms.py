@@ -67,8 +67,7 @@ def map_movies(ctx, _offset: int, line: str) -> None:
 
 def map_ratings(ctx, _offset: int, line: str) -> None:
     record = parse_movie_line(line)
-    for rating in record.ratings:
-        ctx.emit(rating, 1)
+    ctx.emit_many([(rating, 1) for rating in record.ratings])
 
 
 def _input_name(app: str) -> str:

@@ -73,9 +73,7 @@ class _RelationshipLoader(Loader):
     """Streams each undirected relationship in both directions."""
 
     def load(self, ctx, records) -> None:
-        for u, v in records:
-            ctx.emit(u, v)
-            ctx.emit(v, u)
+        ctx.emit_many([pair for u, v in records for pair in ((u, v), (v, u))])
 
 
 def build_hamr_graph(env: AppEnv, params: KCliquesParams) -> FlowletGraph:
@@ -90,9 +88,7 @@ def build_hamr_graph(env: AppEnv, params: KCliquesParams) -> FlowletGraph:
     builder = graph.add(Reduce("KCliquesGraphBuilder", fn=build_graph))
 
     def two_cliques(ctx, vertex: int, neighbors: list) -> None:
-        for w in sorted(set(neighbors)):
-            if w > vertex:
-                ctx.emit(w, (vertex,))
+        ctx.emit_many([(w, (vertex,)) for w in sorted(set(neighbors)) if w > vertex])
 
     generator = graph.add(Reduce("TwoCliquesGenerator", fn=two_cliques))
 
@@ -107,9 +103,7 @@ def build_hamr_graph(env: AppEnv, params: KCliquesParams) -> FlowletGraph:
             if final:
                 ctx.emit(clique, 1)
             else:
-                for x in sorted(adjacency):
-                    if x > w:
-                        ctx.emit(x, clique)
+                ctx.emit_many([(x, clique) for x in sorted(adjacency) if x > w])
 
         return verify
 
@@ -155,9 +149,7 @@ def build_hadoop_jobs(params: KCliquesParams) -> list[MRJob]:
     def build_and_seed(ctx, vertex: int, neighbors: list) -> None:
         adjacency = tuple(sorted(set(neighbors)))
         ctx.emit(vertex, ("A", adjacency))
-        for w in adjacency:
-            if w > vertex:
-                ctx.emit(w, ("C", (vertex,)))
+        ctx.emit_many([(w, ("C", (vertex,))) for w in adjacency if w > vertex])
 
     jobs = [
         MRJob(
@@ -193,9 +185,7 @@ def build_hadoop_jobs(params: KCliquesParams) -> list[MRJob]:
                 if final:
                     ctx.emit(clique, ("K", 1))
                 else:
-                    for x in adjacency:
-                        if x > w:
-                            ctx.emit(x, ("C", clique))
+                    ctx.emit_many([(x, ("C", clique)) for x in adjacency if x > w])
 
         return verify_level
 

@@ -77,10 +77,8 @@ def build_hamr_graph(env: AppEnv, params: NaiveBayesParams) -> FlowletGraph:
     def finalize_vector_sum(ctx, label: str, acc: dict) -> None:
         # "sum up all feature weights in the sum vector and output the sum
         # weight per label; produce (feature, weight) pairs" (Alg. 4 step 4)
-        total = sum(acc.values())
-        ctx.emit(("label", label), total)
-        for feature, weight in acc.items():
-            ctx.emit(feature, weight)
+        ctx.emit(("label", label), sum(acc.values()))
+        ctx.emit_many(acc.items())
 
     vector_sum = graph.add(
         PartialReduce(
@@ -130,8 +128,7 @@ def build_hadoop_jobs(params: NaiveBayesParams) -> list[MRJob]:
         for vector in vectors:
             _sum_vectors(acc, vector)
         ctx.emit(("label", label), sum(acc.values()))
-        for feature, weight in acc.items():
-            ctx.emit(feature, weight)
+        ctx.emit_many(acc.items())
 
     job1 = MRJob(
         f"{APP}-vector-sum",

@@ -67,9 +67,9 @@ class _EdgeLoader(Loader):
             src = key[1]
             rank = ctx.kv_get(("rank", src))
             contribution = rank / len(dsts)
-            for dst in dsts:
-                ctx.emit(dst, contribution)
-            ctx.emit(src, 0.0)  # ensure every page gets a MergeRed visit
+            pairs = [(dst, contribution) for dst in dsts]
+            pairs.append((src, 0.0))  # ensure every page gets a MergeRed visit
+            ctx.emit_many(pairs)
 
 
 def _merge_and_cont(graph: FlowletGraph, upstream, params: PageRankParams) -> None:
@@ -104,9 +104,9 @@ def build_hamr_first_iteration(env: AppEnv, params: PageRankParams) -> FlowletGr
         rank = 1.0 / n
         ctx.kv_put(("rank", src), rank)
         contribution = rank / len(dst_list)
-        for dst in dst_list:
-            ctx.emit(dst, contribution)
-        ctx.emit(src, 0.0)
+        pairs = [(dst, contribution) for dst in dst_list]
+        pairs.append((src, 0.0))
+        ctx.emit_many(pairs)
 
     join = graph.add(Reduce("HashJoinRed", fn=hash_join))
     graph.connect(loader, join)
@@ -217,8 +217,7 @@ def build_hadoop_jobs(params: PageRankParams) -> list[MRJob]:
         ctx.emit(page, ("C", 0.0))
         if adj:
             contribution = rank / len(adj)
-            for dst in adj:
-                ctx.emit(dst, ("C", contribution))
+            ctx.emit_many([(dst, ("C", contribution)) for dst in adj])
 
     def update_reduce(ctx, page: int, values: list) -> None:
         adj: tuple = ()

@@ -49,8 +49,7 @@ def generate_input(params: WordCountParams) -> list[tuple[int, str]]:
 
 
 def tokenize(ctx, _offset: int, line: str) -> None:
-    for word in line.split():
-        ctx.emit(word, 1)
+    ctx.emit_many([(word, 1) for word in line.split()])
 
 
 # -- HAMR ---------------------------------------------------------------------------

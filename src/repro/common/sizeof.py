@@ -123,10 +123,6 @@ def _size_fixed(size: int) -> Callable[[Any], int]:
     return lambda obj: size
 
 
-def _size_len(obj: Any) -> int:
-    return len(obj)
-
-
 def _size_numpy(obj: Any) -> int:
     return int(obj.nbytes)
 
@@ -154,10 +150,12 @@ def _size_declared(obj: Any) -> int:
 
 _SIZERS: dict[type, Callable[[Any], int]] = {
     **{kind: _size_fixed(width) for kind, width in _FIXED_WIDTHS.items()},
-    str: _size_len,
-    bytes: _size_len,
-    bytearray: _size_len,
-    memoryview: _size_len,
+    # strings and byte buffers are their length: builtin ``len`` sizes them
+    # in one C call
+    str: len,
+    bytes: len,
+    bytearray: len,
+    memoryview: len,
     np.ndarray: _size_numpy,
     tuple: _size_container,
     list: _size_container,
@@ -171,8 +169,8 @@ _RULES: tuple[tuple[type | tuple[type, ...], Callable[[Any], int]], ...] = (
     (bool, _size_fixed(_BOOL_SIZE)),  # before int: bool subclasses int
     (int, _size_fixed(_INT_SIZE)),
     (float, _size_fixed(_FLOAT_SIZE)),
-    (str, _size_len),
-    ((bytes, bytearray, memoryview), _size_len),
+    (str, len),
+    ((bytes, bytearray, memoryview), len),
     (np.ndarray, _size_numpy),
     (np.generic, _size_numpy),
     ((tuple, list, set, frozenset), _size_container),

@@ -14,8 +14,8 @@ Minimal WordCount::
 
     graph = FlowletGraph("wordcount")
     loader = graph.add(Loader("lines", DFSSource(dfs, "input.txt")))
-    tokenize = graph.add(Map("tokenize", fn=lambda ctx, off, line: [
-        ctx.emit(w, 1) for w in line.split()]))
+    tokenize = graph.add(Map("tokenize", fn=lambda ctx, off, line:
+        ctx.emit_many((w, 1) for w in line.split())))
     counts = graph.add(PartialReduce("count",
         initial=lambda k: 0, combine=lambda acc, v: acc + v))
     graph.connect(loader, tokenize)

@@ -14,10 +14,12 @@ the scale-model ``aggregated`` flag; the bin adds the routing state
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from repro.common.sizeof import pair_size
+from repro.common.sizeof import _CONTAINER_OVERHEAD, _SIZERS, _resolve_sizer, pair_size
+from repro.core.graph import Edge, EdgeMode
 from repro.dataplane.batch import RecordBatch
+from repro.dataplane.exchange import BROADCAST_PARTITION
 
 
 class Bin(RecordBatch):
@@ -72,10 +74,9 @@ class Bin(RecordBatch):
 class BinPacker:
     """Accumulates emitted pairs into bins for one producing flowlet instance.
 
-    One open bin per (edge, partition). ``add`` returns the sealed bin when
-    the open bin crosses the target size, else None; ``drain`` seals and
-    returns everything left (called at task/flowlet completion so no pair is
-    ever stranded).
+    One open bin per (edge, partition). ``add_many`` packs pairs and
+    returns the bins they sealed; ``drain`` seals and returns everything
+    left (called at task/flowlet completion so no pair is ever stranded).
     """
 
     def __init__(self, bin_size: int, aggregated: bool = False):
@@ -84,23 +85,56 @@ class BinPacker:
         self.bin_size = bin_size
         self.aggregated = aggregated
         self._open: dict[tuple[int, int], Bin] = {}
-        # Metrics
-        self.bins_sealed = 0
-        self.pairs_packed = 0
 
-    def add(self, edge_id: int, partition: int, key: Any, value: Any) -> Optional[Bin]:
-        slot = (edge_id, partition)
-        open_bin = self._open.get(slot)
-        if open_bin is None:
-            open_bin = Bin(edge_id, partition, aggregated=self.aggregated)
-            self._open[slot] = open_bin
-        open_bin.append(key, value)
-        self.pairs_packed += 1
-        if open_bin.nbytes >= self.bin_size:
-            del self._open[slot]
-            self.bins_sealed += 1
-            return open_bin
-        return None
+    def add_many(
+        self, edges: Sequence[Edge], pairs: Iterable[Any], local_partition: int
+    ) -> list[Bin]:
+        """Pack each ``(key, value)`` of ``pairs`` onto every edge of ``edges``.
+
+        Pairs are taken in order and, per pair, the edges in order: route
+        (SHUFFLE edges by the edge's partitioner, LOCAL edges to
+        ``local_partition``, BROADCAST edges to :data:`BROADCAST_PARTITION`),
+        append, size, and seal the bin the moment its running byte count
+        reaches ``bin_size``. Seal points and the order of the returned
+        bins are therefore those of packing the pairs one at a time.
+        ``pairs`` is iterated once, so a generator may fan out to several
+        edges; an element that is not a pair raises the ``ValueError`` of
+        unpacking it.
+        """
+        routes = [
+            (
+                edge.edge_id,
+                edge.partitioner.partition if edge.mode is EdgeMode.SHUFFLE else None,
+                local_partition if edge.mode is EdgeMode.LOCAL else BROADCAST_PARTITION,
+            )
+            for edge in edges
+        ]
+        open_bins = self._open
+        bin_size = self.bin_size
+        sizers = _SIZERS
+        sealed: list[Bin] = []
+        for key, value in pairs:
+            # pair_size, inline: one table lookup per component
+            size = (
+                (sizers.get(key.__class__) or _resolve_sizer(key.__class__))(key)
+                + (sizers.get(value.__class__) or _resolve_sizer(value.__class__))(value)
+                + _CONTAINER_OVERHEAD
+            )
+            for edge_id, partition_of, partition in routes:
+                if partition_of is not None:
+                    partition = partition_of(key)
+                slot = (edge_id, partition)
+                open_bin = open_bins.get(slot)
+                if open_bin is None:
+                    open_bin = open_bins[slot] = Bin(
+                        edge_id, partition, aggregated=self.aggregated
+                    )
+                open_bin.records.append((key, value))
+                open_bin._nbytes += size
+                if open_bin._nbytes >= bin_size:
+                    del open_bins[slot]
+                    sealed.append(open_bin)
+        return sealed
 
     def drain(self, edge_id: Optional[int] = None) -> list[Bin]:
         """Seal and return all open bins (optionally only one edge's)."""
@@ -113,7 +147,6 @@ class BinPacker:
                 drained.append(bin_)
         for bin_ in drained:
             del self._open[(bin_.edge_id, bin_.partition)]
-            self.bins_sealed += 1
         return drained
 
     @property

@@ -11,21 +11,17 @@ because processes only interleave at yields.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, TYPE_CHECKING
+from typing import Any, Iterable, Optional, Sequence, TYPE_CHECKING
 
 from repro.common.errors import GraphError
 from repro.core.bins import Bin, BinPacker
-from repro.core.graph import Edge, EdgeMode
+from repro.core.graph import Edge
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.core.runtime import FlowletInstance
     from repro.storage.kvstore import KVStore
     from repro.storage.localfs import LocalFS, LocationRef
-
-
-#: partition id used for bins on BROADCAST edges (expanded to all nodes at ship time)
-BROADCAST_PARTITION = -1
 
 
 class TaskContext:
@@ -69,42 +65,29 @@ class TaskContext:
             ) from None
 
     def emit(self, key: Any, value: Any, to: Optional[str] = None) -> None:
-        """Send a pair downstream.
+        """Send one pair downstream: ``emit_many([(key, value)], to)``."""
+        self.emit_many(((key, value),), to)
 
-        With ``to=None`` the pair goes to *every* outbound edge; name a
+    def emit_many(self, pairs: Iterable[Any], to: Optional[str] = None) -> None:
+        """Send ``(key, value)`` pairs downstream, in order.
+
+        With ``to=None`` each pair goes to *every* outbound edge; name a
         downstream flowlet to target one edge. A flowlet with no outbound
         edges is a sink: its pairs become job output (and are charged as a
-        local disk write, "finally to disk as output", §3.1).
+        local disk write, "finally to disk as output", §3.1). ``pairs`` is
+        iterated once; the bins it fills are those the same pairs emitted
+        one by one would fill (see :meth:`BinPacker.add_many`).
         """
         if to is not None:
-            edges: Iterable[Edge] = (self._edge_to(to),)
+            edges: Sequence[Edge] = (self._edge_to(to),)
         elif self._out_edges:
             edges = self._out_edges
         else:
-            self.output_pairs.append((key, value))
+            self.output_pairs += [(key, value) for key, value in pairs]
             return
-        for edge in edges:
-            if edge.mode is EdgeMode.SHUFFLE:
-                partition = edge.partitioner.partition(key)
-            elif edge.mode is EdgeMode.LOCAL:
-                partition = self.worker_index
-            else:  # BROADCAST
-                partition = BROADCAST_PARTITION
-            sealed = self._packer.add(edge.edge_id, partition, key, value)
-            if sealed is not None:
-                self.sealed_bins.append(sealed)
-
-    def broadcast(self, key: Any, value: Any, to: Optional[str] = None) -> None:
-        """Explicitly replicate one pair to all workers of the target edge(s).
-
-        Equivalent to emitting on a BROADCAST edge; usable on SHUFFLE edges
-        for control data (e.g. K-Means centroid updates, Alg. 1 step 5).
-        """
-        edges = self._out_edges if to is None else (self._edge_to(to),)
-        for edge in edges:
-            sealed = self._packer.add(edge.edge_id, BROADCAST_PARTITION, key, value)
-            if sealed is not None:
-                self.sealed_bins.append(sealed)
+        sealed = self._packer.add_many(edges, pairs, self.worker_index)
+        if sealed:
+            self.sealed_bins += sealed
 
     # -- locality-aware local disk I/O (§3.3) --------------------------------------
 

@@ -111,9 +111,7 @@ class Loader(Flowlet):
         self.source = source
 
     def load(self, ctx: "TaskContext", records: Iterable[Any]) -> None:
-        for record in records:
-            key, value = record
-            ctx.emit(key, value)
+        ctx.emit_many(records)
 
 
 class Map(Flowlet):

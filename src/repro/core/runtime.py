@@ -50,7 +50,7 @@ from repro.obs import (
     telemetry,
 )
 from repro.obs import hostprof as _hostprof
-from repro.sim import QueueClosed, Resource, SerializedCell, SimQueue
+from repro.sim import QueueClosed, Resource, SerializedCell, SimQueue, UpdateChain
 from repro.sim.core import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -451,13 +451,19 @@ class NodeRuntime:
         pressure = bin_.effective_records / max(1, bin_.nrecords)
         if pressure > 1.0:  # combined input: apply the calibrated relief
             pressure = max(1.0, pressure * (1.0 - self.cost.combiner_update_relief))
+        # One event carries the task's updates key after key, each issued
+        # when the previous one completes (see UpdateChain).
+        steps = [
+            (
+                instance.cell_for(key),
+                max(1, round(touched[key] * pressure * flowlet.update_weight / in_div)),
+            )
+            for key in sorted(touched, key=repr)
+        ]
         obs, sim = self.obs, self.sim
         t0 = sim.now
-        for key in sorted(touched, key=repr):
-            n_updates = max(
-                1, round(touched[key] * pressure * flowlet.update_weight / in_div)
-            )
-            yield instance.cell_for(key).update(n_updates)
+        if steps:
+            yield UpdateChain(sim, steps)
         if obs.enabled:
             obs.charge(self.job, ATOMIC, sim.now - t0, node=self.node.node_id, span=span)
 

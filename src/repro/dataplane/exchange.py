@@ -36,7 +36,7 @@ SHUFFLE = "shuffle"
 LOCAL = "local"
 BROADCAST = "broadcast"
 
-#: partition id meaning "every worker" (mirrors core.context.BROADCAST_PARTITION)
+#: partition id meaning "every worker" (the partition of bins on BROADCAST edges)
 BROADCAST_PARTITION = -1
 
 

@@ -7,7 +7,7 @@ programs chain jobs (see :func:`repro.mapreduce.chain.run_chain`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.common.errors import ConfigError
 from repro.core.combiner import Combiner  # same combiner contract as HAMR
@@ -22,6 +22,10 @@ class MRContext:
 
     def emit(self, key: Any, value: Any) -> None:
         self.emitted.append((key, value))
+
+    def emit_many(self, pairs: Iterable[Any]) -> None:
+        """Emit ``(key, value)`` pairs in order (stored as tuples)."""
+        self.emitted += [(key, value) for key, value in pairs]
 
     def counter(self, name: str, delta: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + delta

@@ -47,6 +47,7 @@ from repro.sim.resources import (
     BandwidthResource,
     Resource,
     SerializedCell,
+    UpdateChain,
 )
 from repro.sim.queues import QueueClosed, SimQueue
 from repro.sim.monitor import Trace, UtilizationMeter
@@ -61,6 +62,7 @@ __all__ = [
     "Resource",
     "BandwidthResource",
     "SerializedCell",
+    "UpdateChain",
     "SimQueue",
     "QueueClosed",
     "Trace",

@@ -16,7 +16,7 @@ Two modeling styles are used:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
 from repro.sim.core import SimEvent, Simulator
@@ -204,6 +204,12 @@ class SerializedCell:
         self.contended_updates = 0
 
     def update(self, n_updates: int = 1) -> SimEvent:
+        finish = self._charge(n_updates)
+        event = SimEvent(self.sim, name=f"{self.name}.update({n_updates})")
+        return event.trigger(value=n_updates, delay=finish - self.sim.now)
+
+    def _charge(self, n_updates: int) -> float:
+        """Book ``n_updates`` behind the pending ones; returns their finish time."""
         if n_updates < 0:
             raise SimulationError(f"{self.name}: negative update count")
         contended = self._free_at > self.sim.now
@@ -214,12 +220,48 @@ class SerializedCell:
         finish = start + n_updates * per_update
         self._free_at = finish
         self.total_updates += n_updates
-        event = SimEvent(self.sim, name=f"{self.name}.update({n_updates})")
-        return event.trigger(value=n_updates, delay=finish - self.sim.now)
+        return finish
 
     @property
     def backlog(self) -> float:
         return max(0.0, self._free_at - self.sim.now)
+
+
+class UpdateChain(SimEvent):
+    """A run of :class:`SerializedCell` updates, issued back to back, as one event.
+
+    ``steps`` is a non-empty sequence of ``(cell, n_updates)``. Step k is
+    charged the instant step k-1 completes, exactly as a process yielding
+    ``cell.update(n)`` once per step would issue it: each step makes one
+    ``_schedule`` call with the same delay, from the dispatch of the step
+    before, so the ``(time, sequence)`` order of every event is unchanged.
+    The chain re-arms itself from its own ``_fire`` instead of resuming
+    the waiting process in between, and wakes its waiters once, after the
+    last step, with that step's update count.
+    """
+
+    __slots__ = ("_steps", "_next")
+
+    def __init__(self, sim: Simulator, steps: Sequence[Tuple[SerializedCell, int]]):
+        if not steps:
+            raise SimulationError("UpdateChain requires at least one step")
+        super().__init__(sim, name="update-chain")
+        self.triggered = True
+        self.value = steps[-1][1]
+        self._steps = steps
+        self._next = 0
+        self._charge_next()
+
+    def _charge_next(self) -> None:
+        cell, n_updates = self._steps[self._next]
+        self._next += 1
+        self.sim._schedule(cell._charge(n_updates) - self.sim.now, self)
+
+    def _fire(self) -> None:
+        if self._next < len(self._steps):
+            self._charge_next()
+        else:
+            super()._fire()
 
 
 class StripedBandwidth:

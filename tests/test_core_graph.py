@@ -8,6 +8,7 @@ from repro.core import (
     BinPacker,
     Combiner,
     CollectionSource,
+    Edge,
     EdgeMode,
     FlowletGraph,
     FlowletKind,
@@ -148,27 +149,32 @@ class TestGraphValidation:
         assert order.index("load") < order.index("a") < order.index("b")
 
 
+def pack(packer, edge_id, partition, key, value):
+    """Pack one pair into slot ``(edge_id, partition)`` through a LOCAL edge."""
+    edge = Edge(edge_id, make_loader(), Map("dst"), EdgeMode.LOCAL)
+    return packer.add_many([edge], [(key, value)], local_partition=partition)
+
+
 class TestBinPacker:
     def test_seals_at_size(self):
         packer = BinPacker(bin_size=30)
-        sealed = packer.add(0, 0, "k", "v" * 10)  # pair ~ 4+1+10 + overhead
-        assert sealed is None
-        sealed = packer.add(0, 0, "k", "v" * 10)
-        assert sealed is not None
+        sealed = pack(packer, 0, 0, "k", "v" * 10)  # pair ~ 4+1+10 + overhead
+        assert sealed == []
+        (sealed,) = pack(packer, 0, 0, "k", "v" * 10)
         assert sealed.nrecords == 2
         assert packer.open_bins == 0
 
     def test_separate_slots(self):
         packer = BinPacker(bin_size=1000)
-        packer.add(0, 0, "a", 1)
-        packer.add(0, 1, "b", 2)
-        packer.add(1, 0, "c", 3)
+        pack(packer, 0, 0, "a", 1)
+        pack(packer, 0, 1, "b", 2)
+        pack(packer, 1, 0, "c", 3)
         assert packer.open_bins == 3
 
     def test_drain_all(self):
         packer = BinPacker(bin_size=1000)
-        packer.add(0, 0, "a", 1)
-        packer.add(1, 2, "b", 2)
+        pack(packer, 0, 0, "a", 1)
+        pack(packer, 1, 2, "b", 2)
         drained = packer.drain()
         assert len(drained) == 2
         assert packer.open_bins == 0
@@ -176,8 +182,8 @@ class TestBinPacker:
 
     def test_drain_one_edge(self):
         packer = BinPacker(bin_size=1000)
-        packer.add(0, 0, "a", 1)
-        packer.add(1, 0, "b", 2)
+        pack(packer, 0, 0, "a", 1)
+        pack(packer, 1, 0, "b", 2)
         drained = packer.drain(edge_id=1)
         assert len(drained) == 1
         assert drained[0].edge_id == 1

@@ -4,6 +4,7 @@ engine paths don't exercise directly."""
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.core import Edge, EdgeMode, Map
 from repro.core.bins import Bin, BinPacker
 from repro.sim import BandwidthResource, SerializedCell, Simulator, SimQueue
 
@@ -217,8 +218,8 @@ class TestCellContention:
 class TestBinPackerAggregated:
     def test_flag_propagates_to_bins(self):
         packer = BinPacker(bin_size=8, aggregated=True)
-        sealed = packer.add(0, 0, "key", 123)
-        assert sealed is not None
+        edge = Edge(0, Map("src"), Map("dst"), EdgeMode.LOCAL)
+        (sealed,) = packer.add_many([edge], [("key", 123)], local_partition=0)
         assert sealed.aggregated
 
     def test_effective_records(self):
