@@ -14,12 +14,14 @@ perf-regression gate uses)::
 
 Every selected Table 2 workload runs once per engine with tracing
 enabled; the artifact (schema ``repro.obs.bench/v5``) holds each row's
-virtual seconds, blame buckets (plus their ledger total, for the
-bucket-sum invariant), critical-path rollup and telemetry traffic-matrix
-totals (total/remote/per-mode exchange bytes, payload and record
-counts), so later runs can be diffed with ``python -m repro.evaluation
-diff`` — where the task-seconds (and the bytes) went, not just how many
-there were.
+virtual seconds, blame buckets summed over every job of the run (plus
+their ledger total, for the bucket-sum invariant), critical-path rollup
+and telemetry traffic-matrix totals (total/remote/per-mode exchange
+bytes, payload and record counts), so later runs can be diffed with
+``python -m repro.evaluation diff`` — where the task-seconds (and the
+bytes) went, not just how many there were. Each engine entry is
+:meth:`repro.obs.summary.RunSummary.entry` of the run's tracer, the
+same summary the corpus, ``slo`` and ``doctor`` read.
 
 The artifact holds the virtual clock only: two runs of the same code
 write byte-identical files, so the perf gate is ``cmp`` against the
@@ -45,37 +47,15 @@ from repro.core.engine import PARTITIONERS
 from repro.dataplane.fabrics import FABRICS
 from repro.evaluation.runner import run_workload
 from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
-from repro.obs import BUCKETS
-from repro.obs.critpath import from_tracer
 from repro.obs.history import DEFAULT_HISTORY_PATH, append_history, history_row, resolve_commit
-from repro.obs.runspec import ENGINES, RunSpec
+from repro.obs.runspec import RunSpec
+from repro.obs.summary import RunSummary
 
 BENCH_SCHEMA = "repro.obs.bench/v5"
 DEFAULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 _rows: dict[str, dict] = {}  # accumulated across the parametrized cases
 _snapshots: dict[str, dict] = {}  # workload -> engine -> full hostprof snapshot
-
-
-def _engine_entry(tracer, virtual_seconds):
-    jobs = tracer.blame.jobs() if tracer is not None else []
-    blame = (
-        tracer.blame.job_summary(jobs[0]) if jobs else {b: 0.0 for b in BUCKETS}
-    )
-    blame_total = tracer.blame.job_total(jobs[0]) if jobs else 0.0
-    critpath = from_tracer(tracer).rollup if tracer is not None else {}
-    traffic = tracer.traffic_totals() if tracer is not None else {}
-    return {
-        "virtual_seconds": round(virtual_seconds, 6),
-        "blame": {bucket: round(blame[bucket], 6) for bucket in sorted(blame)},
-        "blame_total": round(blame_total, 6),
-        "critpath": {key: round(sec, 6) for key, sec in sorted(critpath.items())},
-        # traffic totals ARE drift-gated (schema v4): shuffle-volume
-        # regressions fail the perf gate just like makespan regressions
-        "telemetry": {
-            "traffic": {key: traffic[key] for key in sorted(traffic)}
-        },
-    }
 
 
 def run_row(
@@ -120,16 +100,12 @@ def run_row(
         "data_size": workload.data_size,
         "speedup": round(row.speedup, 4) if engines == "both" else None,
     }
-    if engines in ("both", "hamr"):
-        entry["hamr"] = _engine_entry(row.hamr_obs, row.hamr_seconds)
-    if engines in ("both", "hadoop"):
-        entry["hadoop"] = _engine_entry(row.hadoop_obs, row.idh_seconds)
-    # Off-default exchange configurations are stamped per engine entry so
-    # the diff gate and trend series key on them (default entries stay
-    # key-free — the committed baseline artifact is unchanged).
-    for engine in ENGINES:
-        if engine in entry:
-            RunSpec(name, engine, fabric, partitioner).stamp(entry[engine])
+    for engine, tracer, seconds in (
+        ("hamr", row.hamr_obs, row.hamr_seconds), ("hadoop", row.hadoop_obs, row.idh_seconds)
+    ):
+        if engines in ("both", engine):
+            spec = RunSpec(name, engine, fabric, partitioner)
+            entry[engine] = RunSummary.from_tracer(spec, tracer, seconds).entry()
     snaps = {}
     if row.hamr_hostprof is not None:
         snaps["hamr"] = {"hostprof": row.hamr_hostprof}

@@ -166,7 +166,8 @@ def watch(args) -> None:
 
 def _artifact_results(path: str, overrides) -> list[dict]:
     """SLO verdicts for every workload × engine row of a BENCH artifact."""
-    from repro.obs.slo import evaluate_entry
+    from repro.obs.slo import evaluate
+    from repro.obs.summary import RunSummary
 
     try:
         with open(path) as fh:
@@ -178,7 +179,7 @@ def _artifact_results(path: str, overrides) -> list[dict]:
         raise CLIError(f"{path} is not a BENCH artifact (schema {schema!r})")
     rows = payload.get("rows", {})
     results = [
-        evaluate_entry(workload, engine, rows[workload][engine], overrides)
+        evaluate(RunSummary.from_entry(workload, engine, rows[workload][engine]), overrides)
         for workload in sorted(rows)
         for engine in ENGINES
         if isinstance(rows[workload].get(engine), dict)
@@ -196,7 +197,8 @@ def slo(args) -> int:
     timelines); ``slo [WORKLOAD] [ENGINE]`` runs the workload traced and
     evaluates the live tracer (CV measurable). Exits 1 on any FAIL.
     """
-    from repro.obs.slo import evaluate_tracer, render_slo, slo_dict
+    from repro.obs.slo import evaluate, render_slo, slo_dict
+    from repro.obs.summary import RunSummary
 
     overrides = _slo_overrides(args)
     target = args.target
@@ -205,7 +207,7 @@ def slo(args) -> int:
     else:
         _positional_filters(args, target, args.engine_arg)
         results = [
-            evaluate_tracer(run.workload, run.engine, run.tracer, run.makespan, overrides)
+            evaluate(RunSummary.from_tracer(run.spec, run.tracer, run.makespan), overrides)
             for run in live_runs(args, obs=True)
         ]
         source = f"live:{args.fidelity}"

@@ -9,9 +9,10 @@ worth comparing without replaying everything.
 ``ingest`` scans a directory (or explicit paths) for ``*.jsonl`` /
 ``*.jsonl.gz`` journals, replays each one once, and distills a compact
 summary row: run identity (workload, engine, fabric, partitioner,
-cluster shape, producing commit), the makespan and footer counters,
-blame-bucket seconds summed over every job, the critical-path rollup,
-the drift-gated traffic totals, and the per-node CPU straggler
+cluster shape, producing commit), footer counters, and the run's
+:class:`~repro.obs.summary.RunSummary` — the makespan, blame-bucket
+seconds summed over every job, the critical-path rollup, the
+drift-gated traffic totals, and the per-node CPU straggler
 statistics. Rows are deduplicated by **run fingerprint** — the SHA-256
 of the journal's canonical record encoding — so re-ingesting the same
 directory (or the same journal under two names) is idempotent, and the
@@ -33,11 +34,9 @@ import os
 from dataclasses import asdict
 from typing import Iterable, Optional
 
-from repro.obs.blame import BUCKETS
-from repro.obs.critpath import from_tracer
 from repro.obs.journal import JournalError, encode_record, load_journal
-from repro.obs.replay import ReplayedRun, replay_records
-from repro.obs.telemetry import build_skew_report
+from repro.obs.replay import replay_records
+from repro.obs.summary import RunSummary
 
 CORPUS_SCHEMA = "repro.obs.corpus/v1"
 
@@ -62,39 +61,18 @@ def journal_fingerprint(records: list[dict]) -> str:
     return digest.hexdigest()
 
 
-def _straggler_section(run: ReplayedRun) -> dict:
-    """Per-node CPU skew distilled from the replayed telemetry."""
-    report = build_skew_report(run.tracer.timeline, run.tracer.traffic_matrices())
-    section = report.sections.get("cpu_busy_seconds", {})
-    stats = section.get("stats", {})
-    return {
-        "straggler_cv": round(stats.get("cv", 0.0), 6),
-        "straggler_max_mean_ratio": round(stats.get("max_mean_ratio", 0.0), 6),
-        "stragglers": [int(node) for node in report.stragglers],
-    }
-
-
 def summarize_records(
     records: list[dict], path: str, fingerprint: Optional[str] = None
 ) -> dict:
-    """One corpus row from validated journal records."""
+    """One corpus row from validated journal records: the run's
+    :class:`RunSummary` plus its envelope."""
     run = replay_records(records)
-    tracer = run.tracer
-    jobs = tracer.blame.jobs()
-    blame = {bucket: 0.0 for bucket in BUCKETS}
-    blame_total = 0.0
-    for job in jobs:
-        summary = tracer.blame.job_summary(job)
-        for bucket in BUCKETS:
-            blame[bucket] += summary.get(bucket, 0.0)
-        blame_total += tracer.blame.job_total(job)
-    rollup = from_tracer(tracer).rollup
-    traffic = tracer.traffic_totals()
-    row = {
+    summary = RunSummary.from_tracer(run.spec, run.tracer, run.makespan)
+    return {
         "schema": CORPUS_SCHEMA,
         "fingerprint": fingerprint or journal_fingerprint(records),
         "path": path,
-        **asdict(run.spec),
+        **asdict(summary.spec),
         "label": run.label,
         "data_size": run.data_size,
         "fidelity": run.fidelity,
@@ -103,19 +81,18 @@ def summarize_records(
         "commit": run.header.get("commit"),
         "partial": run.partial,
         "seeded_slowdown": run.footer.get("seeded_slowdown"),
-        "makespan": round(run.makespan, 6),
+        "makespan": summary.makespan,
         "virtual_end": round(run.virtual_end, 6),
         "events": run.footer.get("events", 0),
         "trace_dropped": run.trace_dropped,
-        # blame summed over every traced job: the fleet view wants the
-        # whole run's composition, not just the first job's
-        "blame": {bucket: round(blame[bucket], 6) for bucket in sorted(blame)},
-        "blame_total": round(blame_total, 6),
-        "critpath": {key: round(sec, 6) for key, sec in sorted(rollup.items())},
-        "traffic": {key: traffic[key] for key in sorted(traffic)},
+        "blame": summary.blame,
+        "blame_total": summary.blame_total,
+        "critpath": summary.critpath,
+        "traffic": summary.traffic,
+        "straggler_cv": summary.straggler["cv"],
+        "straggler_max_mean_ratio": summary.straggler["max_mean_ratio"],
+        "stragglers": summary.straggler["stragglers"],
     }
-    row.update(_straggler_section(run))
-    return row
 
 
 def summarize_journal(path: str, *, allow_partial: bool = False) -> dict:

@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.blame import BUCKETS
 from repro.obs.runspec import ENGINES, RunSpec
+from repro.obs.summary import RunSummary
 
 DIFF_SCHEMA = "repro.obs.diff/v1"
 
@@ -33,60 +33,40 @@ class ArtifactError(ValueError):
     """The input file is not a comparable observability artifact."""
 
 
-@dataclass
-class EngineRecord:
-    """One workload × engine measurement normalized out of an artifact."""
-
-    virtual_seconds: float
-    blame: dict[str, float] = field(default_factory=dict)
-    critpath: Optional[dict[str, float]] = None  # rollup key -> path seconds
-    traffic: Optional[dict[str, float]] = None  # telemetry traffic totals (v4+)
-
-
-def _blame_from_report(engine_report: dict) -> dict[str, float]:
-    """Collapse a report's per-job blame into one bucket map (jobs sum)."""
-    merged = {bucket: 0.0 for bucket in BUCKETS}
-    for job_entry in engine_report.get("blame", {}).values():
-        for bucket, seconds in job_entry.get("buckets", {}).items():
-            merged[bucket] = merged.get(bucket, 0.0) + seconds
-    return merged
-
-
 def normalize(artifact: dict, source: str = "<artifact>") -> dict:
-    """Normalize an artifact to ``{workload: {engine label: EngineRecord}}``:
+    """Normalize an artifact to ``{workload: {engine label: RunSummary}}``:
     an off-default run (``hamr@twolevel+shard``) never gates against a
-    default baseline row."""
+    default baseline row.
+
+    A report document carries no bench entry, only its per-job blame, so
+    its summary sums those jobs the way :meth:`RunSummary.from_tracer`
+    sums the ledger's (DESIGN.md §6.4.1)."""
     schema = artifact.get("schema", "")
-    rows: dict[str, dict[str, EngineRecord]] = {}
+    rows: dict[str, dict[str, RunSummary]] = {}
     if schema.startswith(_BENCH_PREFIX):
         for workload, row in artifact.get("rows", {}).items():
-            engines = {}
-            for engine in ENGINES:
-                entry = row.get(engine)
-                if entry is None:
-                    continue
-                key = RunSpec.from_entry(workload, engine, entry).engine_label
-                traffic = entry.get("telemetry", {}).get("traffic")
-                engines[key] = EngineRecord(
-                    virtual_seconds=entry["virtual_seconds"],
-                    blame=dict(entry.get("blame", {})),
-                    critpath=dict(entry["critpath"])
-                    if entry.get("critpath") is not None
-                    else None,
-                    traffic=dict(traffic) if traffic is not None else None,
-                )
-            rows[workload] = engines
+            summaries = (
+                RunSummary.from_entry(workload, engine, row[engine])
+                for engine in ENGINES
+                if row.get(engine) is not None
+            )
+            rows[workload] = {s.spec.engine_label: s for s in summaries}
     elif schema.startswith(_REPORT_PREFIX):
         workload = artifact.get("workload", "unknown")
         engines = {}
         for engine, engine_report in artifact.get("engines", {}).items():
             critpath = engine_report.get("critpath")
+            jobs = engine_report.get("blame", {})
             # a report document stamps its exchange configuration once, top level
-            key = RunSpec.from_entry(workload, engine, artifact).engine_label
-            engines[key] = EngineRecord(
-                virtual_seconds=engine_report["virtual_end"],
-                blame=_blame_from_report(engine_report),
-                critpath=dict(critpath["rollup"]) if critpath else None,
+            spec = RunSpec.from_entry(workload, engine, artifact)
+            engines[spec.engine_label] = RunSummary.from_jobs(
+                spec,
+                engine_report["virtual_end"],
+                [
+                    (jobs[job].get("buckets", {}), jobs[job].get("total", 0.0))
+                    for job in sorted(jobs)
+                ],
+                rollup=critpath["rollup"] if critpath else None,
             )
         rows[workload] = engines
     else:
@@ -172,15 +152,15 @@ def diff_artifacts(a: dict, b: dict, tolerance: float = 0.01) -> DiffResult:
         row: dict = {}
         for engine in sorted(set(engines_a) & set(engines_b)):
             rec_a, rec_b = engines_a[engine], engines_b[engine]
-            rel = _rel_delta(rec_a.virtual_seconds, rec_b.virtual_seconds)
+            rel = _rel_delta(rec_a.makespan, rec_b.makespan)
             drifted = abs(rel) > tolerance
             blame_delta = {
                 bucket: rec_b.blame.get(bucket, 0.0) - rec_a.blame.get(bucket, 0.0)
                 for bucket in sorted(set(rec_a.blame) | set(rec_b.blame))
             }
             comparison = {
-                "virtual_seconds_a": rec_a.virtual_seconds,
-                "virtual_seconds_b": rec_b.virtual_seconds,
+                "virtual_seconds_a": rec_a.makespan,
+                "virtual_seconds_b": rec_b.makespan,
                 "rel_delta": rel,
                 "drift": drifted,
                 "blame_delta": blame_delta,

@@ -40,10 +40,11 @@ from typing import Optional
 
 from repro.obs.blame import BUCKETS, NETWORK
 from repro.obs.corpus import find_by_fingerprint
-from repro.obs.explain import ExplainResult, explain, side_from_tracer
+from repro.obs.critpath import from_tracer
+from repro.obs.explain import ExplainResult, ExplainSide, explain, side_from_critpath
 from repro.obs.replay import ReplayedRun
 from repro.obs.runspec import RunSpec
-from repro.obs.telemetry import build_skew_report
+from repro.obs.summary import RunSummary
 
 DOCTOR_SCHEMA = "repro.obs.doctor/v1"
 
@@ -229,16 +230,6 @@ def _audit(run: ReplayedRun, critpath_total: float) -> dict:
     }
 
 
-def _skew(run: ReplayedRun) -> dict:
-    report = build_skew_report(run.tracer.timeline, run.tracer.traffic_matrices())
-    stats = report.sections.get("cpu_busy_seconds", {}).get("stats", {})
-    return {
-        "cv": round(stats.get("cv", 0.0), 6),
-        "max_mean_ratio": round(stats.get("max_mean_ratio", 0.0), 6),
-        "stragglers": [int(node) for node in report.stragglers],
-    }
-
-
 def _traffic_drift(a: dict, b: dict) -> list[dict]:
     rows = []
     for key in sorted(set(a) | set(b)):
@@ -255,13 +246,13 @@ def _traffic_drift(a: dict, b: dict) -> list[dict]:
     return rows
 
 
-def _identity(run: ReplayedRun) -> dict:
+def _identity(run: ReplayedRun, summary: RunSummary) -> dict:
     return {
-        **asdict(run.spec),
+        **asdict(summary.spec),
         "nodes": run.num_nodes,
         "commit": run.header.get("commit"),
         "fidelity": run.fidelity,
-        "makespan": round(run.makespan, 6),
+        "makespan": summary.makespan,
         "seeded_slowdown": run.footer.get("seeded_slowdown"),
     }
 
@@ -273,15 +264,11 @@ def _seeded_buckets(run: ReplayedRun) -> set:
     return set(marker.get("buckets", {}))
 
 
-def _blame_totals(run: ReplayedRun) -> dict:
-    """Bucket seconds summed over every job's blame ledger."""
-    ledger = run.tracer.blame
-    totals = {bucket: 0.0 for bucket in BUCKETS}
-    for job in ledger.jobs():
-        summary = ledger.job_summary(job)
-        for bucket in BUCKETS:
-            totals[bucket] += summary.get(bucket, 0.0)
-    return totals
+def _side(run: ReplayedRun, name: str) -> tuple[ExplainSide, RunSummary]:
+    """One run's explain side and summary, its critical path built once."""
+    path = from_tracer(run.tracer)
+    summary = RunSummary.from_tracer(run.spec, run.tracer, run.makespan, critpath=path)
+    return side_from_critpath(path, name), summary
 
 
 @dataclass
@@ -334,26 +321,22 @@ def diagnose(
     shift: Optional[dict] = None,
 ) -> DoctorReport:
     """Chain every diagnostic view over two replayed runs."""
-    side_a = side_from_tracer(run_a.tracer, name_a)
-    side_b = side_from_tracer(run_b.tracer, name_b)
+    side_a, summary_a = _side(run_a, name_a)
+    side_b, summary_b = _side(run_b, name_b)
     result = explain(side_a, side_b)
     audit_a = _audit(run_a, sum(side_a.buckets.values()) - side_a.buckets.get("tail", 0.0))
     audit_b = _audit(run_b, sum(side_b.buckets.values()) - side_b.buckets.get("tail", 0.0))
-    skew_a, skew_b = _skew(run_a), _skew(run_b)
-    traffic = _traffic_drift(
-        run_a.tracer.traffic_totals(), run_b.tracer.traffic_totals()
-    )
+    skew_a, skew_b = summary_a.straggler, summary_b.straggler
+    traffic = _traffic_drift(summary_a.traffic, summary_b.traffic)
     verdicts = _rank_verdicts(
         result, run_a, run_b, audit_a, audit_b, skew_a, skew_b, traffic
     )
-    whatif = _suggest_whatif(
-        verdicts, name_a, _blame_totals(run_a), _blame_totals(run_b)
-    )
+    whatif = _suggest_whatif(verdicts, name_a, summary_a.blame)
     return DoctorReport(
         name_a=name_a,
         name_b=name_b,
-        run_a=_identity(run_a),
-        run_b=_identity(run_b),
+        run_a=_identity(run_a, summary_a),
+        run_b=_identity(run_b, summary_b),
         explain=result,
         audit_a=audit_a,
         audit_b=audit_b,
@@ -435,9 +418,7 @@ def _rank_verdicts(
     return verdicts
 
 
-def _suggest_whatif(
-    verdicts: list[dict], name_a: str, blame_a: dict, blame_b: dict
-) -> Optional[str]:
+def _suggest_whatif(verdicts: list[dict], name_a: str, blame_a: dict) -> Optional[str]:
     """The counter-scenario confirming the top verdict, as a whatif command.
 
     A bucket slowed by factor ``F`` inserts ``(F - 1) x`` the baseline's

@@ -32,7 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
+from repro.obs.blame import ATOMIC, COMPUTE, DISK
 from repro.obs.hostprof import DATAPLANE, ENGINE, HOSTPROF_SCHEMA, STORAGE
+from repro.obs.runspec import RunSpec
+from repro.obs.summary import RunSummary
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.spec import CostModel
@@ -111,18 +114,16 @@ def fidelity_dict(
             drifting.append(op["operator"])
     operators.sort(key=lambda op: (-op["host_ns"], op["operator"]))
 
-    # Bucket-level join: virtual compute vs the host buckets that run user
-    # + framework code, virtual disk vs host storage staging.
-    jobs = tracer.blame.jobs()
-    blame = tracer.blame.job_summary(jobs[0]) if jobs else {}
+    # Bucket-level join over every job: virtual compute vs the host buckets
+    # that run user + framework code, virtual disk vs host storage staging.
+    summary = RunSummary.from_tracer(RunSpec(workload, engine), tracer, tracer.sim.now)
+    blame = summary.blame
     host_buckets = snapshot["buckets"]
     compute_like_ns = host_buckets.get(ENGINE, 0) + host_buckets.get(DATAPLANE, 0)
     buckets = {
-        "virtual_compute_seconds": round(
-            blame.get("compute", 0.0) + blame.get("atomic", 0.0), 6
-        ),
+        "virtual_compute_seconds": round(blame[COMPUTE] + blame[ATOMIC], 6),
         "host_engine_dataplane_ns": compute_like_ns,
-        "virtual_disk_seconds": round(blame.get("disk", 0.0), 6),
+        "virtual_disk_seconds": blame[DISK],
         "host_storage_ns": host_buckets.get(STORAGE, 0),
     }
     return {
@@ -130,7 +131,7 @@ def fidelity_dict(
         "workload": workload,
         "engine": engine,
         "tolerance_factor": tolerance,
-        "virtual_makespan": round(tracer.sim.now, 6),
+        "virtual_makespan": summary.makespan,
         "host_total_ns": snapshot["total_ns"],
         "median_ns_per_virtual_second": round(median, 3),
         "drift": sorted(drifting),

@@ -26,7 +26,7 @@ from dataclasses import asdict
 from typing import Any, Optional
 
 from repro.obs.runspec import ENGINES, RunSpec
-from repro.obs.slo import stall_share
+from repro.obs.summary import RunSummary
 
 HISTORY_SCHEMA = "repro.obs.history/v1"
 TREND_SCHEMA = "repro.obs.trend/v1"
@@ -80,22 +80,16 @@ def history_row(payload: dict, commit: Optional[str] = None) -> dict:
             entry = per_engine.get(engine)
             if not entry:
                 continue
-            traffic = entry.get("telemetry", {}).get("traffic", {})
-            spec = RunSpec.from_entry(workload, engine, entry)
+            summary = RunSummary.from_entry(workload, engine, entry)
             rows.setdefault(workload, {})[engine] = {
-                "virtual_seconds": entry.get("virtual_seconds", 0.0),
-                "stall_share": round(
-                    stall_share(
-                        entry.get("blame", {}), entry.get("blame_total", 0.0)
-                    ),
-                    6,
-                ),
-                "traffic_bytes": traffic.get("total_bytes", 0.0),
+                "virtual_seconds": summary.makespan,
+                "stall_share": summary.stall_share,
+                "traffic_bytes": (summary.traffic or {}).get("total_bytes", 0.0),
                 # the run's exchange configuration: trend series are keyed
                 # on it, so a twolevel sweep never pollutes the direct
                 # baseline's shift band
-                "fabric": spec.fabric,
-                "partitioner": spec.partitioner,
+                "fabric": summary.spec.fabric,
+                "partitioner": summary.spec.partitioner,
             }
     return {
         "schema": HISTORY_SCHEMA,

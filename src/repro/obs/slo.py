@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.obs.blame import STALL
+from repro.obs.summary import RunSummary
 
 SLO_SCHEMA = "repro.obs.slo/v1"
 
@@ -115,11 +115,6 @@ def spec_for(
 # -- evaluation ---------------------------------------------------------------------
 
 
-def stall_share(blame: dict[str, float], blame_total: float) -> float:
-    """Stall blame as a share of total blame (0.0 for an idle ledger)."""
-    return blame.get(STALL, 0.0) / blame_total if blame_total > 0 else 0.0
-
-
 def evaluate_measures(spec: SLOSpec, measures: dict[str, Optional[float]]) -> list[dict]:
     """Verdict rows for one run's measures against one spec.
 
@@ -149,53 +144,19 @@ def evaluate_measures(spec: SLOSpec, measures: dict[str, Optional[float]]) -> li
     return rows
 
 
-def evaluate_entry(
-    workload: str, engine: str, entry: dict, overrides: Optional[dict] = None
-) -> dict:
-    """Evaluate one BENCH artifact entry (a ``rows[workload][engine]``
-    dict of the ``repro.obs.bench/v5`` schema) against its spec."""
-    spec = spec_for(workload, engine, overrides)
-    blame_total = entry.get("blame_total", 0.0)
-    traffic = entry.get("telemetry", {}).get("traffic", {})
+def evaluate(summary: RunSummary, overrides: Optional[dict] = None) -> dict:
+    """Evaluate one run's summary against its spec. A summary decoded
+    from a BENCH artifact entry has no straggler statistics (artifacts
+    carry no per-node timelines), so its CV objective reports n/a; a
+    live or replayed run's summary measures all four."""
+    workload, engine = summary.spec.workload, summary.spec.engine
     measures = {
-        "makespan": entry.get("virtual_seconds"),
-        "stall_share": round(stall_share(entry.get("blame", {}), blame_total), 6),
-        "traffic_bytes": traffic.get("total_bytes"),
-        "straggler_cv": None,  # artifacts carry no per-node timelines
+        "makespan": summary.makespan,
+        "stall_share": summary.stall_share,
+        "traffic_bytes": (summary.traffic or {}).get("total_bytes"),
+        "straggler_cv": summary.straggler["cv"] if summary.straggler else None,
     }
-    checks = evaluate_measures(spec, measures)
-    return {
-        "workload": workload,
-        "engine": engine,
-        "checks": checks,
-        "ok": all(c["verdict"] != "FAIL" for c in checks),
-    }
-
-
-def evaluate_tracer(
-    workload: str,
-    engine: str,
-    tracer,
-    makespan: float,
-    overrides: Optional[dict] = None,
-) -> dict:
-    """Evaluate a live (or replayed) run's tracer against its spec —
-    here the straggler CV objective is measurable."""
-    from repro.obs.telemetry import build_skew_report
-
-    spec = spec_for(workload, engine, overrides)
-    blame_total = tracer.blame.grand_total()
-    skew = build_skew_report(tracer.timeline, tracer.traffic_matrices())
-    stats = skew.sections.get("cpu_busy_seconds", {}).get("stats")
-    measures = {
-        "makespan": makespan,
-        "stall_share": round(
-            stall_share({STALL: tracer.blame.bucket_total(STALL)}, blame_total), 6
-        ),
-        "traffic_bytes": tracer.traffic_totals().get("total_bytes", 0.0),
-        "straggler_cv": round(stats["cv"], 6) if stats else None,
-    }
-    checks = evaluate_measures(spec, measures)
+    checks = evaluate_measures(spec_for(workload, engine, overrides), measures)
     return {
         "workload": workload,
         "engine": engine,

@@ -7,12 +7,12 @@ import pytest
 from repro.evaluation.__main__ import main as evaluation_main
 from repro.obs.diff import (
     ArtifactError,
-    EngineRecord,
     diff_artifacts,
     load_artifact,
     normalize,
     render_diff,
 )
+from repro.obs.summary import RunSummary
 
 
 def _bench_artifact(wordcount_hamr=45.017, extra_workload=None):
@@ -64,8 +64,8 @@ class TestNormalize:
     def test_bench_schema(self):
         norm = normalize(_bench_artifact())
         rec = norm["wordcount"]["hamr"]
-        assert isinstance(rec, EngineRecord)
-        assert rec.virtual_seconds == 45.017
+        assert isinstance(rec, RunSummary)
+        assert rec.makespan == 45.017
         assert rec.blame["disk"] == 10.0
         assert rec.critpath["compute"] == 25.0
 
@@ -85,7 +85,7 @@ class TestNormalize:
             },
         }
         rec = normalize(artifact)["wordcount"]["hamr"]
-        assert rec.virtual_seconds == 45.0
+        assert rec.makespan == 45.0
         assert rec.blame["compute"] == 35.0  # jobs sum
         assert rec.critpath == {"compute": 20.0}
 
@@ -355,3 +355,25 @@ def test_identical_runs_diff_byte_identical(tmp_path, capsys):
     rc = evaluation_main(["diff", str(a), str(b), "--tolerance", "0", "--fail-on-drift"])
     assert rc == 0
     assert "verdict: OK" in capsys.readouterr().out
+
+
+def test_bench_blame_covers_every_job(tmp_path):
+    """A multi-job run's bench entry blames the whole run, as its corpus
+    row does — not just the first job (Hadoop NaiveBayes runs two)."""
+    import sys
+
+    from repro.obs.corpus import summarize_journal
+    from repro.obs.replay import replay_file
+
+    bench_obs = _load_bench_obs("bench_obs_blame_test")
+    try:
+        stem = str(tmp_path / "nb")
+        entry = bench_obs.run_row("naive_bayes", "tiny", journal_stem=stem)["hadoop"]
+    finally:
+        sys.modules.pop("bench_obs_blame_test", None)
+
+    journal = f"{stem}.naive_bayes.hadoop.journal.jsonl"
+    ledger = replay_file(journal).tracer.blame
+    assert len(ledger.jobs()) == 2
+    assert entry["blame_total"] == round(ledger.grand_total(), 6)
+    assert entry["blame"] == summarize_journal(journal)["blame"]

@@ -10,6 +10,7 @@ consumption, rendering) hangs off the corpus index.
 
 import json
 import re
+import shlex
 
 import pytest
 
@@ -99,7 +100,9 @@ class TestSeededSelfTest:
             seeded_report.makespan_delta, rel=0.05
         )
 
-    def test_counter_scenario_recovers_the_injected_factor(self, seeded_report):
+    def test_counter_scenario_recovers_the_injected_factor(
+        self, seeded_report, doctor_dir, tmp_path, capsys
+    ):
         # the command replays the *baseline* with the bucket at 1/F
         # speed (the exact, slow-down direction of record dilation):
         # running it reproduces the regressed makespan
@@ -109,6 +112,14 @@ class TestSeededSelfTest:
         )
         match = re.search(r"disk=([0-9.]+)", seeded_report.whatif)
         assert float(match.group(1)) == pytest.approx(1.0 / FACTOR, rel=0.05)
+        # run the printed command (run name "base" -> its journal) in-process
+        argv = shlex.split(seeded_report.whatif)[3:]
+        argv[1] = str(doctor_dir["root"] / "base.journal.jsonl")
+        confirm = tmp_path / "whatif_confirm.json"
+        assert main(argv + ["--json", str(confirm)]) == 0
+        capsys.readouterr()
+        predicted = json.loads(confirm.read_text())["scenarios"][0]["predicted"]
+        assert predicted == pytest.approx(seeded_report.run_b["makespan"], rel=0.05)
 
     def test_audits_are_clean_and_identity_is_carried(self, seeded_report):
         assert seeded_report.audit_a["verdict"] == "OK"

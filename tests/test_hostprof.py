@@ -442,6 +442,22 @@ class TestFidelity:
         with pytest.raises(ValueError, match="tolerance"):
             fidelity_dict(tracer, snap, "w", "hamr", tolerance=0.5)
 
+    def test_bucket_join_covers_every_job(self):
+        from repro.evaluation.runner import run_workload
+        from repro.evaluation.workloads import workload_by_name
+
+        row = run_workload(
+            workload_by_name("naive_bayes", "tiny"), engines="hadoop", obs=True, profile=True
+        )
+        ledger = row.hadoop_obs.blame
+        assert len(ledger.jobs()) == 2
+        compute = sum(
+            ledger.job_summary(job)["compute"] + ledger.job_summary(job)["atomic"]
+            for job in ledger.jobs()
+        )
+        fid = fidelity_dict(row.hadoop_obs, row.hadoop_hostprof, "naive_bayes", "hadoop")
+        assert fid["buckets"]["virtual_compute_seconds"] == pytest.approx(compute, abs=2e-6)
+
 
 class TestCalibration:
     def test_fit_recovers_known_constants(self):

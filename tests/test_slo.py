@@ -13,17 +13,22 @@ from repro.obs.slo import (
     SLO_SCHEMA,
     OBJECTIVES,
     SLOSpec,
-    evaluate_entry,
+    evaluate,
     evaluate_measures,
-    evaluate_tracer,
     load_slo_file,
     render_slo,
     slo_dict,
     spec_for,
-    stall_share,
 )
+from repro.obs.runspec import RunSpec
+from repro.obs.summary import RunSummary
 
 BENCH = "BENCH_obs.json"
+
+
+def _evaluate_entry(workload, engine, entry):
+    """The ``slo BENCH.json`` path: decode the bench entry, then evaluate."""
+    return evaluate(RunSummary.from_entry(workload, engine, entry))
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +82,9 @@ class TestSpecs:
 
 class TestEvaluation:
     def test_stall_share_bounds(self):
-        assert stall_share({}, 0.0) == 0.0
-        assert stall_share({"stall": 3.0}, 12.0) == 0.25
+        spec = RunSpec("wordcount", "hamr")
+        assert RunSummary(spec, 1.0, {}, 0.0).stall_share == 0.0
+        assert RunSummary(spec, 1.0, {"stall": 3.0}, 12.0).stall_share == 0.25
 
     def test_verdict_rows_cover_all_objectives(self):
         spec = SLOSpec(makespan_budget=10.0, max_stall_share=0.5)
@@ -95,12 +101,12 @@ class TestEvaluation:
     def test_committed_baseline_meets_its_slos(self, bench_payload):
         for name, per_engine in bench_payload["rows"].items():
             for engine in ("hamr", "hadoop"):
-                result = evaluate_entry(name, engine, per_engine[engine])
+                result = _evaluate_entry(name, engine, per_engine[engine])
                 assert result["ok"], (name, engine, result["checks"])
 
     def test_artifact_straggler_cv_is_not_measurable(self, bench_payload):
         entry = bench_payload["rows"]["wordcount"]["hamr"]
-        result = evaluate_entry("wordcount", "hamr", entry)
+        result = _evaluate_entry("wordcount", "hamr", entry)
         cv = [c for c in result["checks"] if c["objective"] == "straggler_cv"][0]
         assert cv["verdict"] == "n/a"
         assert cv["value"] is None
@@ -108,7 +114,7 @@ class TestEvaluation:
     def test_inflated_makespan_breaches(self, bench_payload):
         entry = copy.deepcopy(bench_payload["rows"]["wordcount"]["hamr"])
         entry["virtual_seconds"] *= 2.0
-        result = evaluate_entry("wordcount", "hamr", entry)
+        result = _evaluate_entry("wordcount", "hamr", entry)
         assert not result["ok"]
         failed = [c["objective"] for c in result["checks"]
                   if c["verdict"] == "FAIL"]
@@ -118,11 +124,11 @@ class TestEvaluation:
         row = run_workload(
             workload_by_name("wordcount", "tiny"), engines="hamr", obs=True
         )
-        result = evaluate_tracer(
-            "wordcount", "hamr", row.hamr_obs, row.hamr_seconds
+        result = evaluate(
+            RunSummary.from_tracer(RunSpec("wordcount", "hamr"), row.hamr_obs, row.hamr_seconds)
         )
         values = {c["objective"]: c["value"] for c in result["checks"]}
-        assert values["makespan"] == row.hamr_seconds
+        assert values["makespan"] == round(row.hamr_seconds, 6)
         assert values["straggler_cv"] is not None  # measurable live
         assert result["ok"], result["checks"]
 
@@ -133,7 +139,7 @@ class TestEvaluation:
 class TestRendering:
     def test_slo_dict_shape(self, bench_payload):
         entry = bench_payload["rows"]["wordcount"]["hamr"]
-        results = [evaluate_entry("wordcount", "hamr", entry)]
+        results = [_evaluate_entry("wordcount", "hamr", entry)]
         payload = slo_dict(results, BENCH)
         assert payload["schema"] == SLO_SCHEMA
         assert payload["source"] == BENCH
@@ -142,10 +148,10 @@ class TestRendering:
     def test_render_names_every_breached_pair(self, bench_payload):
         entry = copy.deepcopy(bench_payload["rows"]["wordcount"]["hamr"])
         entry["virtual_seconds"] *= 2.0
-        text = render_slo([evaluate_entry("wordcount", "hamr", entry)])
+        text = render_slo([_evaluate_entry("wordcount", "hamr", entry)])
         assert "SLO BREACH: wordcount/hamr" in text
         good = render_slo(
-            [evaluate_entry("wordcount", "hamr",
+            [_evaluate_entry("wordcount", "hamr",
                             bench_payload["rows"]["wordcount"]["hamr"])]
         )
         assert "all SLOs met" in good
