@@ -43,7 +43,6 @@ class AppEnv:
         hadoop_config: Optional[HadoopConfig] = None,
         obs: bool = False,
         journal=None,
-        trace_max_records: Optional[int] = None,
         fabric: str = RunSpec.fabric,
         partitioner: str = RunSpec.partitioner,
         rack_size: Optional[int] = None,
@@ -57,10 +56,7 @@ class AppEnv:
         hadoop_config = hadoop_config or HadoopConfig()
         hamr_config.fabric = hadoop_config.fabric = fabric
         hamr_config.partitioner = hadoop_config.partitioner = partitioner
-        self.cluster = Cluster(
-            self.spec, obs=obs, journal=journal,
-            trace_max_records=trace_max_records,
-        )
+        self.cluster = Cluster(self.spec, obs=obs, journal=journal)
         self.dfs = DFS(self.cluster)
         self.localfs = LocalFS(self.cluster)
         self.kvstore = KVStore(self.cluster)

@@ -1,8 +1,6 @@
-"""The assembled cluster: nodes + network + resource manager + trace."""
+"""The assembled cluster: nodes + network + resource manager + tracer."""
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.cluster.network import Network
 from repro.cluster.node import Node
@@ -10,7 +8,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.cluster.yarn import ResourceManager
 from repro.common.partitioner import HashPartitioner, Partitioner
 from repro.obs import Tracer, telemetry
-from repro.sim import Simulator, Trace
+from repro.sim import Simulator
 
 
 class Cluster:
@@ -31,23 +29,17 @@ class Cluster:
         self,
         spec: ClusterSpec,
         sim: Simulator | None = None,
-        trace: bool = True,
         obs: bool = False,
-        trace_max_records: int | None = None,
         journal=None,
     ):
         self.spec = spec
         self.sim = sim if sim is not None else Simulator()
-        self.trace = Trace(self.sim, enabled=trace, max_records=trace_max_records)
         # The journal attaches at tracer construction: _wire_telemetry
         # below captures metric handles in closures, and those creations
         # must already be journaled.
         self.obs = Tracer(self.sim, enabled=obs, journal=journal)
         self.nodes = [
-            Node(
-                self.sim, node_id, spec.spec_for(node_id), spec.cost,
-                trace=self.trace, obs=self.obs,
-            )
+            Node(self.sim, node_id, spec.spec_for(node_id), spec.cost, obs=self.obs)
             for node_id in range(spec.num_nodes)
         ]
         #: shard-aware ownership override: worker indices (in partition
@@ -194,9 +186,6 @@ class Cluster:
         """A hash partitioner with one (or more) partitions per worker."""
         return HashPartitioner(self.num_workers * partitions_per_worker)
 
-    def iter_workers(self) -> Iterator[Node]:
-        return iter(self.workers)
-
     def run(self, until: float | None = None) -> float:
         """Drive the simulation (delegates to the kernel)."""
         return self.sim.run(until=until)
@@ -208,10 +197,3 @@ class Cluster:
 
     def total_network_bytes(self) -> int:
         return self.network.total_bytes
-
-    def max_memory_high_water(self) -> float:
-        return max(node.memory.high_water for node in self.nodes)
-
-    def mean_thread_utilization(self) -> float:
-        workers = self.workers
-        return sum(node.threads.utilization() for node in workers) / len(workers)

@@ -113,9 +113,6 @@ class CostModel:
     def scaled_bytes(self, nbytes: float) -> float:
         return nbytes * self.scale
 
-    def scaled_records(self, nrecords: float) -> float:
-        return nrecords * self.scale
-
     def cpu_cost(self, nrecords: float, nbytes: float, factor: float = 1.0) -> float:
         """CPU seconds to process ``nrecords`` totaling ``nbytes`` (pre-scale)."""
         return self.scale * factor * (

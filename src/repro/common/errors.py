@@ -39,9 +39,5 @@ class MemoryBudgetExceeded(ReproError):
     """An allocation did not fit in a node's memory budget and could not spill."""
 
 
-class ShuffleError(ReproError):
-    """A bin was routed to a node that does not own its partition."""
-
-
 class JobError(ReproError):
     """A job failed: user code raised, or the engine aborted the run."""

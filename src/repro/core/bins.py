@@ -152,7 +152,3 @@ class BinPacker:
     @property
     def open_bins(self) -> int:
         return len(self._open)
-
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(b.nbytes for b in self._open.values())

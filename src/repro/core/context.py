@@ -51,7 +51,6 @@ class TaskContext:
         self.sealed_bins: list[Bin] = []
         self.output_pairs: list[tuple[Any, Any]] = []  # sink output (no out-edges)
         self.deferred_disk_bytes: int = 0
-        self.deferred_updates: int = 0  # accumulator updates for contention modeling
         self.counters: dict[str, float] = {}
 
     # -- emission ---------------------------------------------------------------
@@ -138,10 +137,6 @@ class TaskContext:
         """Accumulate an application counter (aggregated into JobResult)."""
         self.counters[name] = self.counters.get(name, 0.0) + delta
 
-    def note_update(self, n: int = 1) -> None:
-        """Record ``n`` shared-accumulator updates (engine charges contention)."""
-        self.deferred_updates += n
-
     # -- engine-side draining ---------------------------------------------------------------
 
     def take_sealed(self) -> list[Bin]:
@@ -151,7 +146,3 @@ class TaskContext:
     def take_deferred_disk(self) -> int:
         nbytes, self.deferred_disk_bytes = self.deferred_disk_bytes, 0
         return nbytes
-
-    def take_deferred_updates(self) -> int:
-        n, self.deferred_updates = self.deferred_updates, 0
-        return n

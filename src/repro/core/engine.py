@@ -275,6 +275,3 @@ class HamrEngine:
         return [
             runtime.instance(flowlet_name).status.value for runtime in self.runtimes
         ]
-
-    def total_stalls(self) -> int:
-        return int(self.metrics.get("flow_stalls", 0))

@@ -766,12 +766,6 @@ class NodeRuntime:
             yield self.node.disk_write(disk_bytes)
             if obs.enabled:
                 obs.charge(self.job, DISK, sim.now - t0, node=self.node.node_id, span=span)
-        updates = ctx.take_deferred_updates()
-        if updates:
-            t0 = sim.now
-            yield instance.cell_for("__shared__").update(updates)
-            if obs.enabled:
-                obs.charge(self.job, ATOMIC, sim.now - t0, node=self.node.node_id, span=span)
         for bin_ in ctx.take_sealed():
             yield from self._ship(instance, bin_, lease, span)
         yield from self._flush_sink_output(instance, span)
@@ -903,9 +897,6 @@ class NodeRuntime:
                 self.engine.metrics["flow_stalls"] = (
                     self.engine.metrics.get("flow_stalls", 0) + 1
                 )
-                self.node.record_trace(
-                    "flow_stall", flowlet=instance.flowlet.name, dst=edge.dst.name
-                )
                 obs.count("flow.stalls", node=node_id)
                 with obs.span(
                     "stall", "stall", node=node_id, job=self.job,
@@ -942,7 +933,6 @@ class NodeRuntime:
         if instance.stall_streak < config.throttle_stall_threshold:
             return
         instance.stall_streak = 0
-        self.node.record_trace("loader_throttle", flowlet=instance.flowlet.name)
         self.engine.metrics["loader_throttles"] = (
             self.engine.metrics.get("loader_throttles", 0) + 1
         )

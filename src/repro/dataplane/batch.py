@@ -193,10 +193,6 @@ class BatchBuilder:
         return batch
 
     @property
-    def open_records(self) -> int:
-        return len(self._open)
-
-    @property
     def open_bytes(self) -> int:
         return self._open_bytes
 

@@ -26,7 +26,7 @@ from repro.obs.history import ROW_METRICS
 from repro.obs.runspec import RunSpec
 
 #: flags that must be positive wherever a command accepts them
-POSITIVE = ("trace_max_records", "racks", "bins", "interval", "window", "workers")
+POSITIVE = ("racks", "bins", "interval", "window", "workers")
 
 
 def _group(*flags) -> argparse.ArgumentParser:
@@ -68,11 +68,6 @@ def _shared_groups() -> dict[str, argparse.ArgumentParser]:
                 "(twolevel defaults to 4 racks when unset)",
             )),
         ),
-        "trace": _group(("--trace-max-records", dict(
-            type=int, default=None, metavar="N",
-            help="bound the sim-trace ring buffer (oldest records are evicted past "
-            "N; evictions are a WARNING and are counted in journal footers)",
-        ))),
         "json": _group(("--json", dict(
             metavar="PATH",
             help="also write the result as JSON (`-` = JSON to stdout, no text report)",
@@ -165,12 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     ).add_argument("name", metavar="NAME", choices=TABLE2_ORDER, help="the workload")
 
     command(
-        "report", "live:report", f"{live} trace json chrome",
+        "report", "live:report", f"{live} json chrome",
         help="run one workload traced; print its observability report "
         "(Gantt, blame, utilization, critical path)",
     )
     command(
-        "timeline", "live:timeline", f"{live} trace bins json chrome",
+        "timeline", "live:timeline", f"{live} bins json chrome",
         help="run workload(s) traced; print resource heatmaps, traffic matrices and skew",
     )
     command(
@@ -183,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-fit the compute-cost constants from measured host time (a proposal)",
     )
     command(
-        "journal", "live:journal", f"{live} trace out",
+        "journal", "live:journal", f"{live} out",
         help="run workload(s) journaled; write one durable JSONL journal per "
         "workload x engine (PREFIX defaults to `run`)",
     )
     sub = command(
-        "watch", "live:watch", f"{live} trace out slo json",
+        "watch", "live:watch", f"{live} out slo json",
         help="run workload(s) with the live progress engine; print the "
         "dashboard frames (journaled, so `replay --view watch` re-renders them)",
     )
@@ -204,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         "virtual seconds (default 300)",
     )
     sub = command(
-        "slo", "live:slo", f"{live} trace slo json",
+        "slo", "live:slo", f"{live} slo json",
         help="check a BENCH artifact, or live run(s), against the per-workload "
         "SLO specs; exit 1 on any breach",
     )
@@ -225,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which derived view to reconstruct (default report)",
     )
     sub = command(
-        "explain", "journals:explain", "fidelity fabric trace json partial",
+        "explain", "journals:explain", "fidelity fabric json partial",
         help="align two runs and attribute their makespan delta to blame "
         "buckets, operators and nodes",
         epilog="A and B are journal files or workload:engine specs (run live first).",
@@ -233,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("a", metavar="A", help="baseline run")
     sub.add_argument("b", metavar="B", help="candidate run")
     sub = command(
-        "whatif", "journals:whatif", "fidelity fabric trace json partial",
+        "whatif", "journals:whatif", "fidelity fabric json partial",
         help="predict a run's makespan under a counterfactual scenario, with bounds",
         epilog="Bucket-only scenarios are exact: --emit-journal writes the dilated "
         "journal, which is also how a regression is seeded (disk=0.5: disk work "

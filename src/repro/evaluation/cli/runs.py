@@ -3,7 +3,7 @@
 :class:`EngineRun` gives one engine's column of a live
 :class:`~repro.evaluation.runner.BenchmarkRow` the attribute surface of
 :class:`~repro.obs.replay.ReplayedRun` (spec, workload, label, data_size,
-engine, fidelity, makespan, tracer, trace_dropped), so the views
+engine, fidelity, makespan, tracer), so the views
 print either without asking which it is.
 """
 
@@ -24,17 +24,6 @@ from repro.obs.runspec import ENGINES, RunSpec
 
 def announce(what: str) -> None:
     print(f"  running {what} ...", file=sys.stderr, flush=True)
-
-
-def warn_dropped(dropped: int, context: str) -> None:
-    """Surface sim-trace ring-buffer evictions: a silently truncated trace
-    must never read as complete."""
-    if dropped:
-        print(
-            f"WARNING: {dropped} trace records dropped ({context}; "
-            "raise --trace-max-records to keep them)",
-            file=sys.stderr,
-        )
 
 
 # -- live runs ----------------------------------------------------------------------
@@ -71,7 +60,6 @@ class EngineRun:
         self.spec, self.engine, self.fidelity = spec, engine, fidelity
         self.makespan = row.hamr_seconds if engine == "hamr" else row.idh_seconds
         self.tracer = getattr(row, f"{engine}_obs")
-        self.trace_dropped = getattr(row, f"{engine}_trace_dropped")
         self.hostprof = getattr(row, f"{engine}_hostprof")
         self.journal = getattr(row, f"{engine}_journal")
         self.monitor = getattr(row, f"{engine}_watch")
@@ -80,8 +68,7 @@ class EngineRun:
 def live_runs(args, per_workload=None, **options):
     """The one live-run loop: for each selected workload, announce it (when
     there are several), execute it under the fabric flags, and yield an
-    :class:`EngineRun` per selected engine after warning about dropped
-    trace records. ``options`` go to ``run_workload`` as given;
+    :class:`EngineRun` per selected engine. ``options`` go to ``run_workload`` as given;
     ``per_workload(name)`` adds the ones that depend on the workload.
     """
     workloads, engines = expand_filters(args)
@@ -92,7 +79,6 @@ def live_runs(args, per_workload=None, **options):
         row = run_workload(
             workload,
             engines=args.engine,
-            trace_max_records=getattr(args, "trace_max_records", None),
             fabric=args.fabric,
             partitioner=args.partitioner,
             rack_size=workload.spec().rack_size_for(args.fabric, args.racks),
@@ -101,9 +87,7 @@ def live_runs(args, per_workload=None, **options):
         )
         for engine in engines:
             spec = RunSpec(name, engine, args.fabric, args.partitioner)
-            run = EngineRun(row, spec, args.fidelity)
-            warn_dropped(run.trace_dropped, f"{name} on {engine}")
-            yield run
+            yield EngineRun(row, spec, args.fidelity)
 
 
 # -- run references: a journal path, or a workload:engine spec to execute -----------
@@ -153,7 +137,7 @@ def journal_errors(path: str):
 def warn_recorded(run: ReplayedRun, path: str, covers: "str | None" = None) -> None:
     """What a loaded journal's footer says the reader must know: it was
     truncated (``covers`` names what a one-journal command derives from
-    it), or the recording run dropped trace records."""
+    it)."""
     if run.partial and covers:
         print(
             "WARNING: journal is partial (reconstructed footer) — "
@@ -162,7 +146,6 @@ def warn_recorded(run: ReplayedRun, path: str, covers: "str | None" = None) -> N
         )
     elif run.partial:
         print(f"WARNING: {path} is partial (reconstructed footer)", file=sys.stderr)
-    warn_dropped(run.trace_dropped, f"recorded in {path}")
 
 
 def load_run(path: str, allow_partial: bool, covers: "str | None" = None) -> ReplayedRun:

@@ -36,14 +36,10 @@ def _by_workload(schema: str, run, entries: dict) -> dict:
 
 class ReportView:
     def text(self, run) -> str:
-        return render_report(
-            run.tracer, title=heading(run), trace_dropped=run.trace_dropped
-        ) + "\n"
+        return render_report(run.tracer, title=heading(run)) + "\n"
 
     def entry(self, run) -> dict:
-        return report_dict(
-            run.tracer, run.workload, run.engine, trace_dropped=run.trace_dropped
-        )
+        return report_dict(run.tracer, run.workload, run.engine)
 
     def document(self, run, entries: dict) -> dict:
         document = {

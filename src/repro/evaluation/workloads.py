@@ -61,13 +61,10 @@ class Workload:
             spec = replace(spec, num_nodes=self.num_workers + 1)
         return spec
 
-    def fresh_env(self, obs: bool = False, journal=None, trace_max_records=None, **exchange) -> AppEnv:
+    def fresh_env(self, obs: bool = False, journal=None, **exchange) -> AppEnv:
         """A fresh environment on this workload's cluster; ``exchange`` is
         :class:`AppEnv`'s ``fabric``/``partitioner``/``rack_size``."""
-        return AppEnv(
-            self.spec(), obs=obs, journal=journal,
-            trace_max_records=trace_max_records, **exchange,
-        )
+        return AppEnv(self.spec(), obs=obs, journal=journal, **exchange)
 
 
 def _finish(workload: Workload) -> Workload:

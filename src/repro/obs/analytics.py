@@ -25,7 +25,7 @@ with a last-bit tolerance, and reported rows are the rounded HAMR side.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.obs.blame import BUCKETS
 

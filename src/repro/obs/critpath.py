@@ -100,25 +100,6 @@ class WhatIf:
 
 
 @dataclass
-class ScaledWhatIf:
-    """Amdahl bound for scaling on-path bucket costs by arbitrary factors.
-
-    Generalizes :class:`WhatIf` from single-bucket *zeroing* to composed
-    scenarios: each rollup key's on-path seconds are multiplied by its
-    factor (0.0 reproduces the zeroing bound, 2.0 doubles that cost,
-    0.5 halves it). Off-path time is held fixed, so for pure speedups
-    the result is a lower bound on the new makespan (another path may
-    become critical) and for pure slowdowns it is the serialized upper
-    bound's on-path component.
-    """
-
-    factors: dict[str, float]
-    delta: float  # signed path-seconds change across all scaled buckets
-    bound_makespan: float
-    bound_speedup: float  # old / new (values < 1 mean a slowdown)
-
-
-@dataclass
 class CriticalPath:
     """The extracted path plus its blame decomposition."""
 
@@ -162,37 +143,6 @@ class CriticalPath:
             bound_speedup=self.makespan / bound,
         )
 
-    def scaled(self, factors: dict[str, float]) -> ScaledWhatIf:
-        """Bound the makespan change from scaling bucket costs on the path.
-
-        ``factors`` maps rollup keys to time multipliers (``2.0`` = that
-        cost takes twice as long, ``0.5`` = twice as fast, ``0.0`` =
-        eliminated — which reproduces :meth:`what_if`'s bound). Factors
-        compose: the deltas of independent buckets add, so an arbitrary
-        scenario is one call rather than a sequence of single-bucket
-        queries. The on-path attribution is exact; whether the result is
-        an upper or lower bound depends on the scenario's direction (see
-        :class:`ScaledWhatIf`).
-        """
-        unknown = [b for b in factors if b not in ROLLUP_KEYS]
-        if unknown:
-            raise ValueError(f"unknown rollup keys {unknown}; pick from {ROLLUP_KEYS}")
-        for bucket, factor in factors.items():
-            if factor < 0.0:
-                raise ValueError(f"scale factor must be >= 0: {bucket}={factor}")
-        delta = sum(
-            self.rollup.get(bucket, 0.0) * (factor - 1.0)
-            for bucket, factor in factors.items()
-        )
-        delta = max(delta, -self.makespan)
-        bound = max(self.makespan + delta, _EPS)
-        return ScaledWhatIf(
-            factors=dict(factors),
-            delta=delta,
-            bound_makespan=bound,
-            bound_speedup=self.makespan / bound,
-        )
-
     def to_dict(self) -> dict:
         """Deterministic JSON-serializable summary."""
         return {
@@ -219,24 +169,6 @@ class CriticalPath:
 # -- graph construction ---------------------------------------------------------
 
 
-def _nodes_from_span_dicts(spans: Sequence[dict]) -> dict[int, PathNode]:
-    nodes = {}
-    for s in spans:
-        if s.get("end") is None:
-            continue
-        nodes[s["id"]] = PathNode(
-            span_id=s["id"],
-            name=s["name"],
-            cat=s["cat"],
-            node=s.get("node"),
-            job=s.get("job"),
-            start=s["start"],
-            end=s["end"],
-            charges=dict(s.get("charges") or {}),
-        )
-    return nodes
-
-
 def _nodes_from_tracer(tracer: Tracer) -> dict[int, PathNode]:
     nodes = {}
     for s in tracer.finished_spans():
@@ -258,16 +190,6 @@ def from_tracer(tracer: Tracer, job: Optional[str] = None) -> "CriticalPath":
     return critical_path(
         _nodes_from_tracer(tracer),
         [(e.src, e.dst, e.kind) for e in tracer.edges],
-        job=job,
-    )
-
-
-def from_trace_dict(trace: dict, job: Optional[str] = None) -> "CriticalPath":
-    """Extract the critical path from a serialized trace
-    (``repro.obs.trace/v2``, as embedded in report artifacts)."""
-    return critical_path(
-        _nodes_from_span_dicts(trace.get("spans", ())),
-        [tuple(e) for e in trace.get("edges", ())],
         job=job,
     )
 

@@ -215,15 +215,12 @@ def _audit(run: ReplayedRun, critpath_total: float) -> dict:
     warnings = []
     if run.partial:
         warnings.append("partial journal (synthesized footer)")
-    if run.trace_dropped:
-        warnings.append(f"{run.trace_dropped} sim-trace records dropped")
     if opened != closed:
         warnings.append(f"{opened - closed} span(s) never closed")
     return {
         "verdict": "WARN" if warnings else "OK",
         "warnings": warnings,
         "partial": run.partial,
-        "trace_dropped": run.trace_dropped,
         "spans_opened": opened,
         "spans_closed": closed,
         "critpath_coverage": round(coverage, 6),

@@ -21,7 +21,7 @@ Design constraints mirror :mod:`repro.obs.hostprof`:
    single ``is None`` check on a ``__slots__`` attribute.
 3. **Append-only, schema-versioned.** The first line is a ``header``
    record carrying :data:`JOURNAL_SCHEMA`; the last is a ``footer`` with
-   the run's makespan, virtual end time and the sim-trace drop counter.
+   the run's makespan and virtual end time.
    Records in between are never rewritten.
 
 Record types (compact keys keep journals small):
@@ -46,7 +46,7 @@ tm      traffic matrix declared for a job
 x       traffic-matrix charge
 wcfg    live-monitoring config (frame interval, stall window)
 fr      live dashboard frame (progress, ETA, watchdog verdict)
-footer  event/span counts, makespan, trace-drop counter
+footer  event/span counts, makespan, virtual end
 ======  =====================================================
 
 A seeded regression is data, not a run mode: :func:`dilate_bucket_charges`
@@ -309,9 +309,6 @@ def synthesize_partial_footer(records: list[dict]) -> dict:
         "spans_closed": closed,
         "virtual_end": last,
         "makespan": last,
-        "trace_records": 0,
-        "trace_dropped": 0,
-        "trace_max_records": None,
     }
 
 

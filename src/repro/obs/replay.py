@@ -94,14 +94,6 @@ class ReplayedRun:
     def virtual_end(self) -> float:
         return self.footer.get("virtual_end", 0.0)
 
-    @property
-    def trace_dropped(self) -> int:
-        return self.footer.get("trace_dropped", 0)
-
-    @property
-    def trace_max_records(self) -> Optional[int]:
-        return self.footer.get("trace_max_records")
-
 
 def replay_records(records: list[dict]) -> ReplayedRun:
     """Fold validated journal records into a fresh tracer."""

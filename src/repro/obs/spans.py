@@ -374,17 +374,9 @@ class Tracer:
         if self.enabled:
             self.metrics.counter(name, **labels).inc(amount)
 
-    def gauge_set(self, name: str, value: float, **labels: Any) -> None:
-        if self.enabled:
-            self.metrics.gauge(name, **labels).set(value)
-
     def observe(self, name: str, value: float, **labels: Any) -> None:
         if self.enabled:
             self.metrics.histogram(name, **labels).observe(value)
-
-    def sample(self, name: str, value: float, **labels: Any) -> None:
-        if self.enabled:
-            self.metrics.series(name, **labels).append(self.sim.now, value)
 
     # -- stage progress (live monitoring) ----------------------------------------
 

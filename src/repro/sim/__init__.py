@@ -50,7 +50,6 @@ from repro.sim.resources import (
     UpdateChain,
 )
 from repro.sim.queues import QueueClosed, SimQueue
-from repro.sim.monitor import Trace, UtilizationMeter
 
 __all__ = [
     "Simulator",
@@ -65,6 +64,4 @@ __all__ = [
     "UpdateChain",
     "SimQueue",
     "QueueClosed",
-    "Trace",
-    "UtilizationMeter",
 ]

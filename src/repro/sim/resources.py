@@ -72,10 +72,6 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def utilization(self) -> float:
         """Mean fraction of capacity in use since t=0."""
         self._account()

@@ -82,10 +82,6 @@ class Catalog:
         )
         self._columns[name] = columns
 
-    def register_source(self, name: str, source: DataSource, columns: tuple[str, ...]) -> None:
-        self._tables[name] = source
-        self._columns[name] = tuple(columns)
-
     def source(self, name: str) -> DataSource:
         try:
             return self._tables[name]

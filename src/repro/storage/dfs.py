@@ -106,9 +106,6 @@ class DFS:
     def delete(self, name: str) -> None:
         self._files.pop(name, None)
 
-    def list_files(self) -> list[str]:
-        return sorted(self._files)
-
     # -- ingest (free, pre-run data placement) ----------------------------------
 
     def ingest(self, name: str, records: Iterable[Any]) -> DistributedFile:

@@ -67,9 +67,6 @@ class KVStore:
     def get(self, node: Node, key: Any, default: Any = None) -> Any:
         return self.shard(node).get(key, default)
 
-    def contains(self, node: Node, key: Any) -> bool:
-        return key in self.shard(node)
-
     def delete(self, node: Node, key: Any) -> None:
         shard = self.shard(node)
         if key in shard:

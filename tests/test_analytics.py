@@ -9,13 +9,12 @@ the flowlet :class:`Catalog` (declared-schema empty tables included).
 
 import pytest
 
-from repro.apps import wordcount
 from repro.apps.base import AppEnv
 from repro.cluster.spec import small_cluster_spec
 from repro.evaluation.__main__ import main
 from repro.obs.blame import BUCKETS
 from repro.obs.corpus import ingest, save_corpus
-from repro.obs.journal import JournalWriter, encode_record, seed_bucket_slowdown
+from repro.obs.journal import encode_record, seed_bucket_slowdown
 from repro.obs.analytics import (
     ANALYTICS_SCHEMA,
     CANNED_QUERIES,
@@ -28,33 +27,14 @@ from repro.obs.analytics import (
 )
 from repro.sql import Catalog, SQLError, SQLSession
 from repro.sql.mr import MRSQLSession
-
-
-def _journaled_run(seed=0):
-    params = wordcount.WordCountParams(target_bytes=50_000, seed=seed)
-    records = wordcount.generate_input(params)
-    writer = JournalWriter()
-    writer.write_header(
-        workload="wordcount", label="WordCount", data_size="16GB",
-        engine="hamr", commit="abc1234",
-    )
-    env = AppEnv(small_cluster_spec(num_workers=3), obs=True, journal=writer)
-    result = wordcount.run_hamr(env, params, records)
-    trace = env.cluster.trace.summary()
-    writer.write_footer(
-        makespan=result.makespan,
-        virtual_end=env.cluster.sim.now,
-        trace_records=trace["records"],
-        trace_dropped=trace["dropped"],
-    )
-    return writer
+from tests.conftest import journaled_run
 
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """A two-run corpus (baseline + disk-seeded) with a saved index."""
     root = tmp_path_factory.mktemp("fleet")
-    base = _journaled_run(seed=0)
+    _, _, base = journaled_run(seed=0, commit="abc1234")
     base.save(str(root / "base.journal.jsonl"))
     seeded = seed_bucket_slowdown(base.records, "disk", 2.0)
     with open(root / "seeded.journal.jsonl", "w") as fh:

@@ -100,11 +100,11 @@ BAD_INPUT = [
      f"{USAGE}: error: unrecognized arguments"),
     (["trend", "--workload", "wordcount"], 2,
      f"{USAGE}: error: unrecognized arguments"),
+    (["report", "--trace-max-records", "0"], 2,
+     f"{USAGE}: error: unrecognized arguments: --trace-max-records 0"),
     # bad input caught by the handlers (exit 2, one `error: ...` line)
     (["report", "--workload", "nope"], 2, "error: unknown workload 'nope'"),
     (["report", "--engine", "warp"], 2, "error: unknown engine 'warp'"),
-    (["report", "--trace-max-records", "0"], 2,
-     "error: --trace-max-records must be positive (got 0)"),
     (["report", "--racks", "0"], 2, "error: --racks must be positive (got 0)"),
     (["bench", "wordcount", "--racks", "-1"], 2,
      "error: --racks must be positive (got -1)"),

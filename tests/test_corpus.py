@@ -15,9 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import wordcount
-from repro.apps.base import AppEnv
-from repro.cluster.spec import small_cluster_spec
 from repro.evaluation.__main__ import main
 from repro.obs.corpus import (
     CORPUS_SCHEMA,
@@ -36,44 +33,18 @@ from repro.obs.corpus import (
     save_corpus,
     scan_journals,
     summarize_journal,
-    summarize_records,
 )
-from repro.obs.journal import (
-    JournalError,
-    JournalWriter,
-    encode_record,
-    seed_bucket_slowdown,
-)
-
-
-def _journaled_run(seed=0, target_bytes=50_000):
-    """One journaled hamr wordcount run; returns the writer."""
-    params = wordcount.WordCountParams(target_bytes=target_bytes, seed=seed)
-    records = wordcount.generate_input(params)
-    writer = JournalWriter()
-    writer.write_header(
-        workload="wordcount", label="WordCount", data_size="16GB",
-        engine="hamr", commit="abc1234",
-    )
-    env = AppEnv(small_cluster_spec(num_workers=3), obs=True, journal=writer)
-    result = wordcount.run_hamr(env, params, records)
-    trace = env.cluster.trace.summary()
-    writer.write_footer(
-        makespan=result.makespan,
-        virtual_end=env.cluster.sim.now,
-        trace_records=trace["records"],
-        trace_dropped=trace["dropped"],
-    )
-    return writer
+from repro.obs.journal import JournalError, encode_record, seed_bucket_slowdown
+from tests.conftest import journaled_run
 
 
 @pytest.fixture(scope="module")
 def journal_dir(tmp_path_factory):
     """A directory of journals: two distinct runs plus a seeded regression."""
     root = tmp_path_factory.mktemp("journals")
-    base = _journaled_run(seed=0)
+    _, _, base = journaled_run(seed=0, commit="abc1234")
     base.save(str(root / "base.journal.jsonl"))
-    other = _journaled_run(seed=1)
+    _, _, other = journaled_run(seed=1, commit="abc1234")
     other.save(str(root / "other.journal.jsonl"))
     seeded = seed_bucket_slowdown(base.records, "disk", 2.0)
     with open(root / "seeded.journal.jsonl", "w") as fh:
@@ -157,16 +128,16 @@ class TestMergeInvariants:
 
 class TestFingerprint:
     def test_identical_records_fingerprint_identically(self):
-        writer = _journaled_run(seed=0)
-        again = _journaled_run(seed=0)
+        _, _, writer = journaled_run(seed=0, commit="abc1234")
+        _, _, again = journaled_run(seed=0, commit="abc1234")
         assert journal_fingerprint(writer.records) == journal_fingerprint(
             again.records
         )
 
     def test_different_runs_fingerprint_differently(self):
-        assert journal_fingerprint(_journaled_run(seed=0).records) != (
-            journal_fingerprint(_journaled_run(seed=1).records)
-        )
+        _, _, a = journaled_run(seed=0, commit="abc1234")
+        _, _, b = journaled_run(seed=1, commit="abc1234")
+        assert journal_fingerprint(a.records) != journal_fingerprint(b.records)
 
     def test_fingerprint_survives_gzip_and_rename(self, journal_dir, tmp_path):
         src = journal_dir / "base.journal.jsonl"

@@ -12,9 +12,9 @@ from repro.obs.critpath import (
     PathNode,
     critical_path,
     from_tracer,
-    from_trace_dict,
     render_critpath,
 )
+from repro.obs.replay import replay_lines
 
 
 def _node(span_id, start, end, name="w", cat="task", job="j", charges=None):
@@ -152,10 +152,10 @@ def tiny_rows(tiny_fleet):
 
 
 class TestTracedRuns:
-    def test_trace_dict_round_trip_matches_live(self, tiny_rows):
-        tracer = tiny_rows["wordcount"].hamr_obs
-        live = from_tracer(tracer).to_dict()
-        replayed = from_trace_dict(tracer.to_dict()).to_dict()
+    def test_journal_round_trip_matches_live(self, tiny_rows):
+        row = tiny_rows["wordcount"]
+        live = from_tracer(row.hamr_obs).to_dict()
+        replayed = from_tracer(replay_lines(row.hamr_journal.lines).tracer).to_dict()
         assert live == replayed
 
     def test_path_is_contiguous_backward_walk(self, tiny_rows):

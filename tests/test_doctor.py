@@ -14,9 +14,6 @@ import shlex
 
 import pytest
 
-from repro.apps import wordcount
-from repro.apps.base import AppEnv
-from repro.cluster.spec import small_cluster_spec
 from repro.evaluation.__main__ import main
 from repro.obs.corpus import ingest, save_corpus
 from repro.obs.doctor import (
@@ -30,43 +27,24 @@ from repro.obs.doctor import (
     resolve_spec,
 )
 from repro.obs.history import HISTORY_SCHEMA
-from repro.obs.journal import JournalWriter, encode_record, seed_bucket_slowdown
+from repro.obs.journal import encode_record, seed_bucket_slowdown
 from repro.obs.replay import replay_file
+from tests.conftest import journaled_run
 
 FACTOR = 2.0
-
-
-def _journaled_run(seed=0, workload="wordcount"):
-    params = wordcount.WordCountParams(target_bytes=50_000, seed=seed)
-    records = wordcount.generate_input(params)
-    writer = JournalWriter()
-    writer.write_header(
-        workload=workload, label="WordCount", data_size="16GB",
-        engine="hamr", commit="abc1234",
-    )
-    env = AppEnv(small_cluster_spec(num_workers=3), obs=True, journal=writer)
-    result = wordcount.run_hamr(env, params, records)
-    trace = env.cluster.trace.summary()
-    writer.write_footer(
-        makespan=result.makespan,
-        virtual_end=env.cluster.sim.now,
-        trace_records=trace["records"],
-        trace_dropped=trace["dropped"],
-    )
-    return writer
 
 
 @pytest.fixture(scope="module")
 def doctor_dir(tmp_path_factory):
     """Baseline + disk-seeded regression + an unrelated run, indexed."""
     root = tmp_path_factory.mktemp("doctor")
-    base = _journaled_run(seed=0)
+    _, _, base = journaled_run(seed=0, commit="abc1234")
     base.save(str(root / "base.journal.jsonl"))
     seeded = seed_bucket_slowdown(base.records, "disk", FACTOR)
     with open(root / "seeded.journal.jsonl", "w") as fh:
         for record in seeded:
             fh.write(encode_record(record) + "\n")
-    _journaled_run(seed=1, workload="terasort").save(
+    journaled_run(seed=1, workload="terasort", commit="abc1234")[2].save(
         str(root / "terasort.journal.jsonl")
     )
     index = root / "corpus.jsonl"

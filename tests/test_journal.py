@@ -8,8 +8,10 @@ timeline, chrome trace, critical path — byte for byte, with no
 re-execution.
 """
 
+import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -35,33 +37,11 @@ from repro.obs.journal import (
     load_journal,
     read_journal,
     seed_bucket_slowdown,
+    synthesize_partial_footer,
 )
+from repro.obs.corpus import encode_row, ingest, load_corpus, render_corpus, render_row
 from repro.obs.replay import replay_file, replay_lines
-
-
-def _run_journaled_wordcount(seed=0, target_bytes=50_000, trace_max_records=None,
-                             sink=None):
-    """One journaled hamr wordcount run on the small test cluster."""
-    params = wordcount.WordCountParams(target_bytes=target_bytes, seed=seed)
-    records = wordcount.generate_input(params)
-    writer = JournalWriter(sink=sink)
-    writer.write_header(
-        workload="wordcount", label="WordCount", data_size="16GB", engine="hamr"
-    )
-    env = AppEnv(
-        small_cluster_spec(num_workers=3), obs=True, journal=writer,
-        trace_max_records=trace_max_records,
-    )
-    result = wordcount.run_hamr(env, params, records)
-    trace = env.cluster.trace.summary()
-    writer.write_footer(
-        makespan=result.makespan,
-        virtual_end=env.cluster.sim.now,
-        trace_records=trace["records"],
-        trace_dropped=trace["dropped"],
-        trace_max_records=trace_max_records,
-    )
-    return env, result, writer
+from tests.conftest import journaled_run
 
 
 # -- encoding -------------------------------------------------------------------
@@ -168,11 +148,11 @@ class TestWriter:
 
     def test_sink_streams_identical_bytes(self):
         sink = io.StringIO()
-        _env, _result, writer = _run_journaled_wordcount(sink=sink)
+        _env, _result, writer = journaled_run(sink=sink)
         assert sink.getvalue() == writer.getvalue()
 
     def test_save_load_round_trip(self, tmp_path):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         path = tmp_path / "run.journal.jsonl"
         writer.save(str(path))
         assert replay_file(str(path)).tracer.to_json() == replay_lines(
@@ -190,7 +170,7 @@ class TestNonPerturbation:
         records = wordcount.generate_input(params)
         env_off = AppEnv(small_cluster_spec(num_workers=3), obs=True)
         res_off = wordcount.run_hamr(env_off, params, records)
-        env_on, res_on, _writer = _run_journaled_wordcount()
+        env_on, res_on, _writer = journaled_run()
         assert res_off.makespan == res_on.makespan
         assert env_off.obs.to_json() == env_on.obs.to_json()
         assert report_json(env_off.obs, "wordcount", "hamr") == report_json(
@@ -210,8 +190,8 @@ class TestNonPerturbation:
 
 class TestDeterminism:
     def test_identical_runs_journal_byte_identically(self):
-        _e1, _r1, w1 = _run_journaled_wordcount()
-        _e2, _r2, w2 = _run_journaled_wordcount()
+        _e1, _r1, w1 = journaled_run()
+        _e2, _r2, w2 = journaled_run()
         assert w1.getvalue() == w2.getvalue()
 
     def test_cross_engine_determinism_at_fixed_seed(self):
@@ -232,19 +212,19 @@ class TestDeterminism:
 
 class TestReplay:
     def test_replay_metadata(self):
-        _env, result, writer = _run_journaled_wordcount()
+        _env, result, writer = journaled_run()
         run = replay_lines(writer.lines)
         assert run.workload == "wordcount"
         assert run.engine == "hamr"
         assert run.label == "WordCount"
         assert run.makespan == result.makespan
-        assert run.trace_dropped == 0
+        assert "trace_dropped" not in run.footer
         assert heading(run) == (
             f"== WordCount ({run.data_size}) on hamr — makespan {result.makespan:.3f}s =="
         )
 
     def test_replay_reconstructs_wordcount_byte_identically(self):
-        env, _result, writer = _run_journaled_wordcount()
+        env, _result, writer = journaled_run()
         run = replay_lines(writer.lines)
         assert run.tracer.to_json() == env.obs.to_json()
         assert report_json(run.tracer, "wordcount", "hamr") == report_json(
@@ -282,60 +262,112 @@ class TestReplay:
             replay_lines(writer.lines)
 
 
-# -- trace drop accounting --------------------------------------------------------
+# -- the retired sim-trace drop counter ----------------------------------------------
+
+#: the footer keys journals written before the drop counter was retired carry
+LEGACY_FOOTER = {"trace_records": 5, "trace_dropped": 7, "trace_max_records": 5}
+
+#: every command that once accepted --trace-max-records, with its positionals
+TRACE_BOUND_COMMANDS = (
+    ["report"], ["timeline"], ["journal"], ["watch"], ["slo"],
+    ["explain", "a.jsonl", "b.jsonl"], ["whatif", "run.jsonl"],
+)
+
+
+def _cli(argv, cwd, monkeypatch):
+    """``main(argv)`` in ``cwd``: (exit code, stdout, stderr)."""
+    from repro.evaluation.__main__ import main
+
+    monkeypatch.chdir(cwd)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def legacy_dirs(tmp_path_factory):
+    """The same baseline + disk-seeded journal pair twice: ``current`` as the
+    writer emits it, ``legacy`` with the three retired keys in each footer.
+    Same file names in both directories, so outputs that echo a path match."""
+    _env, _result, writer = journaled_run()
+    seeded = seed_bucket_slowdown(writer.records, "disk", 2.0)
+    root = tmp_path_factory.mktemp("legacy_footer")
+    dirs = {}
+    for name, extra in (("current", {}), ("legacy", LEGACY_FOOTER)):
+        path = root / name
+        path.mkdir()
+        for file, records in (("a.jsonl", writer.records), ("b.jsonl", seeded)):
+            records = records[:-1] + [{**records[-1], **extra}]
+            (path / file).write_text("".join(encode_record(r) + "\n" for r in records))
+        dirs[name] = path
+    return dirs
 
 
 class TestTraceDropped:
-    def test_ring_buffer_summary_counts_evictions(self):
-        from repro.sim import Simulator, Trace
+    """No run records a sim-trace drop count any more, the flag that bounded
+    the trace is gone, and journals and corpus rows that still carry the
+    retired keys read exactly like the same artifacts without them."""
 
-        trace = Trace(Simulator(), max_records=3)
-        for i in range(7):
-            trace.record("spill", run=i)
-        summary = trace.summary()
-        assert summary == {"records": 3, "dropped": 4, "max_records": 3}
-        # the newest records are the ones kept
-        assert [r.payload["run"] for r in trace.records] == [4, 5, 6]
-
-    def test_bounded_run_footer_carries_the_drop_count(self):
-        # hadoop naive_bayes spills at tiny (sim-trace records exist),
-        # so a tight bound provably evicts
-        from repro.evaluation.workloads import make_naive_bayes
-
-        row = run_workload(
-            make_naive_bayes("tiny", seed=0), engines="hadoop",
-            journal=True, trace_max_records=5,
-        )
-        footer = row.hadoop_journal.records[-1]
-        assert footer["trace_records"] == 5
-        assert footer["trace_dropped"] == row.hadoop_trace_dropped > 0
-        assert footer["trace_max_records"] == 5
-        run = replay_lines(row.hadoop_journal.lines)
-        assert run.trace_dropped == footer["trace_dropped"]
-        assert run.trace_max_records == 5
-
-    def test_unbounded_trace_drops_nothing(self):
-        env, _result, writer = _run_journaled_wordcount()
-        assert env.cluster.trace.summary()["dropped"] == 0
-        assert writer.records[-1]["trace_dropped"] == 0
-
-    def test_report_warns_on_dropped_records(self, capsys):
-        from repro.evaluation.__main__ import main
-
-        rc = main(["report", "--workload", "naive_bayes", "--engine", "hadoop",
-                   "--fidelity", "tiny", "--trace-max-records", "5",
-                   "--json", "-"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "WARNING" in err and "trace records dropped" in err
+    def test_footer_carries_no_trace_keys(self):
+        _env, _result, writer = journaled_run()
+        partial = synthesize_partial_footer(writer.records[:-1])
+        for footer in (writer.records[-1], partial):
+            assert not set(LEGACY_FOOTER) & set(footer)
 
     def test_non_positive_trace_bound_exits_2(self, capsys):
         from repro.evaluation.__main__ import main
 
-        for bad in ("0", "-3"):
-            assert main(["report", "--workload", "wordcount",
-                         "--trace-max-records", bad]) == 2
-        assert "must be positive" in capsys.readouterr().err
+        for argv in TRACE_BOUND_COMMANDS:
+            for bad in ("0", "-3", "5"):
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv, "--trace-max-records", bad])
+                assert exc.value.code == 2
+                assert "unrecognized arguments: --trace-max-records" in (
+                    capsys.readouterr().err
+                )
+
+    @pytest.mark.parametrize("view", ["report", "timeline", "critpath"])
+    def test_legacy_footer_replays_identically(self, legacy_dirs, view, monkeypatch):
+        outputs = {
+            name: [
+                _cli(["replay", "a.jsonl", "--view", view, *flags], path, monkeypatch)
+                for flags in ([], ["--json", "-"])
+            ]
+            for name, path in legacy_dirs.items()
+        }
+        assert outputs["legacy"] == outputs["current"]
+        assert outputs["current"][0][0] == 0 and outputs["current"][0][2] == ""
+
+    def test_legacy_footer_ingests_identically(self, legacy_dirs):
+        rows = {}
+        for name, path in legacy_dirs.items():
+            found, stats = ingest([str(path)])
+            assert stats["added"] == 2
+            rows[name] = sorted(found, key=lambda row: row["path"])
+        for current, legacy in zip(rows["current"], rows["legacy"], strict=True):
+            # the fingerprint hashes the journal's bytes, which differ by the keys
+            assert current.pop("fingerprint") != legacy.pop("fingerprint")
+            legacy_path, current_path = legacy.pop("path"), current.pop("path")
+            assert os.path.basename(legacy_path) == os.path.basename(current_path)
+            assert legacy == current
+
+    def test_legacy_footer_diagnoses_identically(self, legacy_dirs, monkeypatch):
+        argv = ["doctor", "a.jsonl", "b.jsonl", "--json", "-"]
+        current = _cli(argv, legacy_dirs["current"], monkeypatch)
+        assert current[0] == 0 and "sim-trace" not in current[1]
+        assert _cli(argv, legacy_dirs["legacy"], monkeypatch) == current
+        assert json.loads(current[1])["a"]["audit"]["verdict"] == "OK"
+
+    def test_legacy_corpus_row_loads(self, legacy_dirs, tmp_path):
+        rows, _stats = ingest([str(legacy_dirs["current"])])
+        legacy = [{**row, "trace_dropped": 7} for row in rows]
+        index = tmp_path / "corpus.jsonl"
+        index.write_text("".join(encode_row(row) + "\n" for row in legacy))
+        loaded = load_corpus(str(index))
+        assert loaded == legacy
+        assert render_corpus(loaded) == render_corpus(rows)
+        assert [render_row(row) for row in loaded] == [render_row(row) for row in rows]
 
 
 # -- seeded synthetic regression --------------------------------------------------
@@ -343,14 +375,14 @@ class TestTraceDropped:
 
 class TestSeededSlowdown:
     def test_rejects_bad_arguments(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         with pytest.raises(ValueError, match="bucket"):
             seed_bucket_slowdown(writer.records, "nope", 2.0)
         with pytest.raises(ValueError, match="positive"):
             seed_bucket_slowdown(writer.records, "disk", 0.0)
 
     def test_dilation_grows_makespan_and_scales_charges(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         records = writer.records
         factor = 2.0
         disk_total = sum(
@@ -370,7 +402,7 @@ class TestSeededSlowdown:
         ) >= factor * disk_total - 1e-9
 
     def test_dilation_preserves_event_order_and_replays(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         seeded = seed_bucket_slowdown(writer.records, "disk", 2.0)
         # monotone remap: span opens never move before their original order
         opens = [r["st"] for r in seeded if r["t"] == "so"]
@@ -384,7 +416,7 @@ class TestSeededSlowdown:
         assert report_json(run.tracer, "wordcount", "hamr")
 
     def test_identity_factor_changes_only_the_footer(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         seeded = seed_bucket_slowdown(writer.records, "disk", 1.0)
         assert len(seeded) == len(writer.records)
         assert seeded[:-1] == writer.records[:-1]
@@ -394,7 +426,7 @@ class TestSeededSlowdown:
         back as the #1 makespan-delta contributor."""
         from repro.obs.explain import explain, side_from_tracer
 
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         assert "disk" in BUCKETS
         seeded = seed_bucket_slowdown(writer.records, "disk", 2.0)
         base = replay_lines(writer.lines)
@@ -420,7 +452,7 @@ class TestGzipJournals:
         plain file, and replay reconstructs the identical tracer."""
         import gzip
 
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         plain = tmp_path / "run.journal.jsonl"
         packed = tmp_path / "run.journal.jsonl.gz"
         writer.save(str(plain))
@@ -432,7 +464,7 @@ class TestGzipJournals:
 
     def test_gz_files_are_deterministic(self, tmp_path):
         """No mtime/filename leaks into the gzip container."""
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         a, b = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
         writer.save(str(a))
         writer.save(str(b))
@@ -453,13 +485,13 @@ class TestGzipJournals:
 
 class TestPartialJournals:
     def test_footerless_journal_raises_by_default(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         truncated = writer.lines[:-1]
         with pytest.raises(JournalError, match="allow-partial"):
             read_journal(truncated)
 
     def test_allow_partial_reconstructs_the_makespan(self):
-        _env, result, writer = _run_journaled_wordcount()
+        _env, result, writer = journaled_run()
         truncated = writer.lines[:-1]
         records = read_journal(truncated, allow_partial=True)
         footer = records[-1]
@@ -469,11 +501,11 @@ class TestPartialJournals:
         assert run.partial and run.makespan == result.makespan
 
     def test_partial_flag_defaults_false_on_complete_journals(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         assert replay_lines(writer.lines).partial is False
 
     def test_midfile_truncation_keeps_the_complete_prefix(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         cut = len(writer.lines) // 2
         truncated = writer.lines[:cut] + [writer.lines[cut][: 10]]
         with pytest.raises(JournalError):
@@ -485,7 +517,7 @@ class TestPartialJournals:
     def test_replay_cli_exits_2_without_allow_partial(self, tmp_path, capsys):
         from repro.evaluation.__main__ import main
 
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         path = tmp_path / "trunc.jsonl"
         path.write_text("\n".join(writer.lines[:-1]) + "\n")
         assert main(["replay", str(path)]) == 2
@@ -494,7 +526,7 @@ class TestPartialJournals:
         assert "partial" in capsys.readouterr().err
 
     def test_load_journal_reads_partial_gz(self, tmp_path):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         path = tmp_path / "trunc.jsonl.gz"
         with journal_open(str(path), "w") as fh:
             fh.write("\n".join(writer.lines[:-1]) + "\n")
@@ -507,7 +539,7 @@ class TestPartialJournals:
 
 class TestMultiBucketDilation:
     def test_single_bucket_wrapper_is_byte_identical(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         via_wrapper = seed_bucket_slowdown(writer.records, "disk", 2.0)
         via_dict = dilate_bucket_charges(writer.records, {"disk": 2.0})
         assert [encode_record(r) for r in via_wrapper] == [
@@ -515,7 +547,7 @@ class TestMultiBucketDilation:
         ]
 
     def test_composed_factors_grow_by_both_buckets(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         records = writer.records
         totals = {}
         for r in records:
@@ -530,7 +562,7 @@ class TestMultiBucketDilation:
         }
 
     def test_composed_dilation_still_replays(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         out = dilate_bucket_charges(writer.records, {"disk": 1.5, "compute": 2.0})
         run = replay_lines([encode_record(r) for r in out])
         assert run.makespan == out[-1]["makespan"]
@@ -572,7 +604,7 @@ class TestMultiBucketDilation:
             assert encode_record(got) == encode_record(want)
 
     def test_rejects_bad_factor_dicts(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         with pytest.raises(ValueError, match="bucket"):
             dilate_bucket_charges(writer.records, {"nope": 2.0})
         with pytest.raises(ValueError, match="positive"):
@@ -590,7 +622,7 @@ class TestReaderResilience:
 
     @pytest.fixture(scope="class")
     def lines(self):
-        _env, _result, writer = _run_journaled_wordcount()
+        _env, _result, writer = journaled_run()
         return list(writer.lines)
 
     def test_garbage_interleaved_line_raises_cleanly(self, lines):

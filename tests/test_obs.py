@@ -314,9 +314,9 @@ class TestTracedRun:
     def test_report_dict_schema(self, traced):
         env, _result = traced
         rep = report_dict(env.obs, "wordcount", "hamr")
-        assert rep["schema"] == "repro.obs.report/v4"
+        assert rep["schema"] == "repro.obs.report/v5"
         assert rep["engine"] == "hamr"
-        assert rep["trace_dropped"] == 0
+        assert "trace_dropped" not in rep
         assert rep["trace"]["schema"] == "repro.obs.trace/v2"
         assert rep["span_counts"]["task"] > 0
         assert rep["critpath"]["schema"] == "repro.obs.critpath/v1"
@@ -339,6 +339,32 @@ class TestTracedRun:
         assert spill["total_bytes"] == int(
             env.obs.metrics.counter_total("spill.bytes")
         )
+
+
+def test_report_cli_document(tmp_path, capsys):
+    """What ``report --json`` writes for the tiny WordCount on HAMR: the
+    document and its engine entry, end to end through the CLI."""
+    from repro.evaluation.__main__ import main
+
+    out = tmp_path / "report.json"
+    argv = ["report", "--workload", "wordcount", "--fidelity", "tiny", "--engine", "hamr"]
+    assert main([*argv, "--json", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["schema"] == "repro.obs.report/v5"
+    engine = report["engines"]["hamr"]
+    assert engine["schema"] == "repro.obs.report/v5"
+    assert "trace_dropped" not in engine
+    assert engine["span_counts"]["task"] > 0
+    blame = engine["blame"]["wordcount"]
+    assert abs(sum(blame["buckets"].values()) - blame["total"]) < 1e-9
+    spill = engine["spill"]
+    assert spill["total_bytes"] == sum(e["bytes"] for e in spill["nodes"].values())
+    assert engine["trace"]["schema"] == "repro.obs.trace/v2"
+    assert engine["trace"]["edges"], "expected causal edges in the trace"
+    critpath = engine["critpath"]
+    assert critpath["schema"] == "repro.obs.critpath/v1"
+    assert critpath["segments"], "expected a non-empty critical path"
 
 
 class TestDeterminism:

@@ -1,133 +1,6 @@
-"""Tests for tracing and utilization metering, plus seed derivation."""
-
-import pytest
+"""Tests for seed derivation."""
 
 from repro.common.rng import derive_seed, make_rng
-from repro.sim import Simulator, Trace, UtilizationMeter
-
-
-class TestTrace:
-    def test_records_time_and_payload(self):
-        sim = Simulator()
-        trace = Trace(sim)
-
-        def proc(sim):
-            trace.record("spill", nbytes=100)
-            yield 2.0
-            trace.record("spill", nbytes=200)
-            trace.record("stall")
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert trace.count("spill") == 2
-        assert trace.count("stall") == 1
-        assert [r.time for r in trace.filter("spill")] == [0.0, 2.0]
-        assert trace.filter("spill")[1].payload == {"nbytes": 200}
-        assert len(trace) == 3
-
-    def test_disabled_trace_records_nothing(self):
-        sim = Simulator()
-        trace = Trace(sim, enabled=False)
-        trace.record("x")
-        assert len(trace) == 0
-
-    def test_ring_buffer_keeps_newest_and_counts_drops(self):
-        sim = Simulator()
-        trace = Trace(sim, max_records=3)
-        for i in range(5):
-            trace.record("tick", i=i)
-        assert len(trace) == 3
-        assert trace.dropped == 2
-        assert [r.payload["i"] for r in trace] == [2, 3, 4]
-        # filtering still works over the retained window
-        assert trace.count("tick") == 3
-
-    def test_ring_buffer_no_drops_below_capacity(self):
-        sim = Simulator()
-        trace = Trace(sim, max_records=10)
-        trace.record("tick")
-        assert trace.dropped == 0
-        assert len(trace) == 1
-
-    def test_unbounded_default_unchanged(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        assert trace.max_records is None
-        assert isinstance(trace.records, list)
-        for _ in range(4):
-            trace.record("tick")
-        assert len(trace) == 4
-        assert trace.dropped == 0
-
-    def test_ring_buffer_rejects_nonpositive_capacity(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Trace(sim, max_records=0)
-
-
-class TestUtilizationMeter:
-    def test_half_busy(self):
-        sim = Simulator()
-        meter = UtilizationMeter(sim, capacity=2)
-
-        def proc(sim):
-            meter.enter(2)
-            yield 5.0
-            meter.leave(2)
-            yield 5.0
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert meter.utilization() == pytest.approx(0.5)
-
-    def test_leave_more_than_busy_rejected(self):
-        sim = Simulator()
-        meter = UtilizationMeter(sim, capacity=1)
-        with pytest.raises(ValueError):
-            meter.leave()
-
-    def test_zero_elapsed(self):
-        sim = Simulator()
-        meter = UtilizationMeter(sim, capacity=1)
-        assert meter.utilization() == 0.0
-
-    def test_since_excludes_earlier_busy_time(self):
-        # Regression: the busy integral used to accumulate from t=0 but be
-        # divided by ``now - since``, overestimating windowed utilization.
-        sim = Simulator()
-        meter = UtilizationMeter(sim, capacity=1)
-
-        def proc(sim):
-            meter.enter()  # busy over [0, 5)
-            yield 5.0
-            meter.leave()  # idle over [5, 10)
-            yield 5.0
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert meter.utilization() == pytest.approx(0.5)
-        # the [5, 10) window was fully idle — must be 0, not 1.0
-        assert meter.utilization(since=5.0) == pytest.approx(0.0)
-        # the [2.5, 10) window holds 2.5 busy seconds of 7.5
-        assert meter.utilization(since=2.5) == pytest.approx(2.5 / 7.5)
-
-    def test_since_mid_busy_interval(self):
-        sim = Simulator()
-        meter = UtilizationMeter(sim, capacity=2)
-
-        def proc(sim):
-            yield 4.0
-            meter.enter(2)  # both slots busy over [4, 8)
-            yield 4.0
-            meter.leave(2)
-            yield 2.0
-
-        sim.spawn(proc(sim))
-        sim.run()
-        # window [6, 10): 2 slots busy over [6, 8) -> 4 slot-seconds of 8
-        assert meter.utilization(since=6.0) == pytest.approx(0.5)
-        # a window starting after everything ended is all idle
-        assert meter.utilization(since=9.0) == pytest.approx(0.0)
 
 
 class TestSeedDerivation:

@@ -316,6 +316,31 @@ class TestTracedRunTelemetry:
         assert d["skew"]["sections"]
 
 
+def test_timeline_cli_document(tmp_path, capsys):
+    """What ``timeline`` prints and writes for the tiny KCliques on both
+    engines: the heatmap sections, and a document with a CPU track, a
+    non-empty shuffle traffic matrix and a skew report per engine."""
+    from repro.evaluation.__main__ import main
+
+    out = tmp_path / "timeline.json"
+    argv = ["timeline", "--workload", "kcliques", "--fidelity", "tiny", "--engine", "both"]
+    assert main([*argv, "--json", str(out)]) == 0
+    heat = capsys.readouterr().out
+    assert "CPU slot occupancy" in heat
+    assert "traffic matrix" in heat
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == "repro.obs.timeline/v1", doc["schema"]
+    entry = doc["workloads"]["kcliques"]
+    for engine in ("hamr", "hadoop"):
+        tele = entry[engine]
+        assert tele["schema"] == "repro.obs.telemetry/v1"
+        assert "cpu" in tele["timeline"]["tracks"], f"{engine}: no cpu track"
+        totals = tele["traffic_totals"]
+        assert totals["total_bytes"] > 0, f"{engine}: empty traffic matrix"
+        assert totals["shuffle_bytes"] > 0, f"{engine}: no shuffle traffic"
+        assert tele["skew"]["sections"], f"{engine}: empty skew report"
+
+
 class TestTelemetryDeterminism:
     def test_two_runs_byte_identical_hamr(self):
         env1, _ = _run_traced("hamr")

@@ -335,6 +335,23 @@ class TestWhatifCLI:
         assert payload["scenarios"][0]["scenario"] == "disk=0.5,network=2"
         assert payload["scenarios"][0]["exact"] is True
 
+    @pytest.mark.parametrize("engine", ["hamr", "hadoop"])
+    def test_node_sweep_bounds_bracket_the_prediction(self, engine, tmp_path, capsys):
+        """A live ``workload:engine`` node sweep: four or more points, each
+        with ``optimistic <= predicted <= pessimistic``."""
+        out = tmp_path / "sweep.json"
+        assert main([
+            "whatif", f"wordcount:{engine}", "--fidelity", "tiny",
+            "--sweep", "nodes=4..32", "--json", str(out),
+        ]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "repro.obs.whatif/v1", doc["schema"]
+        points = doc["sweep"]["points"]
+        assert len(points) >= 4, f"{engine}: expected a 4+-point sweep"
+        for point in points:
+            assert point["optimistic"] <= point["predicted"] <= point["pessimistic"]
+
     def test_sweep_renders_capacity_curve(self, journal_path, capsys):
         assert main([
             "whatif", journal_path, "--sweep", "nodes=4..16:4",
