@@ -10,7 +10,7 @@ import sys
 from dataclasses import replace
 
 from repro.evaluation.cli import CLIError, views
-from repro.evaluation.cli.present import present, save_journal, write_chrome
+from repro.evaluation.cli.present import present, write_chrome, wrote
 from repro.evaluation.cli.runs import (
     ENGINES,
     EngineRun,
@@ -24,7 +24,7 @@ from repro.evaluation.cli.runs import (
 )
 from repro.evaluation.runner import run_workload
 from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
-from repro.obs.journal import dilate_bucket_charges, encode_record, load_journal
+from repro.obs.journal import dilate_bucket_charges, encode_record, journal_open, load_journal
 
 
 def replay(args) -> None:
@@ -181,9 +181,9 @@ def whatif(args) -> int:
         out_records = (
             records if scenario.is_identity else model.scenario_journal(scenario)
         )
-        save_journal(
-            args.emit_journal, map(encode_record, out_records), scenario.describe()
-        )
+        with journal_open(args.emit_journal, "w") as fh:
+            fh.writelines(encode_record(record) + "\n" for record in out_records)
+        wrote(args.emit_journal, scenario.describe())
 
     def text() -> str:
         parts = [render_whatif(model, predictions)]

@@ -7,7 +7,7 @@ import json
 import os
 
 from repro.evaluation.cli import CLIError
-from repro.evaluation.cli.present import export, present, save_journal, show, write_chrome
+from repro.evaluation.cli.present import export, present, show, write_chrome, wrote
 from repro.evaluation.cli.runs import ENGINES, journal_writers, live_runs
 from repro.evaluation.cli.views import (
     ReportView,
@@ -104,14 +104,16 @@ def _journal_path(args, out: str, run) -> str:
     return f"{stem}.{run.workload}.{run.engine}.journal.jsonl"
 
 
+def _save_journal(args, out: str, run, note: str = "") -> None:
+    path = _journal_path(args, out, run)
+    run.journal.save(path)
+    wrote(path, note)
+
+
 def journal(args) -> None:
     """Run workload(s) with journaling on; write one JSONL file per run."""
     for run in live_runs(args, journal=journal_writers(args)):
-        writer = run.journal
-        save_journal(
-            _journal_path(args, args.out or "run", run), writer.lines,
-            f"{writer.events} events",
-        )
+        _save_journal(args, args.out or "run", run, f"{run.journal.events} events")
 
 
 def _slo_overrides(args) -> "dict | None":
@@ -159,7 +161,7 @@ def watch(args) -> None:
             run.frames = run.monitor.frames
             yield run
             if args.out:
-                save_journal(_journal_path(args, args.out, run), run.journal.lines)
+                _save_journal(args, args.out, run)
 
     present_runs(args, watched(), WatchView())
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.obs.journal import journal_open
-
 
 def show(args, render) -> None:
     """Print ``render()`` unless stdout is reserved for JSON."""
@@ -30,7 +28,7 @@ def export(args, build) -> None:
         return
     with open(args.json, "w") as fh:
         fh.write(text)
-    print(f"wrote {args.json}", file=sys.stderr)
+    wrote(args.json)
 
 
 def present(args, render, build) -> None:
@@ -42,11 +40,9 @@ def write_chrome(path: str, tracer, note: str, hostprof=None) -> None:
     """Write a Chrome/Perfetto trace-event file for one traced run."""
     with open(path, "w") as fh:
         json.dump(tracer.to_chrome_trace(hostprof=hostprof), fh, sort_keys=True)
-    print(f"wrote {path} ({note})", file=sys.stderr)
+    wrote(path, note)
 
 
-def save_journal(path: str, lines, note: str = "") -> None:
-    """Write canonical journal lines (``.gz`` paths compress)."""
-    with journal_open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in lines)
+def wrote(path: str, note: str = "") -> None:
+    """Tell stderr which file a command wrote, with an optional note."""
     print(f"wrote {path}" + (f" ({note})" if note else ""), file=sys.stderr)

@@ -24,6 +24,12 @@ Design constraints mirror :mod:`repro.obs.hostprof`:
    the run's makespan and virtual end time.
    Records in between are never rewritten.
 
+A writer holds its body at about its encoded size: sealed blocks of
+newline-terminated lines plus a short list of lines not yet sealed, not
+one string per record. :meth:`JournalWriter.save` streams those blocks
+into the file without building the whole body; ``lines`` and ``records``
+are built on demand.
+
 Record types (compact keys keep journals small):
 
 ======  =====================================================
@@ -63,7 +69,7 @@ import bisect
 import io
 import itertools
 import json
-from typing import Any, Callable, Iterable, Optional, TextIO
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from repro.obs.blame import BUCKETS
 
@@ -86,6 +92,13 @@ RECORD_TYPES = (
 )
 
 
+#: lines joined into one sealed block of a writer's body
+_BLOCK_LINES = 4096
+
+#: built once: ``json.dumps`` with these arguments builds an encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class JournalError(ValueError):
     """A journal file is malformed, truncated, or schema-incompatible."""
 
@@ -96,9 +109,10 @@ def encode_record(record: dict) -> str:
     The encoding round-trips exactly (Python ``json`` serializes floats
     via ``repr`` and parses them back to the same bits), so
     encode→decode→re-encode is byte-identical — the hypothesis suite
-    asserts this property.
+    asserts this property, and that the output equals ``json.dumps(record,
+    sort_keys=True, separators=(",", ":"))``.
     """
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def decode_record(line: str) -> dict:
@@ -116,10 +130,14 @@ def decode_record(line: str) -> dict:
 class JournalWriter:
     """Appends observability events as JSONL, optionally streaming to a sink.
 
-    Lines are always retained in memory (``lines``) so tests and the
-    seeded-slowdown transform can inspect them; with ``sink`` set each
-    line is additionally written (and flushed at the footer) as it is
-    emitted, which is what makes journals durable across a crash.
+    The body is always retained in memory, held as encoded text: every
+    ``_BLOCK_LINES`` lines are joined into one newline-terminated block,
+    and the lines since the last block wait in a short pending list.
+    :meth:`save` writes the blocks as they are; ``lines`` (one string per
+    record) and ``records`` are built on demand for tests, replay and the
+    seeded-slowdown transform. With ``sink`` set each line is additionally
+    written (and flushed at the footer) as it is emitted, which is what
+    makes journals durable across a crash.
     """
 
     def __init__(self, sink: Optional[TextIO] = None, meta: Optional[dict] = None):
@@ -127,7 +145,8 @@ class JournalWriter:
         #: extra header metadata merged by :meth:`write_header` (the CLI
         #: presets ``fidelity`` here before handing the writer to the runner)
         self.meta: dict[str, Any] = dict(meta or {})
-        self.lines: list[str] = []
+        self._blocks: list[str] = []
+        self._pending: list[str] = []
         self.events = 0
         self.spans_opened = 0
         self.spans_closed = 0
@@ -140,7 +159,11 @@ class JournalWriter:
         if self._footer_written:
             raise JournalError("journal footer already written; journal is sealed")
         line = encode_record(record)
-        self.lines.append(line)
+        pending = self._pending
+        pending.append(line)
+        if len(pending) == _BLOCK_LINES:
+            self._blocks.append("\n".join(pending) + "\n")
+            pending.clear()
         self.events += 1
         t = record.get("t")
         if t == "so":
@@ -218,16 +241,26 @@ class JournalWriter:
 
     # -- persistence ----------------------------------------------------------------
 
-    def getvalue(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+    def _iter_lines(self) -> Iterator[str]:
+        for block in self._blocks:
+            yield from block[:-1].split("\n")
+        yield from self._pending
 
-    def save(self, path: str) -> None:
-        with journal_open(path, "w") as fh:
-            fh.write(self.getvalue())
+    @property
+    def lines(self) -> list[str]:
+        """Every line emitted so far, in order (built on each access)."""
+        return list(self._iter_lines())
 
     @property
     def records(self) -> list[dict]:
-        return [decode_record(line) for line in self.lines]
+        return [decode_record(line) for line in self._iter_lines()]
+
+    def save(self, path: str) -> None:
+        """Write the body to ``path`` (``.gz`` compresses), block by block:
+        the file holds every line, newline-terminated, in emission order."""
+        with journal_open(path, "w") as fh:
+            fh.writelines(self._blocks)
+            fh.writelines(line + "\n" for line in self._pending)
 
 
 # -- file I/O -----------------------------------------------------------------------

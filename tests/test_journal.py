@@ -9,9 +9,12 @@ re-execution.
 """
 
 import contextlib
+import gzip
 import io
 import json
+import math
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +27,10 @@ from repro.evaluation.cli.views import heading
 from repro.evaluation.obsreport import report_json
 from repro.evaluation.runner import run_workload
 from repro.evaluation.telemetryreport import telemetry_json
+from repro.evaluation.workloads import workload_by_name
 from repro.obs.blame import BUCKETS
 from repro.obs.journal import (
+    _BLOCK_LINES,
     JOURNAL_SCHEMA,
     RECORD_TYPES,
     JournalError,
@@ -68,6 +73,35 @@ _records = st.fixed_dictionaries(
 )
 
 
+#: what ``json.dumps`` accepts beyond the round-trip strategy: non-finite
+#: floats, -0.0, integers past 64 bits, any unicode, nested label lists
+_wide_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**63, 2**64 + 1]),
+    st.floats(),
+    st.text(max_size=20),
+)
+
+_dumps_records = st.fixed_dictionaries(
+    {"t": st.sampled_from(RECORD_TYPES)},
+    optional={
+        "n": st.text(max_size=20),
+        "v": _wide_scalars,
+        "l": st.lists(
+            st.tuples(st.text(max_size=8), _wide_scalars).map(list), max_size=3
+        ),
+        "nested": st.recursive(
+            _wide_scalars,
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+            max_leaves=8,
+        ),
+    },
+)
+
+
 class TestEncoding:
     @given(_records)
     @settings(max_examples=200)
@@ -82,6 +116,19 @@ class TestEncoding:
     def test_floats_round_trip_exactly(self, value):
         record = {"t": "c", "v": value}
         assert decode_record(encode_record(record))["v"] == value
+
+    @given(_dumps_records)
+    @settings(max_examples=300)
+    def test_prebuilt_encoder_matches_json_dumps(self, record):
+        assert encode_record(record) == json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        )
+
+    def test_self_containing_record_raises(self):
+        record = {"t": "c", "l": []}
+        record["l"].append(record)
+        with pytest.raises(ValueError, match="Circular"):
+            encode_record(record)
 
     def test_int_float_distinction_survives(self):
         as_int = decode_record(encode_record({"t": "c", "v": 3}))["v"]
@@ -149,7 +196,7 @@ class TestWriter:
     def test_sink_streams_identical_bytes(self):
         sink = io.StringIO()
         _env, _result, writer = journaled_run(sink=sink)
-        assert sink.getvalue() == writer.getvalue()
+        assert sink.getvalue() == _joined(writer.lines)
 
     def test_save_load_round_trip(self, tmp_path):
         _env, _result, writer = journaled_run()
@@ -192,7 +239,7 @@ class TestDeterminism:
     def test_identical_runs_journal_byte_identically(self):
         _e1, _r1, w1 = journaled_run()
         _e2, _r2, w2 = journaled_run()
-        assert w1.getvalue() == w2.getvalue()
+        assert w1.lines == w2.lines
 
     def test_cross_engine_determinism_at_fixed_seed(self):
         from repro.evaluation.workloads import make_wordcount
@@ -201,10 +248,10 @@ class TestDeterminism:
             run_workload(make_wordcount("tiny", seed=0), engines="both", journal=True)
             for _ in range(2)
         ]
-        assert rows[0].hamr_journal.getvalue() == rows[1].hamr_journal.getvalue()
-        assert rows[0].hadoop_journal.getvalue() == rows[1].hadoop_journal.getvalue()
+        assert rows[0].hamr_journal.lines == rows[1].hamr_journal.lines
+        assert rows[0].hadoop_journal.lines == rows[1].hadoop_journal.lines
         # the two engines produce *different* journals for the same input
-        assert rows[0].hamr_journal.getvalue() != rows[0].hadoop_journal.getvalue()
+        assert rows[0].hamr_journal.lines != rows[0].hadoop_journal.lines
 
 
 # -- replay ----------------------------------------------------------------------
@@ -478,6 +525,88 @@ class TestGzipJournals:
             assert fh.read() == "hello\n"
         with pytest.raises(ValueError):
             journal_open(str(path), "a")
+
+
+# -- save(): block-streamed body ---------------------------------------------------
+
+
+def _joined(lines):
+    """The body as one string: every line newline-terminated."""
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _synthetic_writer(total_lines):
+    """A writer holding ``total_lines`` lines (header first, no footer), and
+    the lines each record encodes to, computed without the writer."""
+    writer = JournalWriter()
+    expected = []
+    if total_lines:
+        writer.write_header(workload="w")
+        expected.append(encode_record({"t": "header", "schema": JOURNAL_SCHEMA, "workload": "w"}))
+    for i in range(total_lines - 1):
+        record = {"t": "c", "n": "x", "l": [["k", str(i)]], "v": i}
+        writer.emit(record)
+        expected.append(encode_record(record))
+    return writer, expected
+
+
+@pytest.fixture(scope="module")
+def tiny_wordcount():
+    """The tiny ``wordcount:hamr`` run's writer and everything its sink saw."""
+    sink = io.StringIO()
+    row = run_workload(
+        workload_by_name("wordcount", "tiny"), engines="hamr",
+        journal=lambda _engine: JournalWriter(sink=sink, meta={"fidelity": "tiny"}),
+    )
+    return row.hamr_journal, sink.getvalue()
+
+
+class TestSave:
+    @pytest.mark.parametrize(
+        "total_lines",
+        [0, 1, _BLOCK_LINES - 1, _BLOCK_LINES, _BLOCK_LINES + 1],
+        ids=["empty", "header-only", "block-1", "block", "block+1"],
+    )
+    def test_synthetic_bodies_save_byte_identically(self, tmp_path, total_lines):
+        writer, expected = _synthetic_writer(total_lines)
+        assert writer.lines == expected
+        assert [encode_record(r) for r in writer.records] == expected
+        self._assert_saves(tmp_path, writer, _joined(expected))
+
+    def test_tiny_wordcount_saves_what_the_sink_streamed(self, tmp_path, tiny_wordcount):
+        writer, streamed = tiny_wordcount
+        assert len(writer.lines) > 4 * _BLOCK_LINES
+        assert _joined(writer.lines) == streamed
+        self._assert_saves(tmp_path, writer, streamed)
+
+    @staticmethod
+    def _assert_saves(tmp_path, writer, body):
+        plain, packed, again = (
+            tmp_path / name for name in ("run.jsonl", "run.jsonl.gz", "again.jsonl.gz")
+        )
+        for path in (plain, packed, again):
+            writer.save(str(path))
+        assert plain.read_bytes() == body.encode("utf-8")
+        assert gzip.decompress(packed.read_bytes()) == body.encode("utf-8")
+        assert packed.read_bytes() == again.read_bytes()
+
+    def test_held_body_stays_near_its_encoded_size(self, tiny_wordcount):
+        """A memory proxy without an RSS read: the strings a writer holds
+        add at most one unsealed block's per-line headers to the encoded
+        body. Holding one ``str`` per line (49 bytes of header plus a list
+        slot each) would exceed it on any journal past ~5 000 lines."""
+        writer, _streamed = tiny_wordcount
+        blocks, pending = writer._blocks, writer._pending
+        body = sum(map(len, blocks)) + sum(len(line) + 1 for line in pending)
+        held = (
+            sys.getsizeof(blocks) + sys.getsizeof(pending)
+            + sum(map(sys.getsizeof, blocks)) + sum(map(sys.getsizeof, pending))
+        )
+        slack = 256 * 1024
+        assert held <= body + slack
+        lines = writer.lines
+        per_line = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+        assert per_line > body + slack  # the bound tells the two layouts apart
 
 
 # -- truncated journals -----------------------------------------------------------
