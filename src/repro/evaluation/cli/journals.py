@@ -24,7 +24,13 @@ from repro.evaluation.cli.runs import (
 )
 from repro.evaluation.runner import run_workload
 from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
-from repro.obs.journal import dilate_bucket_charges, encode_record, journal_open, load_journal
+from repro.obs.journal import (
+    dilate_bucket_charges,
+    encode_record,
+    iter_journal,
+    iter_journal_file,
+    journal_open,
+)
 
 
 def replay(args) -> None:
@@ -149,15 +155,24 @@ def whatif(args) -> int:
 
     scenario = parse_scenario(args.scenario)
     sweep_spec = parse_sweep(args.sweep) if args.sweep else None
+    requested = [scenario]
+    if sweep_spec is not None:
+        key, values = sweep_spec
+        requested += [scenario.with_knob(key, value) for value in values]
+    # The model keeps the decoded records only for the bucket transform.
+    keep_records = bool(
+        args.validate or args.emit_journal or any(sc.bucket_only for sc in requested)
+    )
     ref = args.run
     spec = parse_ref(ref)
     with journal_errors(ref):
         if spec is None:
-            records = load_journal(ref, allow_partial=args.allow_partial)
+            records = iter_journal_file(ref, allow_partial=args.allow_partial)
         else:
             announce(ref)
-            records = run_spec(args, spec, journal=journal_writers(args)).journal.records
-        model = WhatIfModel(records)
+            writer = run_spec(args, spec, journal=journal_writers(args)).journal
+            records = iter_journal(writer.iter_lines())
+        model = WhatIfModel(list(records) if keep_records else records)
     warn_recorded(model.run, ref, covers="predictions")
 
     predictions = [model.predict(scenario)]
@@ -179,7 +194,7 @@ def whatif(args) -> int:
                 "no journal transform"
             )
         out_records = (
-            records if scenario.is_identity else model.scenario_journal(scenario)
+            model.records if scenario.is_identity else model.scenario_journal(scenario)
         )
         with journal_open(args.emit_journal, "w") as fh:
             fh.writelines(encode_record(record) + "\n" for record in out_records)

@@ -17,8 +17,8 @@ from contextlib import contextmanager
 from repro.evaluation.cli import CLIError
 from repro.evaluation.runner import run_workload
 from repro.evaluation.workloads import TABLE2_ORDER, workload_by_name
-from repro.obs.journal import JournalError, JournalWriter, load_journal
-from repro.obs.replay import ReplayedRun, replay_records
+from repro.obs.journal import JournalError, JournalWriter
+from repro.obs.replay import ReplayedRun, replay_file
 from repro.obs.runspec import ENGINES, RunSpec
 
 
@@ -149,8 +149,8 @@ def warn_recorded(run: ReplayedRun, path: str, covers: "str | None" = None) -> N
 
 
 def load_run(path: str, allow_partial: bool, covers: "str | None" = None) -> ReplayedRun:
-    """The one journal loader: decode, replay, warn."""
+    """The one journal loader: replay the file as it is decoded, warn."""
     with journal_errors(path):
-        run = replay_records(load_journal(path, allow_partial=allow_partial))
+        run = replay_file(path, allow_partial=allow_partial)
     warn_recorded(run, path, covers)
     return run

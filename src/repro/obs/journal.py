@@ -30,6 +30,13 @@ one string per record. :meth:`JournalWriter.save` streams those blocks
 into the file without building the whole body; ``lines`` and ``records``
 are built on demand.
 
+Reading is a stream too. :func:`iter_journal` decodes and validates one
+line at a time and yields each record as it is decoded, so a consumer
+that folds records as they arrive (replay, the what-if model) never
+holds the decoded list, which is about 7x the file's size.
+:func:`read_journal` and :func:`load_journal` are that stream wrapped in
+``list()``, for the callers that need every record at once.
+
 Record types (compact keys keep journals small):
 
 ======  =====================================================
@@ -92,11 +99,21 @@ RECORD_TYPES = (
 )
 
 
+#: for the per-line type check
+_RECORD_TYPE_SET = frozenset(RECORD_TYPES)
+
 #: lines joined into one sealed block of a writer's body
 _BLOCK_LINES = 4096
 
 #: built once: ``json.dumps`` with these arguments builds an encoder per call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: the decoder ``json.loads`` uses, called without its per-call whitespace
+#: regexes: :func:`decode_record` strips the same four characters instead
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+#: the whitespace JSON allows around a value
+_JSON_WHITESPACE = " \t\n\r"
 
 
 class JournalError(ValueError):
@@ -116,14 +133,20 @@ def encode_record(record: dict) -> str:
 
 
 def decode_record(line: str) -> dict:
+    """One journal line to its record; accepts exactly what ``json.loads``
+    accepts (a value with JSON whitespace around it, nothing after it)."""
+    text = line.strip(_JSON_WHITESPACE)
     try:
-        record = json.loads(line)
+        record, end = _RAW_DECODE(text)
     except ValueError as exc:
         raise JournalError(f"malformed journal line: {line[:80]!r}") from exc
+    if end != len(text):
+        raise JournalError(f"malformed journal line: {line[:80]!r}")
     if not isinstance(record, dict) or "t" not in record:
         raise JournalError(f"journal line is not a typed record: {line[:80]!r}")
-    if record["t"] not in RECORD_TYPES:
-        raise JournalError(f"unknown journal record type {record['t']!r}")
+    t = record["t"]
+    if not isinstance(t, str) or t not in _RECORD_TYPE_SET:
+        raise JournalError(f"unknown journal record type {t!r}")
     return record
 
 
@@ -241,7 +264,8 @@ class JournalWriter:
 
     # -- persistence ----------------------------------------------------------------
 
-    def _iter_lines(self) -> Iterator[str]:
+    def iter_lines(self) -> Iterator[str]:
+        """Every line emitted so far, in order, one at a time."""
         for block in self._blocks:
             yield from block[:-1].split("\n")
         yield from self._pending
@@ -249,11 +273,11 @@ class JournalWriter:
     @property
     def lines(self) -> list[str]:
         """Every line emitted so far, in order (built on each access)."""
-        return list(self._iter_lines())
+        return list(self.iter_lines())
 
     @property
     def records(self) -> list[dict]:
-        return [decode_record(line) for line in self._iter_lines()]
+        return [decode_record(line) for line in self.iter_lines()]
 
     def save(self, path: str) -> None:
         """Write the body to ``path`` (``.gz`` compresses), block by block:
@@ -312,6 +336,42 @@ def journal_open(path: str, mode: str = "r"):
 # -- reading ------------------------------------------------------------------------
 
 
+class _PartialTally:
+    """What a synthesized footer needs, kept record by record: the events
+    after the header, spans opened and closed, and the latest timestamp."""
+
+    __slots__ = ("events", "opened", "closed", "last")
+
+    def __init__(self):
+        self.events = self.opened = self.closed = 0
+        self.last = 0.0
+
+    def add(self, rec: dict) -> None:
+        self.events += 1
+        t = rec.get("t")
+        if t == "so":
+            self.opened += 1
+            self.last = max(self.last, rec.get("st", 0.0))
+        elif t == "sc":
+            self.closed += 1
+            self.last = max(self.last, rec.get("end", 0.0))
+        elif t in ("s", "tls", "fr"):
+            self.last = max(self.last, rec.get("tm", 0.0))
+        elif t == "tli":
+            self.last = max(self.last, rec.get("t1", 0.0))
+
+    def footer(self) -> dict:
+        return {
+            "t": "footer",
+            "partial": True,
+            "events": self.events,
+            "spans_opened": self.opened,
+            "spans_closed": self.closed,
+            "virtual_end": self.last,
+            "makespan": self.last,
+        }
+
+
 def synthesize_partial_footer(records: list[dict]) -> dict:
     """Best-effort footer for a truncated journal (no footer record).
 
@@ -320,73 +380,92 @@ def synthesize_partial_footer(records: list[dict]) -> dict:
     reconstruction for a crashed or in-flight run. ``partial: true``
     marks every downstream view as reconstructed.
     """
-    opened = closed = 0
-    last = 0.0
+    tally = _PartialTally()
     for rec in records[1:]:
-        t = rec.get("t")
-        if t == "so":
-            opened += 1
-            last = max(last, rec.get("st", 0.0))
-        elif t == "sc":
-            closed += 1
-            last = max(last, rec.get("end", 0.0))
-        elif t in ("s", "tls", "fr"):
-            last = max(last, rec.get("tm", 0.0))
-        elif t == "tli":
-            last = max(last, rec.get("t1", 0.0))
-    return {
-        "t": "footer",
-        "partial": True,
-        "events": len(records) - 1,
-        "spans_opened": opened,
-        "spans_closed": closed,
-        "virtual_end": last,
-        "makespan": last,
-    }
+        tally.add(rec)
+    return tally.footer()
 
 
-def read_journal(lines: Iterable[str], *, allow_partial: bool = False) -> list[dict]:
-    """Decode + validate a journal: header first, known schema, footer last.
+def _decoded(lines: Iterable[str], allow_partial: bool) -> Iterator[dict]:
+    """Every non-blank line decoded, in order; under ``allow_partial`` the
+    first torn line ends the stream instead of raising."""
+    for line in lines:
+        if not line or line.isspace():
+            continue
+        try:
+            record = decode_record(line)
+        except JournalError:
+            if allow_partial:
+                return  # torn trailing write: keep everything before it
+            raise
+        yield record
+
+
+def iter_journal(lines: Iterable[str], *, allow_partial: bool = False) -> Iterator[dict]:
+    """Decode + validate a journal one line at a time, yielding each record
+    as it is decoded: header first, known schema, footer last.
+
+    The header is checked before it is yielded and the footer once the
+    lines run out, so a consumer sees a complete journal or an error. A
+    header error is raised only after the rest of the lines decoded, so a
+    decode error anywhere in the file comes first, as it does for
+    :func:`read_journal`. A consumer that folds the stream and fails should
+    likewise read the stream to its end before raising (see
+    :func:`repro.obs.replay.replay_records`).
 
     ``allow_partial=True`` accepts a truncated journal (crashed or
     in-flight run): decoding stops at the first torn line, and a
     synthesized ``partial: true`` footer closes the record stream at the
     last complete event. The header is always validated strictly.
     """
-    records = []
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            records.append(decode_record(line))
-        except JournalError:
-            if allow_partial:
-                break  # torn trailing write: keep everything before it
-            raise
-    if not records:
+    records = _decoded(lines, allow_partial)
+    header = next(records, None)
+    if header is None:
         raise JournalError("empty journal")
-    header = records[0]
-    if header.get("t") != "header":
-        raise JournalError("journal does not start with a header record")
+    problem = None
     schema = header.get("schema", "")
-    if schema not in JOURNAL_SCHEMAS:
-        raise JournalError(
+    if header.get("t") != "header":
+        problem = "journal does not start with a header record"
+    elif schema not in JOURNAL_SCHEMAS:
+        problem = (
             f"unsupported journal schema {schema!r} (expected one of {JOURNAL_SCHEMAS})"
         )
-    if records[-1].get("t") != "footer":
-        if not allow_partial:
+    if problem is not None:
+        for _ in records:  # a decode error later in the file is raised first
+            pass
+        raise JournalError(problem)
+    yield header
+    tally = _PartialTally() if allow_partial else None
+    last = header
+    for last in records:
+        if tally is not None:
+            tally.add(last)
+        yield last
+    if last.get("t") != "footer":
+        if tally is None:
             raise JournalError(
                 "journal has no footer record (truncated run?); pass "
                 "--allow-partial for a best-effort reconstruction up to "
                 "the last complete event"
             )
-        records.append(synthesize_partial_footer(records))
-    return records
+        yield tally.footer()
+
+
+def iter_journal_file(path: str, *, allow_partial: bool = False) -> Iterator[dict]:
+    """:func:`iter_journal` over a journal file (``.jsonl`` or
+    ``.jsonl.gz``); the file is open while the stream is read."""
+    with journal_open(path) as fh:
+        yield from iter_journal(fh, allow_partial=allow_partial)
+
+
+def read_journal(lines: Iterable[str], *, allow_partial: bool = False) -> list[dict]:
+    """Every record of :func:`iter_journal`, as one list."""
+    return list(iter_journal(lines, allow_partial=allow_partial))
 
 
 def load_journal(path: str, *, allow_partial: bool = False) -> list[dict]:
-    with journal_open(path) as fh:
-        return read_journal(fh, allow_partial=allow_partial)
+    """Every record of a journal file, as one list."""
+    return list(iter_journal_file(path, allow_partial=allow_partial))
 
 
 # -- seeded synthetic regression -----------------------------------------------------

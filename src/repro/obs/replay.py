@@ -15,13 +15,18 @@ The only deliberate difference: replayed spans are closed by assigning
 ``span.seconds`` histogram observation that ``finish()`` would trigger is
 itself a journal event (``h``) and replays separately, so going through
 ``finish()`` would double-apply it.
+
+The fold takes any iterable of records and reads it once, front to back:
+:func:`replay_file` and :func:`replay_lines` feed it the
+:func:`~repro.obs.journal.iter_journal` stream, so a replay holds the
+tracer it builds, never the decoded record list.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from repro.obs.journal import JournalError, load_journal, read_journal
+from repro.obs.journal import JournalError, iter_journal, iter_journal_file
 from repro.obs.runspec import RunSpec
 from repro.obs.spans import Span, SpanEdge, Tracer
 
@@ -95,16 +100,38 @@ class ReplayedRun:
         return self.footer.get("virtual_end", 0.0)
 
 
-def replay_records(records: list[dict]) -> ReplayedRun:
-    """Fold validated journal records into a fresh tracer."""
-    header, events, footer = records[0], records[1:-1], records[-1]
-    tracer = Tracer(FrozenClock(footer.get("virtual_end", 0.0)), enabled=True)
+def replay_records(records: Iterable[dict]) -> ReplayedRun:
+    """Fold validated journal records into a fresh tracer.
+
+    ``records`` is a list or a one-shot stream: the header is its first
+    record and the footer its ``footer`` record, which must be the last.
+    The stream is always read to its end, also when the fold fails, so an
+    error the reader raises later in the file (a torn line, a missing
+    footer) is raised in place of the fold's, as it would be had the
+    whole journal been decoded first.
+    """
+    stream = iter(records)
+    try:
+        return _fold(stream)
+    except Exception:
+        for _ in stream:
+            pass
+        raise
+
+
+def _fold(stream: Iterator[dict]) -> ReplayedRun:
+    header = next(stream, None)
+    if header is None:
+        raise JournalError("empty journal")
+    clock = FrozenClock(0.0)
+    tracer = Tracer(clock, enabled=True)
     metrics = tracer.metrics
     spans: dict[int, Span] = {}
     frames: list[dict] = []
     watch_config: Optional[dict] = None
+    footer: Optional[dict] = None
     next_id = 0
-    for rec in events:
+    for rec in stream:
         t = rec["t"]
         if t == "so":
             span = Span(
@@ -195,14 +222,22 @@ def replay_records(records: list[dict]) -> ReplayedRun:
             frames.append(frame)
         elif t == "wcfg":
             watch_config = {"interval": rec["iv"], "window": rec["win"]}
+        elif t == "footer":
+            footer = rec
+            break
         else:
             raise JournalError(f"unexpected record type {t!r} mid-journal")
+    if footer is None:
+        raise JournalError("journal has no footer record")
+    if next(stream, None) is not None:
+        raise JournalError("unexpected record type 'footer' mid-journal")
+    clock.now = footer.get("virtual_end", 0.0)
     tracer._next_id = next_id
     return ReplayedRun(header, footer, tracer, frames=frames, watch_config=watch_config)
 
 
 def replay_lines(lines, *, allow_partial: bool = False) -> ReplayedRun:
-    return replay_records(read_journal(lines, allow_partial=allow_partial))
+    return replay_records(iter_journal(lines, allow_partial=allow_partial))
 
 
 def replay_file(path: str, *, allow_partial: bool = False) -> ReplayedRun:
@@ -214,4 +249,4 @@ def replay_file(path: str, *, allow_partial: bool = False) -> ReplayedRun:
     ``partial: true`` plus the last observed timestamp as the makespan
     floor.
     """
-    return replay_records(load_journal(path, allow_partial=allow_partial))
+    return replay_records(iter_journal_file(path, allow_partial=allow_partial))

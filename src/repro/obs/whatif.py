@@ -29,6 +29,13 @@ pessimistic bounds:
     byte ratio scales the path's network time (plus the zero-copy serde
     rebate for ``rdma`` on HAMR).
 
+The model is built in one pass over the journal: the replay fold and the
+traffic evidence read the same records as they stream by. Built from a
+list it keeps the list, the input of the bucket transform that bucket-only
+predictions and :meth:`WhatIfModel.scenario_journal` run; built from a
+one-shot stream (:func:`~repro.obs.journal.iter_journal`) it holds no
+records and serves every other scenario.
+
 Scenarios compose (``net=2.0,disk=0.5,nodes=16``): bucket dilations are
 applied serially (exactly like the executable transform), structural
 factors adjust the critical-path shares on top, and the optimistic /
@@ -42,7 +49,7 @@ scenarios. An empty scenario predicts the journal's own makespan
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.obs.blame import ATOMIC, BUCKETS, COMPUTE, DISK, NETWORK, STALL
 from repro.obs.critpath import CriticalPath, from_tracer
@@ -318,11 +325,26 @@ class WhatIfModel:
     per-job per-node parallel loads and partition-byte weights feeding
     the node-rescaling model, the payload groups feeding fabric
     re-pricing, and the serde estimate for the zero-copy rebate.
+
+    ``records`` is read once. A list is kept as ``records`` for the bucket
+    transform; any other iterable is a stream, and the model keeps no
+    records (``records`` is None), so bucket-only scenarios are refused.
     """
 
-    def __init__(self, records: list[dict]):
-        self.records = records
-        self.run: ReplayedRun = replay_records(records)
+    def __init__(self, records: Iterable[dict]):
+        self.records: Optional[list[dict]] = (
+            records if isinstance(records, list) else None
+        )
+        # Traffic evidence from the x records: partition byte weights and
+        # owners per job (the ownership model's input), per-node tx/rx,
+        # payload groups for fabric re-pricing, and the serde estimate.
+        # Folded by _read_traffic as the replay reads the records.
+        self.part_bytes: dict[str, dict[int, float]] = {}
+        self.part_owner: dict[str, dict[int, int]] = {}
+        self.node_tx_rx: dict[int, float] = {}
+        self.payloads: list[tuple[str, int, list[int], float, int]] = []
+        self.traffic_bytes = 0.0
+        self.run: ReplayedRun = replay_records(self._read_traffic(records))
         self.makespan = self.run.makespan
         self.engine = self.run.engine or "hamr"
         tracer = self.run.tracer
@@ -356,48 +378,6 @@ class WhatIfModel:
             for seg in self.cp.segments
         ]
 
-        # Traffic evidence from the x records: partition byte weights and
-        # owners per job (the ownership model's input), per-node tx/rx,
-        # payload groups for fabric re-pricing, and the serde estimate.
-        self.part_bytes: dict[str, dict[int, float]] = {}
-        self.part_owner: dict[str, dict[int, int]] = {}
-        self.node_tx_rx: dict[int, float] = {}
-        self.payloads: list[tuple[str, int, list[int], float, int]] = []
-        self.traffic_bytes = 0.0
-        pending: Optional[tuple[str, int, list[int], float, int]] = None
-        for rec in records:
-            if rec.get("t") != "x":
-                continue
-            src, dst, nbytes = rec["s"], rec["d"], rec["v"]
-            mode = rec["m"]
-            self.traffic_bytes += nbytes
-            self.node_tx_rx[src] = self.node_tx_rx.get(src, 0.0) + nbytes
-            self.node_tx_rx[dst] = self.node_tx_rx.get(dst, 0.0) + nbytes
-            if mode == "shuffle" and rec.get("p") is not None:
-                job, part = rec["j"], rec["p"]
-                per = self.part_bytes.setdefault(job, {})
-                per[part] = per.get(part, 0.0) + nbytes
-                self.part_owner.setdefault(job, {})[part] = dst
-            if mode == "broadcast":
-                if (
-                    pending is not None
-                    and pending[0] == "broadcast"
-                    and pending[1] == src
-                    and pending[3] == nbytes
-                ):
-                    pending[2].append(dst)
-                    continue
-                if pending is not None:
-                    self.payloads.append(pending)
-                pending = ("broadcast", src, [dst], nbytes, 0)
-                continue
-            if pending is not None:
-                self.payloads.append(pending)
-                pending = None
-            self.payloads.append((mode, src, [dst], nbytes, rec.get("p") or 0))
-        if pending is not None:
-            self.payloads.append(pending)
-
         header_nodes = self.run.num_nodes
         nodes_seen = max(max_node, max(self.node_tx_rx, default=0))
         self.num_workers = (
@@ -415,6 +395,47 @@ class WhatIfModel:
         self.serde_fraction = (
             min(1.0, self.serde_seconds / compute_total) if compute_total > 0 else 0.0
         )
+
+    def _read_traffic(self, records: Iterable[dict]) -> Iterator[dict]:
+        """Pass ``records`` through, folding every ``x`` record into the
+        traffic evidence on the way."""
+        pending: Optional[tuple[str, int, list[int], float, int]] = None
+        for rec in records:
+            if rec["t"] == "x":
+                pending = self._add_traffic(rec, pending)
+            yield rec
+        if pending is not None:
+            self.payloads.append(pending)
+
+    def _add_traffic(self, rec: dict, pending):
+        """Fold one ``x`` record; returns the broadcast group still open
+        (consecutive same-source, same-size broadcasts are one payload)."""
+        src, dst, nbytes = rec["s"], rec["d"], rec["v"]
+        mode = rec["m"]
+        self.traffic_bytes += nbytes
+        self.node_tx_rx[src] = self.node_tx_rx.get(src, 0.0) + nbytes
+        self.node_tx_rx[dst] = self.node_tx_rx.get(dst, 0.0) + nbytes
+        if mode == "shuffle" and rec.get("p") is not None:
+            job, part = rec["j"], rec["p"]
+            per = self.part_bytes.setdefault(job, {})
+            per[part] = per.get(part, 0.0) + nbytes
+            self.part_owner.setdefault(job, {})[part] = dst
+        if mode == "broadcast":
+            if (
+                pending is not None
+                and pending[0] == "broadcast"
+                and pending[1] == src
+                and pending[3] == nbytes
+            ):
+                pending[2].append(dst)
+                return pending
+            if pending is not None:
+                self.payloads.append(pending)
+            return ("broadcast", src, [dst], nbytes, 0)
+        if pending is not None:
+            self.payloads.append(pending)
+        self.payloads.append((mode, src, [dst], nbytes, rec.get("p") or 0))
+        return None
 
     # -- node rescaling ---------------------------------------------------------
 
@@ -593,7 +614,7 @@ class WhatIfModel:
         if scenario.bucket_only:
             # Executable scenario: run the real transform, byte-exact
             # against the journal --emit-journal writes.
-            dilated = dilate_bucket_charges(self.records, scenario.time_factors)
+            dilated = self._dilated(scenario)
             predicted = dilated[-1].get("makespan", makespan)
             return Prediction(
                 scenario, makespan, predicted, predicted, predicted,
@@ -722,6 +743,14 @@ class WhatIfModel:
             raise ScenarioError(
                 "only bucket-speed scenarios are executable as journals "
                 f"(got {scenario.describe()!r})"
+            )
+        return self._dilated(scenario)
+
+    def _dilated(self, scenario: Scenario) -> list[dict]:
+        if self.records is None:
+            raise ScenarioError(
+                f"{scenario.describe()!r} runs the bucket transform on the "
+                "journal's records; build the model from a list to keep them"
             )
         return dilate_bucket_charges(self.records, scenario.time_factors)
 
