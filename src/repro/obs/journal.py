@@ -24,11 +24,12 @@ Design constraints mirror :mod:`repro.obs.hostprof`:
    the run's makespan and virtual end time.
    Records in between are never rewritten.
 
-A writer holds its body at about its encoded size: sealed blocks of
-newline-terminated lines plus a short list of lines not yet sealed, not
-one string per record. :meth:`JournalWriter.save` streams those blocks
-into the file without building the whole body; ``lines`` and ``records``
-are built on demand.
+A writer holds at most one block of its body in memory, whatever the
+run's length: every ``_BLOCK_LINES`` lines are joined into one block and
+written to an anonymous spool file as the block seals, and only the lines
+since the last seal are held as strings. :meth:`JournalWriter.save`
+copies the spool into the file in bounded chunks, without building the
+whole body; ``lines`` and ``records`` read the spool back on demand.
 
 Reading is a stream too. :func:`iter_journal` decodes and validates one
 line at a time and yields each record as it is decoded, so a consumer
@@ -76,6 +77,9 @@ import bisect
 import io
 import itertools
 import json
+import os
+import tempfile
+import weakref
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from repro.obs.blame import BUCKETS
@@ -104,6 +108,9 @@ _RECORD_TYPE_SET = frozenset(RECORD_TYPES)
 
 #: lines joined into one sealed block of a writer's body
 _BLOCK_LINES = 4096
+
+#: bytes read back from a writer's spool at a time
+_CHUNK_BYTES = 1 << 20
 
 #: built once: ``json.dumps`` with these arguments builds an encoder per call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -153,11 +160,13 @@ def decode_record(line: str) -> dict:
 class JournalWriter:
     """Appends observability events as JSONL, optionally streaming to a sink.
 
-    The body is always retained in memory, held as encoded text: every
-    ``_BLOCK_LINES`` lines are joined into one newline-terminated block,
-    and the lines since the last block wait in a short pending list.
-    :meth:`save` writes the blocks as they are; ``lines`` (one string per
-    record) and ``records`` are built on demand for tests, replay and the
+    The body is spooled, not held: every ``_BLOCK_LINES`` lines are joined
+    into one newline-terminated block and written to an unlinked temporary
+    file as the block seals, and only the lines since the last seal wait in
+    memory. The spool has no name, so a crash leaves nothing behind, and
+    its descriptor is closed when the writer is collected. :meth:`save`
+    copies the spool in chunks; ``lines`` (one string per record) and
+    ``records`` are read back on demand for tests, replay and the
     seeded-slowdown transform. With ``sink`` set each line is additionally
     written (and flushed at the footer) as it is emitted, which is what
     makes journals durable across a crash.
@@ -168,7 +177,10 @@ class JournalWriter:
         #: extra header metadata merged by :meth:`write_header` (the CLI
         #: presets ``fidelity`` here before handing the writer to the runner)
         self.meta: dict[str, Any] = dict(meta or {})
-        self._blocks: list[str] = []
+        self._spool = tempfile.TemporaryFile("w+b")
+        weakref.finalize(self, self._spool.close)
+        #: bytes of sealed blocks written to the spool
+        self._spooled = 0
         self._pending: list[str] = []
         self.events = 0
         self.spans_opened = 0
@@ -185,8 +197,7 @@ class JournalWriter:
         pending = self._pending
         pending.append(line)
         if len(pending) == _BLOCK_LINES:
-            self._blocks.append("\n".join(pending) + "\n")
-            pending.clear()
+            self._seal()
         self.events += 1
         t = record.get("t")
         if t == "so":
@@ -195,6 +206,15 @@ class JournalWriter:
             self.spans_closed += 1
         if self.sink is not None:
             self.sink.write(line + "\n")
+
+    def _seal(self) -> None:
+        """Write the pending lines to the spool as one block (the encoder
+        escapes everything outside ASCII)."""
+        block = ("\n".join(self._pending) + "\n").encode("ascii")
+        self._spool.write(block)
+        self._spool.flush()  # os.pread reads the file, not the buffer
+        self._spooled += len(block)
+        self._pending.clear()
 
     def write_header(self, **meta: Any) -> None:
         if self._header_written:
@@ -265,10 +285,31 @@ class JournalWriter:
     # -- persistence ----------------------------------------------------------------
 
     def iter_lines(self) -> Iterator[str]:
-        """Every line emitted so far, in order, one at a time."""
-        for block in self._blocks:
-            yield from block[:-1].split("\n")
-        yield from self._pending
+        """Every line emitted before this call, in order, one at a time.
+
+        The spool's length and the pending lines are taken now, so emits
+        while a consumer iterates neither leak in nor tear the iteration.
+        """
+        return self._lines(self._spooled, list(self._pending))
+
+    def _lines(self, spooled: int, pending: list[str]) -> Iterator[str]:
+        tail = ""
+        for chunk in self._chunks(spooled):
+            *lines, tail = (tail + chunk).split("\n")
+            yield from lines
+        yield from pending
+
+    def _chunks(self, spooled: int) -> Iterator[str]:
+        """The first ``spooled`` bytes of the spool as text, at most
+        ``_CHUNK_BYTES`` at a time, read without moving the file offset."""
+        fd = self._spool.fileno()
+        offset = 0
+        while offset < spooled:
+            data = os.pread(fd, min(_CHUNK_BYTES, spooled - offset), offset)
+            if not data:
+                raise OSError(f"journal spool ends at {offset} of {spooled} bytes")
+            offset += len(data)
+            yield data.decode("ascii")
 
     @property
     def lines(self) -> list[str]:
@@ -280,10 +321,10 @@ class JournalWriter:
         return [decode_record(line) for line in self.iter_lines()]
 
     def save(self, path: str) -> None:
-        """Write the body to ``path`` (``.gz`` compresses), block by block:
+        """Write the body to ``path`` (``.gz`` compresses), chunk by chunk:
         the file holds every line, newline-terminated, in emission order."""
         with journal_open(path, "w") as fh:
-            fh.writelines(self._blocks)
+            fh.writelines(self._chunks(self._spooled))
             fh.writelines(line + "\n" for line in self._pending)
 
 

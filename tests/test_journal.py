@@ -9,12 +9,14 @@ re-execution.
 """
 
 import contextlib
+import gc
 import gzip
 import io
 import json
 import math
 import os
-import sys
+import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +30,11 @@ from repro.evaluation.obsreport import report_json
 from repro.evaluation.runner import run_workload
 from repro.evaluation.telemetryreport import telemetry_json
 from repro.evaluation.workloads import workload_by_name
+from repro.obs import journal
 from repro.obs.blame import BUCKETS
 from repro.obs.journal import (
     _BLOCK_LINES,
+    _CHUNK_BYTES,
     JOURNAL_SCHEMA,
     RECORD_TYPES,
     JournalError,
@@ -527,7 +531,7 @@ class TestGzipJournals:
             journal_open(str(path), "a")
 
 
-# -- save(): block-streamed body ---------------------------------------------------
+# -- save(): the spooled body -------------------------------------------------------
 
 
 def _joined(lines):
@@ -590,23 +594,103 @@ class TestSave:
         assert gzip.decompress(packed.read_bytes()) == body.encode("utf-8")
         assert packed.read_bytes() == again.read_bytes()
 
-    def test_held_body_stays_near_its_encoded_size(self, tiny_wordcount):
-        """A memory proxy without an RSS read: the strings a writer holds
-        add at most one unsealed block's per-line headers to the encoded
-        body. Holding one ``str`` per line (49 bytes of header plus a list
-        slot each) would exceed it on any journal past ~5 000 lines."""
-        writer, _streamed = tiny_wordcount
-        blocks, pending = writer._blocks, writer._pending
-        body = sum(map(len, blocks)) + sum(len(line) + 1 for line in pending)
-        held = (
-            sys.getsizeof(blocks) + sys.getsizeof(pending)
-            + sum(map(sys.getsizeof, blocks)) + sum(map(sys.getsizeof, pending))
-        )
-        slack = 256 * 1024
-        assert held <= body + slack
-        lines = writer.lines
-        per_line = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
-        assert per_line > body + slack  # the bound tells the two layouts apart
+    def test_finished_writer_retains_at_most_one_block(self, tiny_wordcount):
+        """A memory proxy without an RSS read: a writer that has emitted the
+        tiny ``wordcount:hamr`` run's records retains at most a quarter of
+        their encoded body, which spans more than four blocks. Keeping the
+        sealed blocks as strings retains more than the whole body."""
+        source, streamed = tiny_wordcount
+        body = len(streamed)
+        assert len(source.lines) > 4 * _BLOCK_LINES
+        records = source.records
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            writer = JournalWriter()
+            for record in records:
+                writer.emit(record)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _joined(writer.lines) == streamed
+        assert retained <= body // 4, (retained, body)
+
+    def test_iteration_sees_the_lines_emitted_before_the_call(self):
+        """Emits while a consumer iterates, across a block seal, neither
+        leak into the iteration nor drop the lines it was promised."""
+        writer, expected = _synthetic_writer(_BLOCK_LINES + _BLOCK_LINES - 3)
+        late = []
+
+        def emit_one():
+            record = {"t": "c", "n": "late", "l": [], "v": len(late)}
+            writer.emit(record)
+            late.append(encode_record(record))
+
+        lines = writer.iter_lines()
+        emit_one()  # before the first line is read
+        seen = []
+        for line in lines:
+            seen.append(line)
+            emit_one()  # the third of these seals the pending block
+        assert seen == expected
+        assert writer.lines == expected + late
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_dropped_writers_close_their_spools(self, tmp_path, monkeypatch):
+        """Each writer holds one descriptor on a nameless file; collecting
+        the writer closes it, without a ResourceWarning."""
+        fds = "/proc/self/fd"
+        if not os.path.isdir(fds):
+            pytest.skip("no /proc to count descriptors")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(journal, "_BLOCK_LINES", 16)  # a few blocks each, quickly
+        gc.collect()
+        start = len(os.listdir(fds))
+        writers = []
+        for _ in range(200):
+            writer, expected = _synthetic_writer(3 * 16 + 5)
+            assert writer.lines == expected
+            writers.append(writer)
+        assert len(os.listdir(fds)) == start + 200
+        assert os.listdir(tmp_path) == []
+        del writers, writer
+        gc.collect()
+        assert len(os.listdir(fds)) == start
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "overshoot", [-1, 0, 1, 100], ids=["under", "at", "over", "mid-line"]
+    )
+    def test_chunk_boundaries_keep_every_byte(self, tmp_path, overshoot):
+        """Sealed blocks of ``_CHUNK_BYTES + overshoot`` bytes, non-ASCII
+        text in every record, and a last sealed line long enough that the
+        read-chunk boundary falls inside it (``mid-line``) or on its
+        newline (``over``)."""
+        sealed = 2 * _BLOCK_LINES
+        lengths = [126] * (sealed - 1)
+        lengths.append(_CHUNK_BYTES + overshoot - 127 * (sealed - 1) - 1)
+        lengths += [60, 70]  # still pending
+        records = [_record_of_length(i, n) for i, n in enumerate(lengths)]
+        expected = [encode_record(r) for r in records]
+        assert list(map(len, expected)) == lengths
+        assert sum(n + 1 for n in lengths[:sealed]) == _CHUNK_BYTES + overshoot
+        writer = JournalWriter()
+        for record in records:
+            writer.emit(record)
+        assert writer.lines == expected
+        assert list(writer.iter_lines()) == expected
+        self._assert_saves(tmp_path, writer, "".join(line + "\n" for line in expected))
+
+
+def _record_of_length(i, length):
+    """A counter record carrying non-ASCII text whose line is ``length``
+    characters long."""
+    record = {"t": "c", "n": "naïve·ü", "l": [], "v": i}
+    record["n"] += "x" * (length - len(encode_record(record)))
+    return record
 
 
 # -- truncated journals -----------------------------------------------------------
