@@ -646,12 +646,13 @@ class TestSave:
         if not os.path.isdir(fds):
             pytest.skip("no /proc to count descriptors")
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(journal, "_BLOCK_LINES", 16)  # a few blocks each, quickly
+        block = 16
+        monkeypatch.setattr(journal, "_BLOCK_LINES", block)  # a few blocks each, quickly
         gc.collect()
         start = len(os.listdir(fds))
         writers = []
         for _ in range(200):
-            writer, expected = _synthetic_writer(3 * 16 + 5)
+            writer, expected = _synthetic_writer(3 * block + 5)
             assert writer.lines == expected
             writers.append(writer)
         assert len(os.listdir(fds)) == start + 200
@@ -670,6 +671,7 @@ class TestSave:
         read-chunk boundary falls inside it (``mid-line``) or on its
         newline (``over``)."""
         sealed = 2 * _BLOCK_LINES
+        # 127 bytes a line with its newline; the last sealed line takes the rest
         lengths = [126] * (sealed - 1)
         lengths.append(_CHUNK_BYTES + overshoot - 127 * (sealed - 1) - 1)
         lengths += [60, 70]  # still pending
