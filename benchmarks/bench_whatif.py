@@ -29,6 +29,7 @@ from repro.obs.whatif import (
     WhatIfModel,
     parse_scenario,
     parse_sweep,
+    scenario_journal,
     validate,
 )
 
@@ -61,7 +62,7 @@ def _executor(name: str, engine: str, fidelity: str, model: WhatIfModel):
             writer = (
                 fresh.hamr_journal if engine == "hamr" else fresh.hadoop_journal
             )
-            dilated = WhatIfModel(writer.records).scenario_journal(scenario)
+            dilated = scenario_journal(writer.records, scenario)
             return dilated[-1].get("makespan")
         if scenario.nodes is not None:
             workload.num_workers = scenario.nodes - 1

@@ -19,7 +19,6 @@ from typing import Any, Optional
 
 from repro.common.errors import ConfigError, JobError, ReproError, SimulationError
 from repro.common.partitioner import HashPartitioner
-from repro.common.units import KB
 from repro.cluster.cluster import Cluster
 from repro.core.flowlet import Flowlet
 from repro.core.graph import FlowletGraph
@@ -42,12 +41,6 @@ class HamrConfig:
 
     #: apply per-edge combiners when present (Table 3 studies this)
     use_combiners: bool = True
-    #: pipelining grain for loader user code, real logical bytes
-    loader_chunk_bytes: int = 16 * KB
-    #: grouped bytes one fine-grain reduce task processes (real logical bytes)
-    reduce_task_bytes: int = 16 * KB
-    #: charge final sink output as a local disk write ("finally to disk", §3.1)
-    charge_sink_disk: bool = True
     #: gather sink pairs into JobResult.outputs (disable for huge outputs)
     collect_outputs: bool = True
     #: ablation A1: stage every shuffled bin through disk (Hadoop-style),

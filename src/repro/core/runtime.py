@@ -31,6 +31,7 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from repro.common.errors import JobError
 from repro.common.sizeof import group_size
+from repro.common.units import KB
 from repro.core.bins import Bin, BinPacker
 from repro.core.context import TaskContext
 from repro.dataplane import RecordBatch, chunk_records, pair_nbytes, spill_batch
@@ -58,6 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: logical size of a completion control message
 _COMPLETION_MSG_BYTES = 32
+#: pipelining grain for loader user code (real logical bytes)
+LOADER_CHUNK_BYTES = 16 * KB
+#: grouped bytes one fine-grain reduce task processes (real logical bytes)
+REDUCE_TASK_BYTES = 16 * KB
 
 
 class ThreadLease:
@@ -323,7 +328,7 @@ class NodeRuntime:
         that fits in one loader chunk passes through without re-sizing.
         """
         flowlet = instance.flowlet
-        chunks = chunk_records(records, self.engine.config.loader_chunk_bytes)
+        chunks = chunk_records(records, LOADER_CHUNK_BYTES)
         obs, sim = self.obs, self.sim
         for batch in chunks:
             instance.tasks_run += 1
@@ -676,7 +681,7 @@ class NodeRuntime:
         # key's group is sized exactly once here; the chunk carries its
         # record/byte totals so reduce tasks never re-size their input.
         keys = sorted(instance.groups, key=repr)
-        chunk_limit = self.engine.config.reduce_task_bytes
+        chunk_limit = REDUCE_TASK_BYTES
         chunks: list[tuple[list[Any], int, int]] = []  # (keys, nrecords, nbytes)
         chunk: list[Any] = []
         nrecords = 0
@@ -777,15 +782,15 @@ class NodeRuntime:
         pairs, ctx.output_pairs = ctx.output_pairs, []
         div = self._divisor(instance.flowlet.aggregated_output)
         nbytes = RecordBatch(pairs).nbytes / div
-        if self.engine.config.charge_sink_disk:
-            obs, sim = self.obs, self.sim
-            t0 = sim.now
-            yield self.node.compute(self.cost.serde_cost(nbytes))
-            t1 = sim.now
-            yield self.node.disk_write(nbytes)
-            if obs.enabled:
-                obs.charge(self.job, COMPUTE, t1 - t0, node=self.node.node_id, span=span)
-                obs.charge(self.job, DISK, sim.now - t1, node=self.node.node_id, span=span)
+        # Sink output goes "finally to disk" (§3.1): serialize, then write.
+        obs, sim = self.obs, self.sim
+        t0 = sim.now
+        yield self.node.compute(self.cost.serde_cost(nbytes))
+        t1 = sim.now
+        yield self.node.disk_write(nbytes)
+        if obs.enabled:
+            obs.charge(self.job, COMPUTE, t1 - t0, node=self.node.node_id, span=span)
+            obs.charge(self.job, DISK, sim.now - t1, node=self.node.node_id, span=span)
         self.engine.collect_output(instance.flowlet.name, pairs)
 
     def _ship(

@@ -50,7 +50,7 @@ attributes cross-fabric makespan deltas to the network.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.common.sizeof import logical_sizeof, pair_size
 from repro.dataplane.exchange import (
@@ -59,7 +59,6 @@ from repro.dataplane.exchange import (
     LOCAL,
     SHUFFLE,
     exchange_targets,
-    partition_batch,
 )
 
 __all__ = [
@@ -189,18 +188,6 @@ class ExchangeFabric:
 
     def __init__(self, topology: Optional[Topology] = None):
         self.topology = topology if topology is not None else Topology(0)
-
-    # -- partitioning (shared by every fabric) ---------------------------------
-
-    def partition_batch(
-        self,
-        pairs: Iterable[tuple[Any, Any]],
-        partitioner,
-        *,
-        aggregated: bool = False,
-    ):
-        """Hash-partition one batch (delegates to the shared dataplane pass)."""
-        return partition_batch(pairs, partitioner, aggregated=aggregated)
 
     # -- routing ----------------------------------------------------------------
 

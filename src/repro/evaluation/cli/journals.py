@@ -30,6 +30,7 @@ from repro.obs.journal import (
     iter_journal,
     iter_journal_file,
     journal_open,
+    load_journal,
 )
 
 
@@ -101,13 +102,13 @@ def _executor(args, model):
     def execute(sc):
         if spec.workload not in TABLE2_ORDER or spec.engine not in ENGINES:
             return None
+        if not sc.bucket_only and (sc.serde_speed is not None or sc.bucket_speeds):
+            return None  # no serde knob; mixed structural + bucket: not executable
         print(
             f"  executing {sc.describe()} on {spec.workload}:{spec.engine} ...",
             file=sys.stderr,
             flush=True,
         )
-        if not sc.bucket_only and (sc.serde_speed is not None or sc.bucket_speeds):
-            return None  # no serde knob; mixed structural + bucket: not executable
         wl = workload_by_name(spec.workload, fidelity)
         if sc.nodes is not None:
             wl.num_workers = sc.nodes - 1
@@ -149,30 +150,22 @@ def whatif(args) -> int:
         render_sweep,
         render_validation,
         render_whatif,
+        scenario_journal,
         validate,
         whatif_dict,
     )
 
     scenario = parse_scenario(args.scenario)
     sweep_spec = parse_sweep(args.sweep) if args.sweep else None
-    requested = [scenario]
-    if sweep_spec is not None:
-        key, values = sweep_spec
-        requested += [scenario.with_knob(key, value) for value in values]
-    # The model keeps the decoded records only for the bucket transform.
-    keep_records = bool(
-        args.validate or args.emit_journal or any(sc.bucket_only for sc in requested)
-    )
     ref = args.run
     spec = parse_ref(ref)
     with journal_errors(ref):
         if spec is None:
-            records = iter_journal_file(ref, allow_partial=args.allow_partial)
+            model = WhatIfModel(iter_journal_file(ref, allow_partial=args.allow_partial))
         else:
             announce(ref)
             writer = run_spec(args, spec, journal=journal_writers(args)).journal
-            records = iter_journal(writer.iter_lines())
-        model = WhatIfModel(list(records) if keep_records else records)
+            model = WhatIfModel(iter_journal(writer.iter_lines()))
     warn_recorded(model.run, ref, covers="predictions")
 
     predictions = [model.predict(scenario)]
@@ -193,9 +186,12 @@ def whatif(args) -> int:
                 f"{scenario.describe()!r} changes cluster structure, which has "
                 "no journal transform"
             )
-        out_records = (
-            model.records if scenario.is_identity else model.scenario_journal(scenario)
-        )
+        # The one output that is a whole journal: decode the input as a list.
+        with journal_errors(ref):
+            records = (
+                writer.records if spec else load_journal(ref, allow_partial=args.allow_partial)
+            )
+        out_records = records if scenario.is_identity else scenario_journal(records, scenario)
         with journal_open(args.emit_journal, "w") as fh:
             fh.writelines(encode_record(record) + "\n" for record in out_records)
         wrote(args.emit_journal, scenario.describe())

@@ -63,10 +63,6 @@ class BenchmarkRow:
         return self.idh_seconds / self.hamr_seconds
 
     @property
-    def paper_speedup(self) -> Optional[float]:
-        return self.paper.speedup if self.paper else None
-
-    @property
     def in_shape_band(self) -> Optional[bool]:
         band = SHAPE_BANDS.get(self.name)
         if band is None:

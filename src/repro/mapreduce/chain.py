@@ -32,10 +32,6 @@ def run_chain(engine: HadoopEngine, jobs: Sequence[MRJob]) -> list[MRJobResult]:
                 f"chain job {job.name!r} (step {i}): input {job.input_file!r} missing"
             )
         results.append(engine.run(job))
-        if engine.config.cleanup_intermediates and i > 0:
-            previous = jobs[i - 1]
-            if previous.output_file != jobs[-1].output_file:
-                engine.dfs.delete(previous.output_file)
     return results
 
 

@@ -36,6 +36,10 @@ from repro.sim import Resource
 from repro.sim.core import SimEvent
 from repro.storage.dfs import DFS
 
+#: a running map task slower than this many times the median finished one
+#: gets a speculative backup attempt
+SPECULATION_SLOWDOWN = 1.5
+
 
 @dataclass
 class HadoopConfig:
@@ -43,8 +47,6 @@ class HadoopConfig:
 
     #: gather final output pairs into the result object
     collect_outputs: bool = True
-    #: delete intermediate chain files after use (keeps DFS tidy in drivers)
-    cleanup_intermediates: bool = False
     #: fault tolerance: per-attempt map-task failure probability (seeded,
     #: deterministic) and Hadoop's retry budget
     map_failure_rate: float = 0.0
@@ -55,9 +57,8 @@ class HadoopConfig:
     map_fail_first_attempts: int = 0
     #: straggler mitigation: once 60% of map tasks finish, launch backup
     #: attempts (on other nodes) for tasks running longer than
-    #: ``speculation_slowdown`` x the median duration; first finisher wins
+    #: ``SPECULATION_SLOWDOWN`` x the median duration; first finisher wins
     speculative_execution: bool = False
-    speculation_slowdown: float = 1.5
     #: exchange fabric for the shuffle (reduce-fetch) leg: direct | tree |
     #: twolevel | rdma — see ``repro.dataplane.fabrics``
     fabric: str = "direct"
@@ -336,7 +337,7 @@ class HadoopEngine:
             if done >= 0.6 * total and durations:
                 ordered = sorted(durations.values())
                 median = ordered[len(ordered) // 2]
-                threshold = self.config.speculation_slowdown * median
+                threshold = SPECULATION_SLOWDOWN * median
                 for i, record in enumerate(map_records):
                     out = record["out"]
                     if i in speculated or out.done.triggered or out.started_at is None:

@@ -80,7 +80,7 @@ import json
 import os
 import tempfile
 import weakref
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from repro.obs.blame import BUCKETS
 
@@ -538,6 +538,93 @@ def _timeline_remap(inserted: dict[float, float]) -> Callable[[float], float]:
     return remap
 
 
+class DilationPlan(NamedTuple):
+    """The time one dilation inserts (:meth:`DilationFold.plan`): the map
+    ``T(t)`` and the extras per span (in total and by bucket) and per bucket."""
+
+    remap: Callable[[float], float]
+    own_extra: dict[int, float]
+    own_by_bucket: dict[int, dict[str, float]]
+    total_by_bucket: dict[str, float]
+
+
+class DilationFold:
+    """Pass 1 of :func:`dilate_bucket_charges`, one record at a time and
+    independent of the factors: each span's start, end, job and node, and
+    the charge sum of every (span, bucket) pair a ``b`` record's ``sp``
+    names, in the order each pair is first seen."""
+
+    def __init__(self) -> None:
+        self.starts: dict[int, float] = {}
+        self.ends: dict[int, float] = {}
+        self.jobs: dict[int, str] = {}
+        self.nodes: dict[int, int] = {}
+        self.charges: dict[tuple[int, str], float] = {}
+
+    def add(self, rec: dict) -> None:
+        t = rec["t"]
+        if t == "so":
+            span_id = rec["id"]
+            self.starts[span_id] = rec["st"]
+            if "j" in rec:
+                self.jobs[span_id] = rec["j"]
+            if "nd" in rec:
+                self.nodes[span_id] = rec["nd"]
+        elif t == "sc":
+            self.ends[rec["id"]] = rec["end"]
+        elif t == "b" and rec.get("sp") is not None:
+            key = (rec["sp"], rec["bk"])
+            self.charges[key] = self.charges.get(key, 0.0) + rec["v"]
+
+    def plan(self, factors: dict[str, float]) -> DilationPlan:
+        """The time ``factors`` insert: ``(factor - 1) * seconds`` at the
+        end of every closed span, per factored bucket it was charged.
+
+        Spans enter in the order of their first factored charge, so the
+        extras of spans that close at the same time are summed in the
+        order a single pass over the records would meet them.
+        """
+        for bucket in factors:
+            if bucket not in BUCKETS:
+                raise ValueError(f"unknown blame bucket {bucket!r}; pick from {BUCKETS}")
+        for bucket, factor in factors.items():
+            if factor <= 0.0:
+                raise ValueError(f"slowdown factor must be positive: {bucket}={factor}")
+        charged: dict[int, dict[str, float]] = {}
+        for (span_id, bucket), seconds in self.charges.items():
+            if bucket in factors:
+                charged.setdefault(span_id, {})[bucket] = seconds
+
+        # Insertion points: (end_time, extra_seconds), merged per end time.
+        # Per-span extras are also kept per bucket so straddler compensation
+        # can attribute absorbed waiting proportionally.
+        inserted: dict[float, float] = {}
+        own_extra: dict[int, float] = {}
+        own_by_bucket: dict[int, dict[str, float]] = {}
+        total_by_bucket: dict[str, float] = {}
+        for span_id, per in charged.items():
+            end = self.ends.get(span_id)
+            if end is None:
+                continue
+            extra = 0.0
+            by_bucket: dict[str, float] = {}
+            for bucket, seconds in per.items():
+                if seconds <= 0.0:
+                    continue
+                part = (factors[bucket] - 1.0) * seconds
+                by_bucket[bucket] = part
+                total_by_bucket[bucket] = total_by_bucket.get(bucket, 0.0) + part
+                extra += part
+            if not by_bucket:
+                continue
+            own_extra[span_id] = extra
+            own_by_bucket[span_id] = by_bucket
+            inserted[end] = inserted.get(end, 0.0) + extra
+        return DilationPlan(
+            _timeline_remap(inserted), own_extra, own_by_bucket, total_by_bucket
+        )
+
+
 def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> list[dict]:
     """Dilate a journal's virtual timeline: bucket ``b`` work takes
     ``factors[b]``× longer, for any set of blame buckets at once.
@@ -554,59 +641,15 @@ def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> lis
     ``whatif`` engine uses as the executable ground truth for composed
     bucket scenarios. (Factors below 1.0 shrink the timeline instead —
     the counterfactual for *faster* hardware.)
+
+    Three steps: a :class:`DilationFold` over the records, its ``plan``
+    for ``factors`` (what the what-if model predicts from), and a rewrite.
     """
-    for bucket in factors:
-        if bucket not in BUCKETS:
-            raise ValueError(f"unknown blame bucket {bucket!r}; pick from {BUCKETS}")
-    for bucket, factor in factors.items():
-        if factor <= 0.0:
-            raise ValueError(f"slowdown factor must be positive: {bucket}={factor}")
-
-    # Pass 1: span intervals, attribution, and per-span factored charges.
-    starts: dict[int, float] = {}
-    ends: dict[int, float] = {}
-    jobs: dict[int, str] = {}
-    nodes: dict[int, int] = {}
-    charged: dict[int, dict[str, float]] = {}
+    fold = DilationFold()
     for rec in records:
-        if rec["t"] == "so":
-            starts[rec["id"]] = rec["st"]
-            if "j" in rec:
-                jobs[rec["id"]] = rec["j"]
-            if "nd" in rec:
-                nodes[rec["id"]] = rec["nd"]
-        elif rec["t"] == "sc":
-            ends[rec["id"]] = rec["end"]
-        elif rec["t"] == "b" and rec["bk"] in factors and rec.get("sp") is not None:
-            per = charged.setdefault(rec["sp"], {})
-            per[rec["bk"]] = per.get(rec["bk"], 0.0) + rec["v"]
-
-    # Insertion points: (end_time, extra_seconds), merged per end time.
-    # Per-span extras are also kept per bucket so straddler compensation
-    # below can attribute absorbed waiting proportionally.
-    inserted: dict[float, float] = {}
-    own_extra: dict[int, float] = {}
-    own_by_bucket: dict[int, dict[str, float]] = {}
-    total_by_bucket: dict[str, float] = {}
-    for span_id, per in charged.items():
-        end = ends.get(span_id)
-        if end is None:
-            continue
-        extra = 0.0
-        by_bucket: dict[str, float] = {}
-        for bucket, seconds in per.items():
-            if seconds <= 0.0:
-                continue
-            part = (factors[bucket] - 1.0) * seconds
-            by_bucket[bucket] = part
-            total_by_bucket[bucket] = total_by_bucket.get(bucket, 0.0) + part
-            extra += part
-        if not by_bucket:
-            continue
-        own_extra[span_id] = extra
-        own_by_bucket[span_id] = by_bucket
-        inserted[end] = inserted.get(end, 0.0) + extra
-    remap = _timeline_remap(inserted)
+        fold.add(rec)
+    plan = fold.plan(factors)
+    remap, jobs, nodes = plan.remap, fold.jobs, fold.nodes
 
     # A span *straddling* another span's insertion point absorbs that
     # pause: its dilated duration grows beyond its own scaled charge. A
@@ -616,12 +659,12 @@ def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> lis
     # then attributes the whole dilation to the seeded buckets instead of
     # leaking it into "other".
     residual: dict[int, float] = {}
-    for span_id, start in starts.items():
-        end = ends.get(span_id)
+    for span_id, start in fold.starts.items():
+        end = fold.ends.get(span_id)
         if end is None:
             continue
         growth = (remap(end) - remap(start)) - (end - start)
-        extra = growth - own_extra.get(span_id, 0.0)
+        extra = growth - plan.own_extra.get(span_id, 0.0)
         if extra > 1e-12 and span_id in jobs:
             residual[span_id] = extra
 
@@ -629,7 +672,7 @@ def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> lis
         """Bucket attribution for one straddler's absorbed waiting:
         proportional to the span's own extras, falling back to the
         journal-wide inserted totals (deterministic BUCKETS order)."""
-        weights = own_by_bucket.get(span_id) or total_by_bucket
+        weights = plan.own_by_bucket.get(span_id) or plan.total_by_bucket
         total = sum(weights.values())
         if total == 0.0:
             weights = {bucket: 1.0 for bucket in factors}

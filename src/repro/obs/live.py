@@ -246,16 +246,6 @@ class LiveMonitor(KernelHooks):
     def stalled_frames(self) -> int:
         return sum(1 for f in self.frames if f["status"] == STATUS_STALLED)
 
-    def to_dict(self) -> dict:
-        """Deterministic per-engine watch payload (part of ``LIVE_SCHEMA``)."""
-        return {
-            "interval": self.config.interval,
-            "window": self.config.window,
-            "frames": self.frames,
-            "status": self.status,
-            "stalled_frames": self.stalled_frames(),
-        }
-
 
 # -- rendering ----------------------------------------------------------------------
 

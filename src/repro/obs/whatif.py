@@ -10,11 +10,11 @@ pessimistic bounds:
 ``disk=0.5`` (bucket speeds)
     Per-bucket cost scaling. A speed multiplier ``s`` means the resource
     runs ``s``× as fast, so charged seconds dilate by ``1/s``. For
-    scenarios composed *only* of bucket speeds the prediction is computed
-    by literally running :func:`~repro.obs.journal.dilate_bucket_charges`
-    — the transform every seeded regression is made with — so the
-    predicted makespan is **bit-exact** against the executable ground
-    truth (the self-auditing half of the tool).
+    scenarios composed *only* of bucket speeds the prediction is the
+    dilated makespan of :func:`~repro.obs.journal.dilate_bucket_charges`
+    — the transform every seeded regression is made with — computed by
+    that transform's own fold and plan, so it is **bit-exact** against the
+    executable ground truth (the self-auditing half of the tool).
 ``nodes=16`` (cluster rescaling)
     Node-count rescaling of parallel stages via the partition-ownership
     model: each job's per-node parallel work is split across the
@@ -29,12 +29,12 @@ pessimistic bounds:
     byte ratio scales the path's network time (plus the zero-copy serde
     rebate for ``rdma`` on HAMR).
 
-The model is built in one pass over the journal: the replay fold and the
-traffic evidence read the same records as they stream by. Built from a
-list it keeps the list, the input of the bucket transform that bucket-only
-predictions and :meth:`WhatIfModel.scenario_journal` run; built from a
-one-shot stream (:func:`~repro.obs.journal.iter_journal`) it holds no
-records and serves every other scenario.
+The model is built in one pass over the journal, which may be a one-shot
+stream (:func:`~repro.obs.journal.iter_journal`): the replay fold, the
+traffic evidence and the dilation's :class:`~repro.obs.journal.DilationFold`
+read the same records as they go by, and the model keeps none of them.
+:func:`scenario_journal` is the one consumer that needs the decoded list,
+because its output is the whole dilated journal.
 
 Scenarios compose (``net=2.0,disk=0.5,nodes=16``): bucket dilations are
 applied serially (exactly like the executable transform), structural
@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.obs.blame import ATOMIC, BUCKETS, COMPUTE, DISK, NETWORK, STALL
 from repro.obs.critpath import CriticalPath, from_tracer
-from repro.obs.journal import dilate_bucket_charges
+from repro.obs.journal import DilationFold, dilate_bucket_charges
 from repro.obs.replay import ReplayedRun, replay_records
 
 WHATIF_SCHEMA = "repro.obs.whatif/v1"
@@ -324,27 +324,25 @@ class WhatIfModel:
     precomputes: the critical path and its per-segment bucket shares, the
     per-job per-node parallel loads and partition-byte weights feeding
     the node-rescaling model, the payload groups feeding fabric
-    re-pricing, and the serde estimate for the zero-copy rebate.
+    re-pricing, the serde estimate for the zero-copy rebate, and the
+    dilation fold that bucket-only scenarios are planned from.
 
-    ``records`` is read once. A list is kept as ``records`` for the bucket
-    transform; any other iterable is a stream, and the model keeps no
-    records (``records`` is None), so bucket-only scenarios are refused.
+    ``records`` is any iterable of decoded records, read once; the model
+    keeps none of them.
     """
 
     def __init__(self, records: Iterable[dict]):
-        self.records: Optional[list[dict]] = (
-            records if isinstance(records, list) else None
-        )
+        self.dilation = DilationFold()
         # Traffic evidence from the x records: partition byte weights and
         # owners per job (the ownership model's input), per-node tx/rx,
         # payload groups for fabric re-pricing, and the serde estimate.
-        # Folded by _read_traffic as the replay reads the records.
+        # Folded by _fold_evidence as the replay reads the records.
         self.part_bytes: dict[str, dict[int, float]] = {}
         self.part_owner: dict[str, dict[int, int]] = {}
         self.node_tx_rx: dict[int, float] = {}
         self.payloads: list[tuple[str, int, list[int], float, int]] = []
         self.traffic_bytes = 0.0
-        self.run: ReplayedRun = replay_records(self._read_traffic(records))
+        self.run: ReplayedRun = replay_records(self._fold_evidence(records))
         self.makespan = self.run.makespan
         self.engine = self.run.engine or "hamr"
         tracer = self.run.tracer
@@ -396,11 +394,12 @@ class WhatIfModel:
             min(1.0, self.serde_seconds / compute_total) if compute_total > 0 else 0.0
         )
 
-    def _read_traffic(self, records: Iterable[dict]) -> Iterator[dict]:
-        """Pass ``records`` through, folding every ``x`` record into the
-        traffic evidence on the way."""
+    def _fold_evidence(self, records: Iterable[dict]) -> Iterator[dict]:
+        """Pass ``records`` through, folding each into the dilation fold
+        and every ``x`` record into the traffic evidence on the way."""
         pending: Optional[tuple[str, int, list[int], float, int]] = None
         for rec in records:
+            self.dilation.add(rec)
             if rec["t"] == "x":
                 pending = self._add_traffic(rec, pending)
             yield rec
@@ -612,10 +611,11 @@ class WhatIfModel:
                 exact=True, method="identity",
             )
         if scenario.bucket_only:
-            # Executable scenario: run the real transform, byte-exact
-            # against the journal --emit-journal writes.
-            dilated = self._dilated(scenario)
-            predicted = dilated[-1].get("makespan", makespan)
+            # Executable scenario: the transform's own fold and plan give
+            # the makespan of the journal --emit-journal writes, bit-exact.
+            predicted = makespan
+            if "makespan" in self.run.footer:
+                predicted = self.dilation.plan(scenario.time_factors).remap(makespan)
             return Prediction(
                 scenario, makespan, predicted, predicted, predicted,
                 components={"buckets": predicted - makespan},
@@ -733,26 +733,19 @@ class WhatIfModel:
         """Predict the capacity curve over one swept knob."""
         return [self.predict(base.with_knob(key, value)) for value in values]
 
-    def scenario_journal(self, scenario: Scenario) -> list[dict]:
-        """The dilated journal a bucket-only scenario predicts.
 
-        ``seed_bucket_slowdown(records, b, 1/s)`` for a one-bucket
-        scenario ``b=s``, byte for byte (``tests/test_whatif.py``).
-        """
-        if not scenario.bucket_only:
-            raise ScenarioError(
-                "only bucket-speed scenarios are executable as journals "
-                f"(got {scenario.describe()!r})"
-            )
-        return self._dilated(scenario)
+def scenario_journal(records: list[dict], scenario: Scenario) -> list[dict]:
+    """The dilated journal a bucket-only scenario predicts.
 
-    def _dilated(self, scenario: Scenario) -> list[dict]:
-        if self.records is None:
-            raise ScenarioError(
-                f"{scenario.describe()!r} runs the bucket transform on the "
-                "journal's records; build the model from a list to keep them"
-            )
-        return dilate_bucket_charges(self.records, scenario.time_factors)
+    ``seed_bucket_slowdown(records, b, 1/s)`` for a one-bucket scenario
+    ``b=s``, byte for byte (``tests/test_whatif.py``).
+    """
+    if not scenario.bucket_only:
+        raise ScenarioError(
+            "only bucket-speed scenarios are executable as journals "
+            f"(got {scenario.describe()!r})"
+        )
+    return dilate_bucket_charges(records, scenario.time_factors)
 
 
 # -- validation harness -------------------------------------------------------------
@@ -828,10 +821,11 @@ def validate(
     """Run the validation matrix: predict, execute, report the error.
 
     ``executor`` actually runs one scenario and returns the measured
-    makespan (None = cannot execute); without one, only the identity and
-    dilation rows carry actuals. The identity row's invariant — the
-    empty scenario predicts the journal's own makespan *exactly* — is
-    checked against the journal itself, no execution needed.
+    makespan (None = cannot execute); without one, only the identity row
+    carries an actual and every other row is ``skipped``. The identity
+    row's invariant — the empty scenario predicts the journal's own
+    makespan *exactly* — is checked against the journal itself, no
+    execution needed.
     """
     rows: list[ValidationRow] = []
     for scenario in scenarios if scenarios is not None else validation_matrix(model):

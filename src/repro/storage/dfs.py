@@ -103,9 +103,6 @@ class DFS:
         except KeyError:
             raise StorageError(f"DFS: no such file {name!r}") from None
 
-    def delete(self, name: str) -> None:
-        self._files.pop(name, None)
-
     # -- ingest (free, pre-run data placement) ----------------------------------
 
     def ingest(self, name: str, records: Iterable[Any]) -> DistributedFile:

@@ -586,3 +586,83 @@ class TestProfileCli:
                 fid = entry[engine]["fidelity"]
                 assert fid["schema"] == FIDELITY_SCHEMA
                 assert fid["operators"], f"{where}: empty fidelity join"
+
+
+class TestRenderHostprof:
+    """The ``profile`` command's text view of one hand-built snapshot."""
+
+    @staticmethod
+    def _flat(bucket, label, calls, self_ms, total_ms):
+        return {"bucket": bucket, "label": label, "calls": calls,
+                "self_ns": self_ms * 1_000_000, "total_ns": total_ms * 1_000_000}
+
+    @staticmethod
+    def _node(path, calls, total_ms, self_ms):
+        return {"path": path, "calls": calls,
+                "total_ns": total_ms * 1_000_000, "self_ns": self_ms * 1_000_000}
+
+    def _snapshot(self):
+        flat = self._flat
+        node = self._node
+        return {
+            "schema": HOSTPROF_SCHEMA,
+            "total_ns": 13_000_000,
+            "buckets": {"engine": 6_000_000, "sim-kernel": 4_000_000, "storage": 3_000_000},
+            "shares": {"engine": 6 / 13, "sim-kernel": 4 / 13, "storage": 3 / 13},
+            # self-ns ties: bucket breaks engine/storage, label breaks map/reduce
+            "flat": [
+                flat("storage", "spill", 1, 3, 3),
+                flat("engine", "reduce", 1, 3, 3),
+                flat("sim-kernel", "dispatch", 4, 4, 13),
+                flat("engine", "map", 2, 3, 3),
+            ],
+            "tree": [
+                node(["sim-kernel/dispatch", "engine/map", "storage/spill"], 1, 3, 3),
+                node(["sim-kernel/dispatch", "engine/map"], 2, 6, 3),
+                node(["sim-kernel/dispatch", "engine/reduce"], 1, 3, 3),
+                node(["sim-kernel/dispatch"], 4, 13, 4),
+            ],
+        }
+
+    @staticmethod
+    def _rows(text, title):
+        """The body rows of the table titled ``title``."""
+        section = next(s for s in text.split("\n\n") if s.startswith(title))
+        return section.splitlines()[3:]
+
+    def test_bucket_table_ends_with_the_total(self):
+        from repro.evaluation.profilereport import render_hostprof
+
+        text = render_hostprof(self._snapshot(), title="== profile ==")
+        assert text.startswith("== profile ==\n")
+        rows = self._rows(text, "Host time by subsystem bucket")
+        assert [row.split()[0] for row in rows] == ["engine", "sim-kernel", "storage", "TOTAL"]
+        assert rows[-1].split() == ["TOTAL", "13.00", "100.0%"]
+
+    def test_flat_rows_sort_by_self_then_bucket_then_label_and_stop_at_top(self):
+        from repro.evaluation.profilereport import render_hostprof
+
+        text = render_hostprof(self._snapshot(), top=3)
+        rows = self._rows(text, "Flat profile — hottest 3 of 4 rows")
+        assert [row.split()[:2] for row in rows] == [
+            ["sim-kernel", "dispatch"], ["engine", "map"], ["engine", "reduce"],
+        ]
+        assert rows[1].split()[2:] == ["2", "3.00", "3.00", "1,500,000"]
+
+    def test_tree_rows_put_parents_before_children(self):
+        from repro.evaluation.profilereport import render_hostprof
+
+        rows = self._rows(render_hostprof(self._snapshot()), "Top-down tree")
+        labels = [row[: len(row) - len(row.lstrip())] + row.split()[0] for row in rows]
+        assert labels == [
+            "sim-kernel/dispatch",
+            "  engine/map",
+            "    storage/spill",
+            "  engine/reduce",
+        ]
+
+    def test_rejects_a_snapshot_of_another_schema(self):
+        from repro.evaluation.profilereport import render_hostprof
+
+        with pytest.raises(ValueError, match="not a hostprof snapshot"):
+            render_hostprof(dict(self._snapshot(), schema="repro.obs.report/v5"))

@@ -25,12 +25,14 @@ from repro.obs.journal import (
     RECORD_TYPES,
     JournalError,
     decode_record,
+    dilate_bucket_charges,
     encode_record,
     iter_journal,
+    iter_journal_file,
     load_journal,
 )
 from repro.obs.replay import replay_records
-from repro.obs.whatif import ScenarioError, WhatIfModel, parse_scenario, whatif_dict
+from repro.obs.whatif import WhatIfModel, parse_scenario, whatif_dict
 from tests.conftest import journaled_run
 
 # -- decode parity with json.loads --------------------------------------------------
@@ -254,8 +256,6 @@ class TestWhatIfStream:
     def test_stream_model_predicts_like_the_list_model(self, lines):
         from_list = WhatIfModel([decode_record(line) for line in lines])
         from_stream = WhatIfModel(iter_journal(lines))
-        assert from_stream.records is None
-        assert from_list.records is not None
         scenarios = [parse_scenario(text) for text in ("", "nodes=3", "fabric=rdma", "nodes=2,network=0.5")]
         payloads = [
             whatif_dict(model, [model.predict(sc) for sc in scenarios])
@@ -263,22 +263,25 @@ class TestWhatIfStream:
         ]
         assert json.dumps(payloads[0], sort_keys=True) == json.dumps(payloads[1], sort_keys=True)
 
-    def test_stream_model_refuses_the_bucket_transform(self, lines):
+    def test_stream_model_predicts_bucket_scenarios_exactly(self, lines):
+        """A model that never saw the list predicts the dilated journal's
+        makespan bit for bit."""
+        records = [decode_record(line) for line in lines]
         model = WhatIfModel(iter_journal(lines))
-        with pytest.raises(ScenarioError, match="build the model from a list"):
-            model.predict(parse_scenario("disk=0.5"))
-        with pytest.raises(ScenarioError, match="build the model from a list"):
-            model.scenario_journal(parse_scenario("disk=0.5"))
+        for text in ("disk=0.5", "network=2", "compute=0.5,stall=0.25"):
+            scenario = parse_scenario(text)
+            dilated = dilate_bucket_charges(records, scenario.time_factors)
+            prediction = model.predict(scenario)
+            assert prediction.method == "dilation", text
+            assert prediction.predicted == dilated[-1]["makespan"], text
 
 
 # -- memory: the streamed load never holds the decoded list ---------------------------
 
 
-def test_streamed_load_peaks_below_half_the_decoded_list(tiny_wordcount_journal):
-    """``load_run`` at its peak holds less than half of what
-    ``load_journal``'s list holds once it returns: the replay folds records
-    as they are decoded. A ``list(...)`` on the load path fails this."""
-    path = tiny_wordcount_journal
+def _peak_and_list_size(path, read):
+    """``(traced peak of read(path), bytes load_journal's list holds,
+    read's result)``."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -290,11 +293,34 @@ def test_streamed_load_peaks_below_half_the_decoded_list(tiny_wordcount_journal)
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        run = load_run(path, False)
+        result = read(path)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return peak, decoded, result
+
+
+def test_streamed_load_peaks_below_half_the_decoded_list(tiny_wordcount_journal):
+    """``load_run`` at its peak holds less than half of what
+    ``load_journal``'s list holds once it returns: the replay folds records
+    as they are decoded. A ``list(...)`` on the load path fails this."""
+    peak, decoded, run = _peak_and_list_size(
+        tiny_wordcount_journal, lambda path: load_run(path, False)
+    )
     assert run.tracer.spans
+    assert peak < decoded / 2, (peak, decoded)
+
+
+def test_streamed_model_peaks_below_half_the_decoded_list(tiny_wordcount_journal):
+    """A what-if model built from the file's stream and asked a bucket-only
+    question holds, at its peak, less than half of what ``load_journal``'s
+    list holds: the prediction is planned from the dilation fold, not from
+    a kept copy of the records."""
+    peak, decoded, prediction = _peak_and_list_size(
+        tiny_wordcount_journal,
+        lambda path: WhatIfModel(iter_journal_file(path)).predict(parse_scenario("disk=0.5")),
+    )
+    assert prediction.method == "dilation"
     assert peak < decoded / 2, (peak, decoded)
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro.evaluation.__main__ import main
 from repro.evaluation.runner import run_workload
 from repro.evaluation.workloads import workload_by_name
-from repro.obs.journal import encode_record, seed_bucket_slowdown
+from repro.obs.journal import dilate_bucket_charges, encode_record, seed_bucket_slowdown
 from repro.obs.whatif import (
     WHATIF_SCHEMA,
     Scenario,
@@ -23,6 +23,7 @@ from repro.obs.whatif import (
     WhatIfModel,
     parse_scenario,
     parse_sweep,
+    scenario_journal,
     validate,
     validation_matrix,
     whatif_dict,
@@ -45,8 +46,14 @@ def journals(tiny_fleet):
 
 
 @pytest.fixture(scope="module")
-def wc_model(journals):
-    return WhatIfModel(journals[("wordcount", "hamr")])
+def models(journals):
+    """(workload, engine) -> the what-if model of that journal."""
+    return {key: WhatIfModel(records) for key, records in journals.items()}
+
+
+@pytest.fixture(scope="module")
+def wc_model(models):
+    return models[("wordcount", "hamr")]
 
 
 # -- scenario parsing ---------------------------------------------------------------
@@ -119,10 +126,10 @@ class TestScenarioParsing:
 
 
 class TestIdentityExactness:
-    def test_identity_predicts_own_makespan_exactly_for_all_table2(self, journals):
+    def test_identity_predicts_own_makespan_exactly_for_all_table2(self, journals, models):
         """8 workloads x 2 engines: empty scenario == recorded makespan."""
         for (name, engine), records in journals.items():
-            model = WhatIfModel(records)
+            model = models[(name, engine)]
             p = model.predict(Scenario())
             assert p.exact and p.method == "identity", (name, engine)
             assert p.predicted == model.makespan, (name, engine)
@@ -158,16 +165,15 @@ class TestBucketScenarios:
 
     def test_scenario_journal_matches_seeding_byte_for_byte(self, journals):
         records = journals[("wordcount", "hamr")]
-        model = WhatIfModel(records)
-        ours = model.scenario_journal(parse_scenario("network=0.25"))
+        ours = scenario_journal(records, parse_scenario("network=0.25"))
         seeded = seed_bucket_slowdown(records, "network", 4.0)
         assert [encode_record(r) for r in ours] == [
             encode_record(r) for r in seeded
         ]
 
-    def test_scenario_journal_rejects_structural_scenarios(self, wc_model):
+    def test_scenario_journal_rejects_structural_scenarios(self, journals):
         with pytest.raises(ScenarioError):
-            wc_model.scenario_journal(parse_scenario("nodes=9"))
+            scenario_journal(journals[("wordcount", "hamr")], parse_scenario("nodes=9"))
 
     def test_slowdown_is_monotone_in_the_factor(self, wc_model):
         """Scaling a bucket down in speed never decreases the prediction."""
@@ -196,6 +202,67 @@ class TestBucketScenarios:
         )
         assert noop.method == "model"
         assert noop.predicted == pytest.approx(pure, rel=1e-9)
+
+
+class TestBucketPlanExactness:
+    """A bucket-only prediction is planned from the dilation's own fold and
+    equals the dilated journal's footer ``makespan`` bit for bit."""
+
+    #: one bucket slowed, one sped up, two buckets, three buckets
+    SCENARIOS = (
+        "disk=0.5", "network=2", "compute=0.5,stall=2", "network=0.5,disk=2,atomic=0.25",
+    )
+
+    @staticmethod
+    def _assert_exact(model, records, texts, where):
+        for text in texts:
+            scenario = parse_scenario(text)
+            p = model.predict(scenario)
+            dilated = dilate_bucket_charges(records, scenario.time_factors)
+            assert p.exact and p.method == "dilation", (where, text)
+            assert p.predicted == dilated[-1]["makespan"], (where, text)
+
+    def test_every_tiny_fleet_journal(self, journals, models):
+        for key, records in journals.items():
+            self._assert_exact(models[key], records, self.SCENARIOS, key)
+
+    @pytest.mark.parametrize("engine", ["hamr", "hadoop"])
+    def test_a_journal_dilated_once(self, journals, engine):
+        dilated = seed_bucket_slowdown(journals[("wordcount", engine)], "disk", 2.0)
+        texts = self.SCENARIOS + ("disk=2",)
+        self._assert_exact(WhatIfModel(dilated), dilated, texts, engine)
+
+    def test_spans_closing_together_are_summed_in_first_charge_order(self):
+        """Three charged spans close at one virtual time. They open as A, B,
+        C but are first charged to the factored bucket as B, C, A (A's
+        first charge is to an unfactored bucket). The inserted time is
+        ``((0 + B) + C) + A``, and its bits differ from the open order's."""
+        end = makespan = 0.25
+        seconds = {2: 0.1, 3: 0.2, 4: 0.3}  # A, B, C
+
+        def charge(span, bucket, value):
+            return {"t": "b", "j": "syn", "bk": bucket, "v": value, "sp": span, "nd": 1}
+
+        records = [
+            {"t": "header", "schema": "repro.obs.journal/v3", "workload": "syn",
+             "engine": "hamr", "label": "Synthetic", "data_size": "1KB"},
+            {"t": "so", "id": 1, "n": "job:syn", "c": "job", "j": "syn", "st": 0.0},
+            *({"t": "so", "id": span, "n": f"task{span}", "c": "task", "j": "syn",
+               "nd": 1, "st": 0.0} for span in seconds),
+            charge(2, "compute", 0.05),
+            charge(3, "disk", seconds[3]),
+            charge(4, "disk", seconds[4]),
+            charge(2, "disk", seconds[2]),
+            *({"t": "sc", "id": span, "end": end} for span in seconds),
+            {"t": "sc", "id": 1, "end": end},
+            {"t": "footer", "makespan": makespan, "virtual_end": makespan},
+        ]
+        expected = makespan + (((0.0 + seconds[3]) + seconds[4]) + seconds[2])
+        open_order = makespan + (((0.0 + seconds[2]) + seconds[3]) + seconds[4])
+        assert expected != open_order
+        scenario = parse_scenario("disk=0.5")
+        assert dilate_bucket_charges(records, {"disk": 2.0})[-1]["makespan"] == expected
+        assert WhatIfModel(iter(records)).predict(scenario).predicted == expected
 
 
 # -- structural scenarios: nodes and fabric ----------------------------------------
@@ -300,9 +367,9 @@ class TestValidationHarness:
         assert row.method == "run"
         assert row.error == pytest.approx(-0.10 / 1.10)
 
-    def test_dilation_rows_validate_exactly(self, wc_model):
+    def test_dilation_rows_validate_exactly(self, journals, wc_model):
         def executor(sc):
-            return wc_model.scenario_journal(sc)[-1]["makespan"]
+            return scenario_journal(journals[("wordcount", "hamr")], sc)[-1]["makespan"]
 
         rows = validate(
             wc_model, executor, scenarios=[parse_scenario("compute=0.5")]
@@ -384,11 +451,29 @@ class TestWhatifCLI:
         assert "neither a journal file" in capsys.readouterr().err
 
     def test_execute_dilation_passes_a_tight_gate(self, journal_path, capsys):
-        assert main([
+        argv = [
             "whatif", journal_path, "--scenario", "disk=0.5",
             "--execute", "--max-error", "1e-9",
-        ]) == 0
+        ]
+        assert main(argv) == 0
         assert "Validation" in capsys.readouterr().out
+        assert main(argv + ["--json", "-"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["validation"]
+        assert row["method"] == "dilation"
+        assert row["within_bounds"] is True
+        assert abs(row["error"]) <= 1e-9
+
+    def test_execute_skips_an_unexecutable_scenario_without_announcing_it(
+        self, journal_path, capsys
+    ):
+        assert main([
+            "whatif", journal_path, "--scenario", "nodes=8,disk=0.5",
+            "--execute", "--json", "-",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "executing" not in captured.err
+        (row,) = json.loads(captured.out)["validation"]
+        assert row["method"] == "skipped"
 
     def test_max_error_gate_fails_loudly(self, journal_path, capsys,
                                          monkeypatch):
