@@ -1,13 +1,6 @@
 """Observability benchmark: traced Table 2 runs -> ``BENCH_obs.json``.
 
-Run under pytest-benchmark::
-
-    pytest benchmarks/bench_obs.py --benchmark-only -s
-    pytest benchmarks/bench_obs.py --benchmark-only -s \
-        --workloads wordcount,naive_bayes --engines hamr
-
-or as a plain script (no pytest-benchmark needed — what the CI
-perf-regression gate uses)::
+Run as a script (what the CI perf-regression gate uses)::
 
     python benchmarks/bench_obs.py --fidelity small --out BENCH_obs.json
     python benchmarks/bench_obs.py --workloads wordcount,naive_bayes
@@ -37,11 +30,8 @@ commit) to ``BENCH_history.jsonl`` — the append-only series
 
 import argparse
 import json
-import os
 import pathlib
 import sys
-
-import pytest
 
 from repro.core.engine import PARTITIONERS
 from repro.dataplane.fabrics import FABRICS
@@ -54,7 +44,6 @@ from repro.obs.summary import RunSummary
 BENCH_SCHEMA = "repro.obs.bench/v5"
 DEFAULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
-_rows: dict[str, dict] = {}  # accumulated across the parametrized cases
 _snapshots: dict[str, dict] = {}  # workload -> engine -> full hostprof snapshot
 
 
@@ -128,53 +117,13 @@ def write_payload(payload: dict, path: pathlib.Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# -- pytest-benchmark harness -----------------------------------------------------
-
-
-@pytest.mark.parametrize("name", TABLE2_ORDER)
-def test_traced_row(
-    benchmark, fidelity, workloads_filter, engines_filter, name,
-    profile_enabled, hostprof_sink,
-):
-    if workloads_filter and name not in workloads_filter:
-        pytest.skip(f"{name} not in --workloads filter")
-    from conftest import run_once
-
-    engines = engines_filter or "both"
-    entry = run_once(
-        benchmark, lambda: run_row(name, fidelity, engines, profile=profile_enabled)
-    )
-    if profile_enabled:
-        hostprof_sink[name] = _snapshots.get(name, {})
-
-    _rows[name] = entry
-    extra = {}
-    if "hamr" in entry:
-        extra["hamr_seconds"] = entry["hamr"]["virtual_seconds"]
-        extra["hamr_blame"] = entry["hamr"]["blame"]
-    if "hadoop" in entry:
-        extra["idh_seconds"] = entry["hadoop"]["virtual_seconds"]
-    benchmark.extra_info.update(extra)
-
-
-def test_write_bench_obs_json(fidelity, workloads_filter, engines_filter):
-    if workloads_filter or engines_filter:
-        pytest.skip("filtered run — not writing the full baseline artifact")
-    assert set(_rows) == set(TABLE2_ORDER), "run the full parametrized set first"
-    write_payload(build_payload(_rows, fidelity), DEFAULT_PATH)
-    print(f"\nwrote {DEFAULT_PATH}")
-
-
-# -- plain-script mode (CI perf gate: no pytest-benchmark required) ---------------
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Traced Table 2 bench artifact (repro.obs.bench/v5)."
     )
     parser.add_argument(
         "--fidelity",
-        default=os.environ.get("REPRO_FIDELITY", "small"),
+        default="small",
         choices=["tiny", "small", "medium"],
     )
     parser.add_argument(

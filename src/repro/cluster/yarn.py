@@ -79,9 +79,6 @@ class ResourceManager:
         self._reserved[container.node.node_id] -= container.memory
         self._dispatch(container.node.node_id)
 
-    def reserved(self, node_id: int) -> float:
-        return self._reserved[node_id]
-
     def available(self, node_id: int) -> float:
         return self._capacity[node_id] - self._reserved[node_id]
 

@@ -112,12 +112,6 @@ class FlowletGraph:
     def edges(self) -> list[Edge]:
         return list(self._edges)
 
-    def flowlet(self, name: str) -> Flowlet:
-        try:
-            return self._flowlets[name]
-        except KeyError:
-            raise GraphError(f"unknown flowlet {name!r}") from None
-
     def loaders(self) -> list[Flowlet]:
         return [f for f in self._flowlets.values() if f.kind is FlowletKind.LOADER]
 

@@ -192,10 +192,6 @@ class BatchBuilder:
         self.batches_sealed += 1
         return batch
 
-    @property
-    def open_bytes(self) -> int:
-        return self._open_bytes
-
 
 def chunk_records(
     records: Iterable[Any], chunk_bytes: float, *, aggregated: bool = False

@@ -30,7 +30,6 @@ from repro.obs.journal import (
     iter_journal,
     iter_journal_file,
     journal_open,
-    load_journal,
 )
 
 
@@ -156,16 +155,27 @@ def whatif(args) -> int:
     )
 
     scenario = parse_scenario(args.scenario)
+    if args.emit_journal and not (scenario.bucket_only or scenario.is_identity):
+        raise CLIError(
+            "--emit-journal needs a bucket-only (or identity) scenario — "
+            f"{scenario.describe()!r} changes cluster structure, which has "
+            "no journal transform"
+        )
     sweep_spec = parse_sweep(args.sweep) if args.sweep else None
     ref = args.run
     spec = parse_ref(ref)
     with journal_errors(ref):
         if spec is None:
-            model = WhatIfModel(iter_journal_file(ref, allow_partial=args.allow_partial))
+            records = iter_journal_file(ref, allow_partial=args.allow_partial)
         else:
             announce(ref)
             writer = run_spec(args, spec, journal=journal_writers(args)).journal
-            model = WhatIfModel(iter_journal(writer.iter_lines()))
+            records = iter_journal(writer.iter_lines())
+        if args.emit_journal:
+            # The one output that is a whole journal: decode the input once,
+            # as a list the model and the transform both read.
+            records = list(records)
+        model = WhatIfModel(records)
     warn_recorded(model.run, ref, covers="predictions")
 
     predictions = [model.predict(scenario)]
@@ -180,17 +190,6 @@ def whatif(args) -> int:
         rows = validate(model, _executor(args, model), scenarios=[scenario])
 
     if args.emit_journal:
-        if not (scenario.bucket_only or scenario.is_identity):
-            raise CLIError(
-                "--emit-journal needs a bucket-only (or identity) scenario — "
-                f"{scenario.describe()!r} changes cluster structure, which has "
-                "no journal transform"
-            )
-        # The one output that is a whole journal: decode the input as a list.
-        with journal_errors(ref):
-            records = (
-                writer.records if spec else load_journal(ref, allow_partial=args.allow_partial)
-            )
         out_records = records if scenario.is_identity else scenario_journal(records, scenario)
         with journal_open(args.emit_journal, "w") as fh:
             fh.writelines(encode_record(record) + "\n" for record in out_records)

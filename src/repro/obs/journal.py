@@ -549,28 +549,18 @@ class DilationPlan(NamedTuple):
 
 
 class DilationFold:
-    """Pass 1 of :func:`dilate_bucket_charges`, one record at a time and
-    independent of the factors: each span's start, end, job and node, and
-    the charge sum of every (span, bucket) pair a ``b`` record's ``sp``
-    names, in the order each pair is first seen."""
+    """What :meth:`plan` reads, folded one record at a time and independent
+    of the factors: each closed span's end, and the charge sum of every
+    (span, bucket) pair a ``b`` record's ``sp`` names, in the order each
+    pair is first seen."""
 
     def __init__(self) -> None:
-        self.starts: dict[int, float] = {}
         self.ends: dict[int, float] = {}
-        self.jobs: dict[int, str] = {}
-        self.nodes: dict[int, int] = {}
         self.charges: dict[tuple[int, str], float] = {}
 
     def add(self, rec: dict) -> None:
         t = rec["t"]
-        if t == "so":
-            span_id = rec["id"]
-            self.starts[span_id] = rec["st"]
-            if "j" in rec:
-                self.jobs[span_id] = rec["j"]
-            if "nd" in rec:
-                self.nodes[span_id] = rec["nd"]
-        elif t == "sc":
+        if t == "sc":
             self.ends[rec["id"]] = rec["end"]
         elif t == "b" and rec.get("sp") is not None:
             key = (rec["sp"], rec["bk"])
@@ -642,14 +632,25 @@ def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> lis
     bucket scenarios. (Factors below 1.0 shrink the timeline instead —
     the counterfactual for *faster* hardware.)
 
-    Three steps: a :class:`DilationFold` over the records, its ``plan``
+    Three steps: a :class:`DilationFold` over the records (with each
+    span's start, job and node, which only the rewrite reads), its ``plan``
     for ``factors`` (what the what-if model predicts from), and a rewrite.
     """
     fold = DilationFold()
+    starts: dict[int, float] = {}
+    jobs: dict[int, str] = {}
+    nodes: dict[int, int] = {}
     for rec in records:
         fold.add(rec)
+        if rec["t"] == "so":
+            span_id = rec["id"]
+            starts[span_id] = rec["st"]
+            if "j" in rec:
+                jobs[span_id] = rec["j"]
+            if "nd" in rec:
+                nodes[span_id] = rec["nd"]
     plan = fold.plan(factors)
-    remap, jobs, nodes = plan.remap, fold.jobs, fold.nodes
+    remap = plan.remap
 
     # A span *straddling* another span's insertion point absorbs that
     # pause: its dilated duration grows beyond its own scaled charge. A
@@ -659,7 +660,7 @@ def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> lis
     # then attributes the whole dilation to the seeded buckets instead of
     # leaking it into "other".
     residual: dict[int, float] = {}
-    for span_id, start in fold.starts.items():
+    for span_id, start in starts.items():
         end = fold.ends.get(span_id)
         if end is None:
             continue

@@ -73,10 +73,6 @@ class Span:
             raise ValueError(f"span {self.name!r} is still open")
         return self.end - self.start
 
-    @property
-    def open(self) -> bool:
-        return self.end is None
-
     def child(self, name: str, cat: Optional[str] = None, **args: Any) -> "Span":
         """Open a child span inheriting this span's attribution."""
         return self.tracer.span(

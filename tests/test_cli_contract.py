@@ -248,6 +248,8 @@ def _first_fingerprint(_tmp):
 #: Steps run in order in one scratch cwd; later steps read earlier files.
 GOLDEN_STEPS = [
     ("table1", ["table1"], []),
+    # Table 2, Table 3 and both Figure 3 panels off one shared Table 2 sweep
+    ("all", ["all", "--fidelity", "tiny"], []),
     ("bench", ["bench", WL, "--fidelity", "tiny"], []),
     ("report", ["report", "--workload", WL, "--engine", "both", "--fidelity", "tiny",
                 "--json", "report.json"], ["report.json"]),

@@ -115,6 +115,17 @@ class TestCluster:
         expected = 0.004 + 102400 / (150.0 * MB)
         assert done == [pytest.approx(expected)]
 
+    def test_striped_disk_read_runs_at_aggregate_bandwidth(self):
+        # a Table 1 node stripes 3 GB over its 5 disks: 750 MB/s + 4ms latency
+        cluster = Cluster(PAPER_CLUSTER)
+        node = cluster.worker(0)
+
+        def proc(sim):
+            yield node.disk_read(3 * GB)
+
+        cluster.sim.spawn(proc(cluster.sim))
+        assert cluster.run() == pytest.approx(0.004 + 3 * GB / (5 * 150.0 * MB))
+
     def test_memory_accounting_scaled(self):
         cluster = Cluster(small_cluster_spec(num_workers=2, memory=1000, scale=10.0))
         node = cluster.worker(0)

@@ -12,7 +12,7 @@ from repro.evaluation.paper import (
 )
 from repro.evaluation.report import render_bars, render_table
 from repro.evaluation.runner import BenchmarkRow, run_workload
-from repro.evaluation.tables import table1
+from repro.evaluation.tables import table1, table3
 from repro.evaluation.workloads import (
     TABLE2_ORDER,
     table2_workloads,
@@ -151,14 +151,19 @@ class TestReportRendering:
 @pytest.mark.slow
 class TestShapeReproduction:
     """The headline integration test: every Table 2 row lands in its
-    shape band at the reference ("small") fidelity.
+    shape band at the reference ("small") fidelity, and Table 3's combiner
+    rows (against the same Hadoop baseline) keep the paper's claims.
 
-    This is the E2/E4/E5 acceptance criterion of DESIGN.md §4.
+    This is the E2-E5 acceptance criterion of DESIGN.md §4.
     """
 
     @pytest.fixture(scope="class")
     def rows(self):
         return [run_workload(w) for w in table2_workloads("small")]
+
+    @pytest.fixture(scope="class")
+    def table3_result(self, rows):
+        return table3("small", baseline_rows=rows)
 
     def test_all_rows_in_band(self, rows):
         failures = []
@@ -178,6 +183,15 @@ class TestShapeReproduction:
     def test_histogram_ratings_inverted(self, rows):
         row = next(r for r in rows if r.name == "histogram_ratings")
         assert row.speedup < 1.0  # Hadoop wins, as in the paper
+
+    def test_combiner_does_not_flip_ratings(self, table3_result):
+        # Table 3: Hadoop still wins HistogramRatings with the combiner on
+        ratings = table3_result.row("histogram_ratings")
+        assert ratings.speedup < 1.0
+        assert ratings.paper is PAPER_TABLE3["histogram_ratings"]
+
+    def test_combiner_movies_band(self, table3_result):
+        assert 1.0 <= table3_result.row("histogram_movies").speedup <= 4.0
 
     def test_flow_control_or_contention_on_ratings(self, rows):
         row = next(r for r in rows if r.name == "histogram_ratings")

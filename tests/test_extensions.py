@@ -17,11 +17,19 @@ from repro.evaluation.ablations import (
     AblationResult,
     ablation_async,
     ablation_bin_size,
+    ablation_combiner,
     ablation_locality,
     ablation_memory,
     ablation_partial_reduce,
+    ablation_skew,
+    scaling_study,
 )
-from repro.evaluation.workloads import make_kmeans, make_pagerank, make_wordcount
+from repro.evaluation.workloads import (
+    make_histogram_ratings,
+    make_kmeans,
+    make_pagerank,
+    make_wordcount,
+)
 from repro.storage import KVStore, LocalFS
 
 
@@ -110,8 +118,8 @@ class TestEvaluationCLI:
 
 @pytest.mark.slow
 class TestAblationHelpers:
-    """The ablation functions return sane comparisons (tiny fidelity —
-    direction checks are reserved for the benches at reference fidelity)."""
+    """A1-A8 at tiny fidelity: each design choice DESIGN.md §5 argues for
+    pays for itself, in the direction the paper claims."""
 
     def test_memory_ablation(self):
         result = ablation_memory(make_pagerank("tiny"))
@@ -130,7 +138,24 @@ class TestAblationHelpers:
     def test_bin_size_ablation(self):
         result = ablation_bin_size(make_wordcount("tiny"))
         assert result.without_feature > 0
+        assert result.factor > 1.0  # coarse bins strangle fine-grain parallelism
 
     def test_locality_ablation(self):
         result = ablation_locality(make_kmeans("tiny"))
         assert result.factor > 1.0
+
+    def test_skew_ablation(self):
+        # §5.2: HistogramRatings degrades as the rating popularity skews
+        makespans = dict(ablation_skew("tiny"))
+        assert makespans["uniform"] < makespans["default"] < makespans["extreme"]
+
+    def test_combiner_ablation(self):
+        # Table 3: the combiner relieves HistogramRatings' flow control
+        assert ablation_combiner(make_histogram_ratings("tiny")).factor > 1.0
+
+    def test_scaling_study(self):
+        # A8: widening the cluster (4 -> 8 -> 15 workers) speeds K-Means up
+        series = scaling_study(make_kmeans("tiny"))
+        makespans = [makespan for _workers, makespan, _speedup in series]
+        assert makespans == sorted(makespans, reverse=True)
+        assert series[-1][2] > 1.5

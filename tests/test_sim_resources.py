@@ -53,6 +53,7 @@ class TestResource:
         for _ in range(6):
             sim.spawn(proc(sim))
         assert sim.run() == 10.0
+        assert pool.total_acquired == 6
 
     def test_fifo_grant_order(self):
         sim = Simulator()

@@ -427,9 +427,16 @@ class TestWhatifCLI:
 
     def test_identity_emit_journal_is_byte_identical(self, journal_path,
                                                      tmp_path, capsys):
+        from unittest import mock
+
+        import repro.obs.journal as journal
+
         out = tmp_path / "id.jsonl"
-        assert main(["whatif", journal_path, "--emit-journal", str(out)]) == 0
+        with mock.patch.object(journal, "iter_journal", wraps=journal.iter_journal) as decode:
+            assert main(["whatif", journal_path, "--emit-journal", str(out)]) == 0
         assert out.read_bytes() == open(journal_path, "rb").read()
+        # the model and the written journal share one decoded list
+        assert decode.call_count == 1
 
     def test_emit_journal_rejects_structural_scenarios(self, journal_path,
                                                        tmp_path, capsys):
