@@ -22,6 +22,7 @@ from repro.core import (
     LocalFSSource,
     Map,
     PartialReduce,
+    SumMap,
 )
 from repro.data.documents import document_corpus, parse_document_line
 from repro.mapreduce import Mapper, MRJob, Reducer, run_chain
@@ -59,12 +60,6 @@ def index_instances(ctx, _offset: int, line: str) -> None:
     ctx.emit(label, vector)
 
 
-def _sum_vectors(acc: dict, vector: dict) -> dict:
-    for feature, weight in vector.items():
-        acc[feature] = acc.get(feature, 0) + weight
-    return acc
-
-
 # -- HAMR -----------------------------------------------------------------------------
 
 
@@ -74,7 +69,7 @@ def build_hamr_graph(env: AppEnv, params: NaiveBayesParams) -> FlowletGraph:
     # Splitting and hash-counting ~50 words per document.
     indexer = graph.add(Map("IndexInstancesMapper", fn=index_instances, compute_factor=5.0))
 
-    def finalize_vector_sum(ctx, label: str, acc: dict) -> None:
+    def finalize_vector_sum(ctx, label: str, acc: SumMap) -> None:
         # "sum up all feature weights in the sum vector and output the sum
         # weight per label; produce (feature, weight) pairs" (Alg. 4 step 4)
         ctx.emit(("label", label), sum(acc.values()))
@@ -83,8 +78,10 @@ def build_hamr_graph(env: AppEnv, params: NaiveBayesParams) -> FlowletGraph:
     vector_sum = graph.add(
         PartialReduce(
             "VectorSumReducer",
-            initial=lambda _label: {},
-            combine=_sum_vectors,
+            # the accumulator carries its logical size, so the runtime's
+            # re-size after each fold does not walk ~2 400 features
+            initial=lambda _label: SumMap(),
+            combine=SumMap.add,
             finalize=finalize_vector_sum,
             # Folding a ~50-word document vector into the per-label
             # accumulator touches ~50 distinct cells and costs well over a
@@ -124,9 +121,9 @@ def run_hamr(env: AppEnv, params: NaiveBayesParams, records=None) -> AppResult:
 
 def build_hadoop_jobs(params: NaiveBayesParams) -> list[MRJob]:
     def reduce_vectors(ctx, label: str, vectors: list) -> None:
-        acc: dict[str, int] = {}
+        acc = SumMap()
         for vector in vectors:
-            _sum_vectors(acc, vector)
+            acc.add(vector)
         ctx.emit(("label", label), sum(acc.values()))
         ctx.emit_many(acc.items())
 

@@ -179,14 +179,22 @@ _RULES: tuple[tuple[type | tuple[type, ...], Callable[[Any], int]], ...] = (
 
 
 def _resolve_sizer(cls: type) -> Callable[[Any], int]:
-    """Pick (and cache) the handler for a type by the documented rules."""
-    for rule_type, handler in _RULES:
-        if issubclass(cls, rule_type):
-            break
-    else:
-        # Unknown types fall through to the declared-size protocol; the
-        # handler re-checks per instance, so a type whose instances only
-        # sometimes declare ``logical_size`` still raises correctly.
+    """Pick (and cache) the handler for a type by the documented rules.
+
+    A type that declares ``logical_size`` is sized by that declaration
+    before any structural rule, whatever builtin it subclasses (a
+    self-sizing accumulator is a ``dict`` that carries its own count).
+    """
+    if getattr(cls, "logical_size", None) is not None:
         handler = _size_declared
+    else:
+        for rule_type, handler in _RULES:
+            if issubclass(cls, rule_type):
+                break
+        else:
+            # Unknown types fall through to the declared-size protocol; the
+            # handler re-checks per instance, so a type whose instances only
+            # sometimes declare ``logical_size`` still raises correctly.
+            handler = _size_declared
     _SIZERS[cls] = handler
     return handler

@@ -35,6 +35,7 @@ from repro.core.flowlet import (
     Map,
     PartialReduce,
     Reduce,
+    SumMap,
 )
 from repro.core.graph import Edge, EdgeMode, FlowletGraph
 from repro.core.sources import (
@@ -58,6 +59,7 @@ __all__ = [
     "Map",
     "Reduce",
     "PartialReduce",
+    "SumMap",
     "FlowletGraph",
     "Edge",
     "EdgeMode",

@@ -23,9 +23,11 @@ Each flowlet instance on each node moves through the paper's three states:
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping, MutableMapping
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.common.errors import ConfigError
+from repro.common.sizeof import logical_sizeof, sizeof_many
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import TaskContext
@@ -212,3 +214,86 @@ class PartialReduce(Flowlet):
             self._finalize(ctx, key, acc)
         else:
             ctx.emit(key, acc)
+
+
+#: a sum's stored values: exactly these types, each sized as one number
+_NUMBER_TYPES = frozenset((int, float))
+_EMPTY_SIZE = logical_sizeof({})
+_NUMBER_SIZE = logical_sizeof(0)
+_NOT_A_NUMBER = "SumMap: a value must be exactly an int or a float"
+
+
+class SumMap(dict):
+    """Sparse sum vector for a :class:`PartialReduce` accumulator: a
+    ``dict`` of key → number that carries its own logical size.
+
+    ``add`` is a ready-made ``combine`` (``initial=lambda _k: SumMap()``,
+    ``combine=SumMap.add``). ``logical_size`` always equals
+    ``logical_sizeof(dict(self))`` and is kept current as keys arrive,
+    each key sized once when inserted, so the runtime's re-size after
+    every fold costs O(1) instead of a walk over the whole vector
+    (DESIGN.md §6.1). Values must be exactly ``int`` or ``float`` (a
+    ``bool`` would be 1 byte, not 8). ``add`` sizes a vector's new keys in
+    one pass before it changes anything; every other mutator goes through
+    ``__setitem__``/``__delitem__``, which keep the count.
+    """
+
+    __slots__ = ("logical_size",)
+
+    def __init__(self, entries: Mapping = ()):
+        self.logical_size = _EMPTY_SIZE
+        self.update(entries)
+
+    def add(self, vector: Mapping) -> "SumMap":
+        """Add ``vector`` into this map key by key; returns ``self``.
+
+        All or nothing: a non-number value or an unsizable key raises
+        before any entry changes.
+        """
+        if not _NUMBER_TYPES.issuperset(map(type, vector.values())):
+            raise TypeError(_NOT_A_NUMBER)
+        new = [key for key in vector if key not in self]
+        if new:
+            self.logical_size += sizeof_many(new) + _NUMBER_SIZE * len(new)
+        get, setitem = self.get, dict.__setitem__
+        for key, weight in vector.items():
+            setitem(self, key, get(key, 0) + weight)
+        return self
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        if value.__class__ not in _NUMBER_TYPES:
+            raise TypeError(_NOT_A_NUMBER)
+        if key not in self:
+            self.logical_size += logical_sizeof(key) + _NUMBER_SIZE
+        dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key: Any) -> None:
+        dict.__delitem__(self, key)
+        self.logical_size -= logical_sizeof(key) + _NUMBER_SIZE
+
+    # dict's own versions write the table directly and would bypass the
+    # count; these are built on __setitem__/__delitem__ (so popitem takes
+    # the oldest entry, not the newest)
+    update = MutableMapping.update
+    popitem = MutableMapping.popitem
+    setdefault = MutableMapping.setdefault
+    clear = MutableMapping.clear
+
+    def pop(self, key: Any, *default: Any) -> Any:
+        if default and key not in self:
+            return default[0]
+        value = self[key]
+        del self[key]
+        return value
+
+    def __ior__(self, other: Any) -> "SumMap":
+        self.update(other)
+        return self
+
+    def copy(self) -> "SumMap":
+        return self.__class__(self)
+
+    def __reduce__(self):
+        # rebuilt entry by entry, so a copy or unpickled map re-derives
+        # its count instead of trusting a stored one
+        return (self.__class__, (dict(self),))

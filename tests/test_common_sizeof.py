@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.common import sizeof
 from repro.common.sizeof import group_size, logical_sizeof, pair_size, sizeof_many
+from repro.core import SumMap
+from repro.storage.localfs import LocationRef
 
 
 class TestScalars:
@@ -105,6 +107,53 @@ class TestContainers:
                 return 12
 
         assert logical_sizeof(Dynamic()) == 12
+
+
+class TestDeclaredSize:
+    """A type that declares ``logical_size`` is sized by it before any
+    structural rule, whatever builtin it subclasses."""
+
+    @pytest.mark.parametrize(
+        "base, value, structural",
+        [(dict, {"a": 1}, 4 + 1 + 8), (list, [1, 2], 4 + 8 + 8), (str, "abc", 3)],
+    )
+    def test_declaration_beats_the_builtin_rule(self, base, value, structural):
+        declared = type("Declared" + base.__name__.title(), (base,), {"logical_size": 99})(value)
+        assert logical_sizeof(declared) == 99
+        assert pair_size("k", declared) == 1 + 99 + 4
+        assert sizeof_many([declared] * (2 * sizeof._BULK_MIN)) == 2 * sizeof._BULK_MIN * 99
+        assert logical_sizeof(value) == structural  # the plain builtin is unchanged
+
+    def test_location_ref_is_still_24(self):
+        assert logical_sizeof(LocationRef(3, "part-00000", 128, 4096)) == 24
+
+
+_sum_keys = st.one_of(
+    st.text(max_size=8),  # unrestricted alphabet: non-ASCII and surrogates
+    st.integers(),
+    st.tuples(st.text(max_size=4), st.integers()),
+    st.tuples(st.integers(), st.tuples(st.text(max_size=3), st.integers())),
+)
+_sum_values = st.one_of(
+    st.integers(),
+    st.sampled_from([2**70, -(2**70), -0.0, float("nan"), float("inf")]),
+    st.floats(),
+)
+
+
+class TestSumMapExactness:
+    """``SumMap`` carries its size; it must equal the structural size of
+    the same entries in a plain ``dict`` after every fold."""
+
+    @given(st.lists(st.dictionaries(_sum_keys, _sum_values, max_size=8), max_size=8))
+    def test_carried_size_equals_plain_dict(self, vectors):
+        acc = SumMap()
+        for vector in vectors:
+            assert acc.add(vector) is acc
+            plain = dict(acc)
+            assert logical_sizeof(acc) == logical_sizeof(plain)
+            assert pair_size("label", acc) == pair_size("label", plain)
+            assert pair_size(("label", 7), acc) == pair_size(("label", 7), plain)
 
 
 json_like = st.recursive(

@@ -1,10 +1,18 @@
 """Unit tests for runtime internals: thread leases, completion propagation,
-statuses, aggregated-data charging, ablation-mode semantics, config knobs."""
+statuses, aggregated-data charging, ablation-mode semantics, config knobs,
+and the self-sizing `SumMap` accumulator."""
+
+import copy
+import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.apps import naive_bayes
+from repro.apps.base import AppEnv
 from repro.cluster import Cluster, small_cluster_spec
 from repro.common.errors import GraphError, JobError
+from repro.common.sizeof import logical_sizeof
 from repro.core import (
     CollectionSource,
     EdgeMode,
@@ -16,9 +24,11 @@ from repro.core import (
     PartialReduce,
     PerNodeSource,
     Reduce,
+    SumMap,
     sum_combiner,
 )
 from repro.core.runtime import ThreadLease
+from repro.evaluation.workloads import workload_by_name
 from repro.sim import Resource, Simulator
 
 
@@ -229,3 +239,150 @@ class TestContextErrors:
         result = engine.run(g)
         for (origin, processed_on), _v in result.output("stamp"):
             assert origin == processed_on
+
+
+def seeded_sum_map():
+    return SumMap().add({"a": 1, "bb": 2.5, ("t", 1): 3, "日本": -0.0})
+
+
+def assert_carried_size_exact(acc):
+    assert type(acc) is SumMap
+    assert acc.logical_size == logical_sizeof(acc) == logical_sizeof(dict(acc))
+
+
+class TestSumMap:
+    """The self-sizing accumulator: every ``dict`` mutator either keeps
+    the carried size equal to the structural one or raises."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m.__setitem__("new", 4),
+            lambda m: m.__setitem__("a", 2.0),
+            lambda m: m.__delitem__("bb"),
+            lambda m: m.update({"a": 5, "zz": 1}),
+            lambda m: m.update([("p", 1)], q=2),
+            lambda m: m.__ior__({"x": 1.5}),
+            lambda m: m.pop("a"),
+            lambda m: m.pop("missing", None),
+            lambda m: m.popitem(),
+            lambda m: m.setdefault("a", 9),
+            lambda m: m.setdefault(("new", 2), 9),
+            lambda m: m.clear(),
+            lambda m: m.add(SumMap({"a": 1, "c": 2})),
+        ],
+        ids=[
+            "setitem-new", "setitem-existing", "delitem", "update", "update-pairs-kwargs",
+            "ior", "pop", "pop-default", "popitem", "setdefault-existing",
+            "setdefault-new", "clear", "add-summap",
+        ],
+    )
+    def test_mutators_keep_the_size(self, mutate):
+        acc = seeded_sum_map()
+        mutate(acc)
+        assert_carried_size_exact(acc)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m.add({"a": True}),
+            lambda m: m.add({"new": "1"}),
+            lambda m: m.__setitem__("a", False),
+            lambda m: m.__setitem__("new", None),
+            lambda m: m.setdefault("new"),
+            lambda m: m.update({"ok": 1, "bad": 1j}),
+        ],
+        ids=["add-bool", "add-str", "setitem-bool", "setitem-none", "setdefault-none",
+             "update-complex"],
+    )
+    def test_non_numbers_raise_and_leave_the_size_exact(self, mutate):
+        acc = seeded_sum_map()
+        with pytest.raises(TypeError):
+            mutate(acc)
+        assert_carried_size_exact(acc)
+        assert {type(v) for v in acc.values()} <= {int, float}
+
+    @pytest.mark.parametrize(
+        "vector", [{"new": 1, "a": True}, {"new": 1, "odd": 1j}, {"new": 1, object(): 1}],
+        ids=["bool", "complex", "unsizable-key"],
+    )
+    def test_add_is_all_or_nothing(self, vector):
+        acc = seeded_sum_map()
+        before = dict(acc)
+        with pytest.raises(TypeError):
+            acc.add(vector)
+        assert acc == before
+        assert_carried_size_exact(acc)
+
+    def test_missing_key_raises_and_leaves_the_size_exact(self):
+        acc = seeded_sum_map()
+        with pytest.raises(KeyError):
+            del acc["missing"]
+        with pytest.raises(KeyError):
+            acc.pop("missing")
+        assert_carried_size_exact(acc)
+
+    def test_add_is_the_plain_sum(self):
+        acc = SumMap()
+        assert acc.add({"a": 1, "b": 2}) is acc
+        acc.add({"a": 3, "c": 0.5})
+        assert acc == {"a": 4, "b": 2, "c": 0.5}
+        assert SumMap.fromkeys(["x", "y"], 0) == {"x": 0, "y": 0}
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda m: pickle.loads(pickle.dumps(m)),
+            lambda m: pickle.loads(pickle.dumps(m, protocol=0)),
+            copy.copy,
+            copy.deepcopy,
+            SumMap.copy,
+        ],
+        ids=["pickle", "pickle-0", "copy", "deepcopy", "method"],
+    )
+    def test_copies_keep_class_and_size(self, clone):
+        acc = seeded_sum_map().add({2**70: 2**70})
+        copied = clone(acc)
+        assert copied == acc and copied is not acc
+        assert copied.logical_size == acc.logical_size
+        assert_carried_size_exact(copied)
+        copied.add({"later": 1})  # the copy counts on its own
+        assert_carried_size_exact(copied)
+        assert_carried_size_exact(acc)
+
+
+def _plain_vector_sum(acc, vector):
+    for feature, weight in vector.items():
+        acc[feature] = acc.get(feature, 0) + weight
+    return acc
+
+
+class TestSumMapDifferential:
+    """NaiveBayes on HAMR at tiny fidelity folds into ``SumMap``; the same
+    graph folding into plain dicts must give the identical run, with and
+    without accumulator spills."""
+
+    @staticmethod
+    def run(memory, plain):
+        workload = workload_by_name("naive_bayes", "tiny")
+        spec = workload.spec()
+        if memory is not None:
+            spec = replace(spec, node=replace(spec.node, memory=memory))
+        env = AppEnv(spec)
+        env.ingest_local(naive_bayes.INPUT, workload.records)
+        graph = naive_bayes.build_hamr_graph(env, workload.params)
+        if plain:
+            (vector_sum,) = [f for f in graph.flowlets if f.name == "VectorSumReducer"]
+            vector_sum.initial = lambda _label: {}
+            vector_sum.combine = _plain_vector_sum
+        result = env.hamr.run(graph)
+        output = dict(result.output("WeightSumReducer"))
+        assert output == naive_bayes.reference(workload.records)
+        return result.makespan, result.metrics, result.counters, output
+
+    @pytest.mark.parametrize("memory", [None, 8 * 1024], ids=["in-memory", "spilling"])
+    def test_identical_to_plain_dict_accumulators(self, memory):
+        carried = self.run(memory, plain=False)
+        plain = self.run(memory, plain=True)
+        assert carried == plain
+        assert (carried[1].get("acc_spills", 0) > 0) == (memory is not None)
