@@ -173,7 +173,8 @@ def whatif(args) -> int:
             records = iter_journal(writer.iter_lines())
         if args.emit_journal:
             # The one output that is a whole journal: decode the input once,
-            # as a list the model and the transform both read.
+            # as a list the model and the transform both read (the transform
+            # reuses the model's dilation fold instead of folding it again).
             records = list(records)
         model = WhatIfModel(records)
     warn_recorded(model.run, ref, covers="predictions")
@@ -190,7 +191,10 @@ def whatif(args) -> int:
         rows = validate(model, _executor(args, model), scenarios=[scenario])
 
     if args.emit_journal:
-        out_records = records if scenario.is_identity else scenario_journal(records, scenario)
+        out_records = (
+            records if scenario.is_identity
+            else scenario_journal(records, scenario, model.dilation)
+        )
         with journal_open(args.emit_journal, "w") as fh:
             fh.writelines(encode_record(record) + "\n" for record in out_records)
         wrote(args.emit_journal, scenario.describe())

@@ -108,6 +108,46 @@ class _MapOutput:
         self.trace_span = 0
 
 
+def _sort_and_combine(
+    job: MRJob, ctx: MRContext, records, split, partitioner, *, aggregated: bool
+) -> tuple[dict[int, RecordBatch], int, int, int]:
+    """A map attempt's synchronous half: the user map loop, then partition,
+    sort and combine — the work of the modeled sort buffer.
+
+    Returns ``(partitions, npairs, raw_bytes, nbytes)``: the sorted (and
+    combined, with a combiner) batch of every non-empty partition, the
+    raw pair count, and the pre- and post-combine byte counts. The raw
+    pair list and the pre-combine batches live only in this frame, so
+    they are freed when it returns, before the attempt's next ``yield``:
+    on the modeled cluster only the spill outlives the sort buffer. The
+    dataplane partitions and sizes in one pass; the pre-combine volume
+    is the partition sizes' sum, so map output is never re-sized pair by
+    pair. Nothing here yields, so the host-clock frames are legal.
+    """
+    with _hostprof.scope(
+        _hostprof.ENGINE, "map", records=split.nrecords, nbytes=split.nbytes
+    ):
+        for key, value in records:
+            job.mapper.map(ctx, key, value)
+    pairs = ctx.take()
+    by_partition = partition_batch(pairs, partitioner, aggregated=aggregated)
+    raw_bytes = sum(b.nbytes for b in by_partition.values())
+    partitions: dict[int, RecordBatch] = {}
+    nbytes = 0
+    with _hostprof.scope(
+        _hostprof.ENGINE, "map.sort", records=len(pairs), nbytes=raw_bytes
+    ):
+        for p, batch in by_partition.items():
+            batch.sort(key=lambda kv: repr(kv[0]))
+            if job.combiner is not None:
+                batch = RecordBatch(
+                    job.combiner.apply(batch.records), aggregated=batch.aggregated
+                )
+            partitions[p] = batch
+            nbytes += batch.nbytes
+    return partitions, len(pairs), raw_bytes, nbytes
+
+
 class HadoopEngine:
     """Executes MapReduce jobs against a DFS on the simulated cluster."""
 
@@ -406,43 +446,15 @@ class HadoopEngine:
                 if fail:
                     # the attempt dies after burning its input read and compute
                     return False
-                # host-clock frame around the synchronous user-map loop
-                # only (a scope must never contain a yield)
-                with _hostprof.scope(
-                    _hostprof.ENGINE, "map", records=split.nrecords, nbytes=split.nbytes
-                ):
-                    for record in records:
-                        key, value = record
-                        job.mapper.map(ctx, key, value)
-                pairs = ctx.take()
-                self._merge_counters(state, ctx)
-
-                # Partition, sort, optionally combine — then materialize on
-                # disk. The dataplane partitions and sizes in one pass; the
-                # pre-combine (sort-buffer) volume is the partition sizes'
-                # sum, so map output is never re-sized pair by pair.
-                by_partition = partition_batch(
-                    pairs, partitioner, aggregated=out.aggregated
+                partitions, npairs, raw_bytes, total_bytes = _sort_and_combine(
+                    job, ctx, records, split, partitioner, aggregated=out.aggregated
                 )
-                raw_bytes = sum(b.nbytes for b in by_partition.values())
-                total_bytes = 0
-                # the frame ends before the next yield
-                with _hostprof.scope(
-                    _hostprof.ENGINE, "map.sort", records=len(pairs), nbytes=raw_bytes
-                ):
-                    for p, batch in by_partition.items():
-                        batch.sort(key=lambda kv: repr(kv[0]))
-                        if job.combiner is not None:
-                            batch = RecordBatch(
-                                job.combiner.apply(batch.records),
-                                aggregated=batch.aggregated,
-                            )
-                        out.partitions[p] = batch
-                        total_bytes += batch.nbytes
+                self._merge_counters(state, ctx)
+                out.partitions.update(partitions)
                 # Sort CPU over the pre-combine volume, spill count from buffer size.
                 t0 = sim.now
                 yield node.record_compute(
-                    len(pairs) / in_div, raw_bytes / in_div, cost.hadoop_sort_factor
+                    npairs / in_div, raw_bytes / in_div, cost.hadoop_sort_factor
                 )
                 num_spills = max(
                     1, int(cost.scaled_bytes(raw_bytes / in_div) // cost.hadoop_sort_buffer) + 1

@@ -615,7 +615,11 @@ class DilationFold:
         )
 
 
-def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> list[dict]:
+def dilate_bucket_charges(
+    records: list[dict],
+    factors: dict[str, float],
+    fold: Optional[DilationFold] = None,
+) -> list[dict]:
     """Dilate a journal's virtual timeline: bucket ``b`` work takes
     ``factors[b]``× longer, for any set of blame buckets at once.
 
@@ -635,13 +639,19 @@ def dilate_bucket_charges(records: list[dict], factors: dict[str, float]) -> lis
     Three steps: a :class:`DilationFold` over the records (with each
     span's start, job and node, which only the rewrite reads), its ``plan``
     for ``factors`` (what the what-if model predicts from), and a rewrite.
+    A caller that already folded ``records`` passes that ``fold`` (a
+    :class:`~repro.obs.whatif.WhatIfModel`'s ``dilation``) and the first
+    pass only collects the span starts.
     """
-    fold = DilationFold()
+    refold = fold is None
+    if refold:
+        fold = DilationFold()
     starts: dict[int, float] = {}
     jobs: dict[int, str] = {}
     nodes: dict[int, int] = {}
     for rec in records:
-        fold.add(rec)
+        if refold:
+            fold.add(rec)
         if rec["t"] == "so":
             span_id = rec["id"]
             starts[span_id] = rec["st"]

@@ -734,18 +734,22 @@ class WhatIfModel:
         return [self.predict(base.with_knob(key, value)) for value in values]
 
 
-def scenario_journal(records: list[dict], scenario: Scenario) -> list[dict]:
+def scenario_journal(
+    records: list[dict], scenario: Scenario, fold: Optional[DilationFold] = None
+) -> list[dict]:
     """The dilated journal a bucket-only scenario predicts.
 
     ``seed_bucket_slowdown(records, b, 1/s)`` for a one-bucket scenario
-    ``b=s``, byte for byte (``tests/test_whatif.py``).
+    ``b=s``, byte for byte (``tests/test_whatif.py``). ``fold`` is the
+    dilation fold of ``records`` when one exists (the model's), so the
+    rewrite does not fold them again.
     """
     if not scenario.bucket_only:
         raise ScenarioError(
             "only bucket-speed scenarios are executable as journals "
             f"(got {scenario.describe()!r})"
         )
-    return dilate_bucket_charges(records, scenario.time_factors)
+    return dilate_bucket_charges(records, scenario.time_factors, fold)
 
 
 # -- validation harness -------------------------------------------------------------

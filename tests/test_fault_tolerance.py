@@ -4,11 +4,13 @@ import pytest
 
 from repro.cluster import Cluster, small_cluster_spec
 from repro.common.errors import JobError
+from repro.core.combiner import sum_combiner
 from repro.mapreduce import HadoopConfig, HadoopEngine, Mapper, MRJob, Reducer
 from repro.storage import DFS
 
 LINES = [(i, f"alpha beta w{i}") for i in range(40)]
 EXPECTED_ALPHA = 40
+EXPECTED_COUNTS = {"alpha": 40, "beta": 40, **{f"w{i}": 1 for i in range(40)}}
 
 
 def make_engine(**config_kw):
@@ -20,7 +22,7 @@ def make_engine(**config_kw):
     return HadoopEngine(cluster, dfs, config=HadoopConfig(**config_kw))
 
 
-def wordcount_job():
+def wordcount_job(combiner=None):
     def tokenize(ctx, _off, line):
         for word in line.split():
             ctx.emit(word, 1)
@@ -31,6 +33,7 @@ def wordcount_job():
         "out",
         mapper=Mapper(fn=tokenize),
         reducer=Reducer(fn=lambda ctx, w, counts: ctx.emit(w, sum(counts))),
+        combiner=combiner,
     )
 
 
@@ -110,3 +113,54 @@ class TestSpeculativeExecution:
     def test_speculation_off_by_default(self):
         result = make_engine().run(wordcount_job())
         assert "speculative_launched" not in result.metrics
+
+
+#: a failed attempt, a retried one and a losing speculative one each run
+#: (or skip) the map side's sort and combine; with a combiner too
+COMBINERS = pytest.mark.parametrize(
+    "combiner", [None, sum_combiner], ids=["plain", "combined"]
+)
+
+
+@COMBINERS
+class TestFaultPathsWithCombiner:
+    #: (config, map_task_failures, makespan without / with a combiner)
+    CASES = {
+        "clean": ({}, 0, (210.39038447494494, 35.03644358157484)),
+        "fail-first-1": (
+            {"map_fail_first_attempts": 1}, 14, (214.6601193382262, 39.31680783938734)
+        ),
+        "fail-first-2": (
+            {"map_fail_first_attempts": 2}, 28, (218.92985420150745, 43.597172097199845)
+        ),
+        "rate-0.3": (
+            {"map_failure_rate": 0.3, "failure_seed": 7}, 4,
+            (214.36362324447623, 42.995873618422046),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_retried_attempts(self, combiner, case):
+        config, failures, makespans = self.CASES[case]
+        result = make_engine(**config).run(wordcount_job(combiner and combiner()))
+        assert result.metrics.get("map_task_failures", 0) == failures
+        assert result.metrics["map_tasks"] == 14
+        assert dict(result.outputs) == EXPECTED_COUNTS
+        assert result.makespan == makespans[combiner is not None]
+
+    def test_attempt_budget_exhaustion(self, combiner):
+        engine = make_engine(map_fail_first_attempts=3, max_task_attempts=3)
+        with pytest.raises(JobError):
+            engine.run(wordcount_job(combiner and combiner()))
+
+    def test_speculation_beats_straggler(self, combiner):
+        make = TestSpeculativeExecution.make_hetero_engine
+        slow = make(speculative=False).run(wordcount_job(combiner and combiner()))
+        fast = make(speculative=True).run(wordcount_job(combiner and combiner()))
+        assert "speculative_launched" not in slow.metrics
+        # every backup beats its straggler; each losing primary finishes
+        # its sort and spill, then stands down
+        assert fast.metrics["speculative_launched"] == 4
+        assert fast.metrics["speculative_wins"] == 4
+        assert fast.makespan < slow.makespan
+        assert dict(fast.outputs) == dict(slow.outputs) == EXPECTED_COUNTS

@@ -1,11 +1,17 @@
 """Tests for the Hadoop-style baseline engine."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.apps import wordcount
 from repro.common.errors import JobError
 from repro.cluster import Cluster, small_cluster_spec
 from repro.core.combiner import sum_combiner
-from repro.mapreduce import HadoopEngine, Mapper, MRJob, Reducer, run_chain
+from repro.evaluation.runner import run_workload
+from repro.evaluation.workloads import workload_by_name
+from repro.mapreduce import HadoopEngine, Mapper, MRContext, MRJob, Reducer, run_chain
 from repro.mapreduce.chain import chain_makespan
 from repro.storage import DFS
 
@@ -46,7 +52,8 @@ class TestWordCount:
         engine.dfs.ingest("in.txt", LINES)
         result = engine.run(wordcount_job())
         assert dict(result.outputs) == EXPECTED
-        assert result.makespan > 0
+        assert result.metrics == {"map_tasks": 1, "reduce_tasks": 4, "shuffled_bytes": 157.0}
+        assert result.makespan == 11.016071783123722
 
     def test_output_written_to_dfs(self):
         engine = make_engine()
@@ -60,6 +67,8 @@ class TestWordCount:
         engine.dfs.ingest("in.txt", LINES)
         result = engine.run(wordcount_job(combiner=sum_combiner()))
         assert dict(result.outputs) == EXPECTED
+        assert result.metrics == {"map_tasks": 1, "reduce_tasks": 4, "shuffled_bytes": 95.0}
+        assert result.makespan == 11.016066399257506
 
     def test_combiner_reduces_shuffle(self):
         lines = [(i, "alpha beta " * 20) for i in range(200)]
@@ -112,9 +121,12 @@ class TestMapOnly:
             mapper=Mapper(fn=lambda ctx, k, v: ctx.emit(k, v + 1)),
         )
         result = engine.run(job)
-        assert sorted(result.outputs) == [(i, i * i + 1) for i in range(10)]
-        assert engine.dfs.exists("out")
-        assert result.metrics["reduce_tasks"] == 0
+        # partition order, each partition sorted by key
+        expected = [(k, k * k + 1) for k in (0, 4, 8, 1, 5, 9, 2, 6, 3, 7)]
+        assert result.outputs == expected
+        assert list(engine.dfs.get_file("out").records()) == expected
+        assert result.metrics == {"map_tasks": 1, "reduce_tasks": 0}
+        assert result.makespan == 11.012019314697266
 
 
 class TestChains:
@@ -179,3 +191,93 @@ class TestCostStructure:
         total = sum(v for _, v in result.outputs)
         assert total == 300 * 30
         assert result.metrics.get("reduce_spills", 0) > 0
+
+
+def sum_reducer():
+    return Reducer(fn=lambda ctx, k, vs: ctx.emit(k, sum(vs)))
+
+
+class TestSortAndCombine:
+    """The map side's synchronous half (map loop, partition, sort,
+    combine) at its edges. Makespans and metrics are pinned exactly: the
+    virtual clock is charged from its byte and pair counts."""
+
+    @pytest.mark.parametrize("combiner", [None, sum_combiner], ids=["plain", "combined"])
+    def test_attempt_that_emits_nothing(self, combiner):
+        engine = make_engine()
+        engine.dfs.ingest("in.txt", LINES)
+        job = MRJob(
+            "silent", "in.txt", "out",
+            mapper=Mapper(fn=lambda ctx, k, v: None),
+            reducer=sum_reducer(),
+            combiner=combiner and combiner(),
+        )
+        result = engine.run(job)
+        assert result.outputs == []
+        assert result.metrics == {"map_tasks": 1, "reduce_tasks": 4, "shuffled_bytes": 0}
+        assert result.makespan == 11.0120020486263
+
+    @pytest.mark.parametrize(
+        "combiner, makespan, metrics",
+        [
+            (None, 722.6361407663985, {"reduce_spills": 12, "shuffled_bytes": 6600.0}),
+            (sum_combiner, 68.5389304221537, {"shuffled_bytes": 0.0008579999999999993}),
+        ],
+        ids=["plain", "combined"],
+    )
+    def test_some_attempts_emit_nothing(self, combiner, makespan, metrics):
+        # ~1.6 lines per modeled block: every block inside a run of "x"
+        # lines is a map task with no output at all
+        engine = make_engine(scale=2e6)
+        lines = [(i, "x" * 100 if (i // 50) % 2 else "alpha beta") for i in range(400)]
+        engine.dfs.ingest("in.txt", lines)
+
+        def words_only(ctx, offset, line):
+            if not line.startswith("x"):
+                tokenize(ctx, offset, line)
+
+        job = MRJob(
+            "sparse", "in.txt", "out",
+            mapper=Mapper(fn=words_only),
+            reducer=sum_reducer(),
+            combiner=combiner and combiner(),
+        )
+        result = engine.run(job)
+        assert dict(result.outputs) == {"alpha": 200, "beta": 200}
+        assert result.metrics == {
+            "map_spill_merges": 52, "map_tasks": 248, "reduce_tasks": 4, **metrics
+        }
+        assert result.makespan == makespan
+
+
+class TestMapSideMemory:
+    def test_raw_map_output_dies_at_the_spill(self):
+        """Tiny WordCount's traced host peak stays below its whole raw map
+        output plus a quarter.
+
+        The bound is all the maps' raw pairs held at once, built here by
+        tokenizing the same input. A map attempt that kept its raw pairs
+        alive until it returned would hold nearly all of them together
+        with the combined output the reducers fetch (about 1.8x the
+        bound's base). One that drops them when the sort and combine
+        return holds the combined output and at most one task's raw
+        pairs (about 1.0x).
+        """
+        workload = workload_by_name("wordcount", "tiny")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ctx = MRContext()
+            for offset, line in workload.records:
+                wordcount.tokenize(ctx, offset, line)
+            raw = tracemalloc.get_traced_memory()[0] - before
+            del ctx
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_workload(workload, engines="hadoop")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < raw * 1.25, f"traced peak {peak} B vs raw map output {raw} B"

@@ -438,6 +438,25 @@ class TestWhatifCLI:
         # the model and the written journal share one decoded list
         assert decode.call_count == 1
 
+    def test_bucket_emit_folds_each_record_once(self, journal_path, tmp_path, capsys):
+        from unittest import mock
+
+        from repro.obs.journal import DilationFold, load_journal
+
+        out = tmp_path / "disk.jsonl"
+        with mock.patch.object(
+            DilationFold, "add", autospec=True, side_effect=DilationFold.add
+        ) as add:
+            assert main([
+                "whatif", journal_path, "--scenario", "disk=0.5",
+                "--emit-journal", str(out),
+            ]) == 0
+        records = load_journal(journal_path)
+        # the model's fold is the rewrite's: one add per record, not two
+        assert add.call_count == len(records)
+        seeded = seed_bucket_slowdown(records, "disk", 2.0)
+        assert out.read_text() == "".join(encode_record(r) + "\n" for r in seeded)
+
     def test_emit_journal_rejects_structural_scenarios(self, journal_path,
                                                        tmp_path, capsys):
         assert main([
