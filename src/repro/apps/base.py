@@ -15,6 +15,21 @@ from repro.storage.kvstore import KVStore
 from repro.storage.localfs import LocalFS
 
 
+class CountPairs(dict):
+    """``key -> (key, 1)``, each pair made on first use and shared after.
+
+    A count-by-key mapper builds one per job and emits ``pairs[key]``, so a
+    job holds one tuple (and one key object) per distinct key instead of
+    one per occurrence, as Hadoop's WordCount mapper reuses one ``Text``
+    and one ``IntWritable``. The engines store an emitted tuple as it is,
+    so the sharing reaches the bins (DESIGN.md §6.1.3).
+    """
+
+    def __missing__(self, key: Any) -> tuple[Any, int]:
+        pair = self[key] = (key, 1)
+        return pair
+
+
 @dataclass
 class AppResult:
     """Uniform benchmark outcome across engines."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.base import AppEnv, AppResult
+from repro.apps.base import AppEnv, AppResult, CountPairs
 from repro.core import (
     EdgeMode,
     FlowletGraph,
@@ -65,9 +65,15 @@ def map_movies(ctx, _offset: int, line: str) -> None:
     ctx.emit(movie_bin(record.average_rating), 1)
 
 
-def map_ratings(ctx, _offset: int, line: str) -> None:
-    record = parse_movie_line(line)
-    ctx.emit_many([(rating, 1) for rating in record.ratings])
+def make_map_ratings():
+    """The map function of one HistogramRatings job: emit ``(rating, 1)``
+    per rating, one shared pair per rating value for the job."""
+    pairs = CountPairs()
+
+    def map_ratings(ctx, _offset: int, line: str) -> None:
+        ctx.emit_many([pairs[rating] for rating in parse_movie_line(line).ratings])
+
+    return map_ratings
 
 
 def _input_name(app: str) -> str:
@@ -130,11 +136,11 @@ def run_movies_hadoop(env: AppEnv, params: HistogramParams, records=None) -> App
 
 
 def run_ratings_hamr(env: AppEnv, params: HistogramParams, records=None) -> AppResult:
-    return _run(env, RATINGS_APP, "hamr", map_ratings, params, records)
+    return _run(env, RATINGS_APP, "hamr", make_map_ratings(), params, records)
 
 
 def run_ratings_hadoop(env: AppEnv, params: HistogramParams, records=None) -> AppResult:
-    return _run(env, RATINGS_APP, "hadoop", map_ratings, params, records)
+    return _run(env, RATINGS_APP, "hadoop", make_map_ratings(), params, records)
 
 
 # -- references ---------------------------------------------------------------------------

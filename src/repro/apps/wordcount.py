@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.base import AppEnv, AppResult
+from repro.apps.base import AppEnv, AppResult, CountPairs
 from repro.core import (
     EdgeMode,
     FlowletGraph,
@@ -48,8 +48,16 @@ def generate_input(params: WordCountParams) -> list[tuple[int, str]]:
     )
 
 
-def tokenize(ctx, _offset: int, line: str) -> None:
-    ctx.emit_many([(word, 1) for word in line.split()])
+def make_tokenizer():
+    """The map function of one job: split a line and emit ``(word, 1)``
+    per word, one shared pair per distinct word for as long as the job
+    holds the function."""
+    pairs = CountPairs()
+
+    def tokenize(ctx, _offset: int, line: str) -> None:
+        ctx.emit_many([pairs[word] for word in line.split()])
+
+    return tokenize
 
 
 # -- HAMR ---------------------------------------------------------------------------
@@ -62,7 +70,7 @@ def build_hamr_graph(
     incremental counter for a full barrier Reduce (ablation A3)."""
     graph = FlowletGraph(APP)
     loader = graph.add(Loader("TextLoader", LocalFSSource(env.localfs, INPUT)))
-    tok = graph.add(Map("Tokenize", fn=tokenize, compute_factor=TOKENIZE_FACTOR))
+    tok = graph.add(Map("Tokenize", fn=make_tokenizer(), compute_factor=TOKENIZE_FACTOR))
     if use_partial_reduce:
         count = graph.add(
             PartialReduce(
@@ -106,7 +114,7 @@ def build_hadoop_job(params: WordCountParams) -> MRJob:
         APP,
         INPUT,
         f"{APP}-out",
-        mapper=Mapper(fn=tokenize, compute_factor=TOKENIZE_FACTOR),
+        mapper=Mapper(fn=make_tokenizer(), compute_factor=TOKENIZE_FACTOR),
         reducer=Reducer(fn=lambda ctx, word, counts: ctx.emit(word, sum(counts))),
         combiner=sum_combiner(),
         aggregated_output=True,  # vocabulary-bounded counts

@@ -22,6 +22,22 @@ from repro.dataplane.batch import RecordBatch
 from repro.dataplane.exchange import BROADCAST_PARTITION
 
 
+def pair_list(pairs: Iterable[Any]) -> list[tuple[Any, Any]]:
+    """The ``(key, value)`` pairs of ``pairs`` as a list, iterated once.
+
+    An exact 2-tuple is kept as the object the caller emitted (tuples are
+    immutable, and sizing reads the key and value, not the container);
+    any other pair, e.g. a ``[key, value]`` list, is unpacked into a new
+    tuple, and a non-pair raises the error of unpacking it.
+    """
+    # ``for key, value in (pair,)`` compiles to one unpacking of ``pair``
+    return [
+        pair if pair.__class__ is tuple else (key, value)
+        for pair in pairs
+        for key, value in (pair,)
+    ]
+
+
 class Bin(RecordBatch):
     """A packed batch of key-value pairs bound for one (edge, partition).
 
@@ -98,8 +114,9 @@ class BinPacker:
         reaches ``bin_size``. Seal points and the order of the returned
         bins are therefore those of packing the pairs one at a time.
         ``pairs`` is iterated once, so a generator may fan out to several
-        edges; an element that is not a pair raises the ``ValueError`` of
-        unpacking it.
+        edges; an exact 2-tuple is stored as it is, any other pair as a new
+        tuple (see :func:`pair_list`), and an element that is not a pair
+        raises the error of unpacking it.
         """
         routes = [
             (
@@ -113,7 +130,10 @@ class BinPacker:
         bin_size = self.bin_size
         sizers = _SIZERS
         sealed: list[Bin] = []
-        for key, value in pairs:
+        for pair in pairs:
+            key, value = pair
+            if pair.__class__ is not tuple:
+                pair = (key, value)
             # pair_size, inline: one table lookup per component
             size = (
                 (sizers.get(key.__class__) or _resolve_sizer(key.__class__))(key)
@@ -129,7 +149,7 @@ class BinPacker:
                     open_bin = open_bins[slot] = Bin(
                         edge_id, partition, aggregated=self.aggregated
                     )
-                open_bin.records.append((key, value))
+                open_bin.records.append(pair)
                 open_bin._nbytes += size
                 if open_bin._nbytes >= bin_size:
                     del open_bins[slot]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional, Sequence, TYPE_CHECKING
 
 from repro.common.errors import GraphError
-from repro.core.bins import Bin, BinPacker
+from repro.core.bins import Bin, BinPacker, pair_list
 from repro.core.graph import Edge
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,7 +82,7 @@ class TaskContext:
         elif self._out_edges:
             edges = self._out_edges
         else:
-            self.output_pairs += [(key, value) for key, value in pairs]
+            self.output_pairs += pair_list(pairs)
             return
         sealed = self._packer.add_many(edges, pairs, self.worker_index)
         if sealed:

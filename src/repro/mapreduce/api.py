@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Optional
 
 from repro.common.errors import ConfigError
+from repro.core.bins import pair_list
 from repro.core.combiner import Combiner  # same combiner contract as HAMR
 
 
@@ -24,8 +25,9 @@ class MRContext:
         self.emitted.append((key, value))
 
     def emit_many(self, pairs: Iterable[Any]) -> None:
-        """Emit ``(key, value)`` pairs in order (stored as tuples)."""
-        self.emitted += [(key, value) for key, value in pairs]
+        """Emit ``(key, value)`` pairs in order (stored as tuples, an exact
+        2-tuple as the object given; see :func:`repro.core.bins.pair_list`)."""
+        self.emitted += pair_list(pairs)
 
     def counter(self, name: str, delta: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + delta

@@ -10,6 +10,7 @@ import pytest
 from repro.apps import histograms, naive_bayes, wordcount
 from repro.apps.base import AppEnv
 from repro.cluster import small_cluster_spec
+from repro.mapreduce import MRContext
 
 
 def fresh_env(num_workers=4):
@@ -84,6 +85,20 @@ class TestHistogramRatings:
     def test_key_space_is_five_ratings(self, setup):
         _params, _records, expected = setup
         assert set(expected) <= {1, 2, 3, 4, 5}
+
+    def test_a_job_emits_one_pair_per_rating_value(self, setup):
+        _params, records, expected = setup
+        job, other = MRContext(), MRContext()
+        map_ratings = histograms.make_map_ratings()
+        for offset, line in records:
+            map_ratings(job, offset, line)
+        histograms.make_map_ratings()(other, *records[0])
+        emitted = job.take()
+        assert len(emitted) == sum(expected.values())
+        assert len({id(pair) for pair in emitted}) == len(expected)
+        # another job makes its own pairs
+        first = other.take()[0]
+        assert first == emitted[0] and first is not emitted[0]
 
     def test_combiner_variant_matches(self, setup):
         _params, records, expected = setup

@@ -1,11 +1,21 @@
 """End-to-end tests of the HAMR flowlet engine on small jobs."""
 
+import gc
+import inspect
+import tracemalloc
+import weakref
+from collections import namedtuple
+from types import SimpleNamespace
+
 import pytest
 
+from repro.apps import wordcount
 from repro.cluster import Cluster, small_cluster_spec
+from repro.common.partitioner import HashPartitioner
 from repro.core import (
     CollectionSource,
     DFSSource,
+    Edge,
     EdgeMode,
     FlowletGraph,
     HamrEngine,
@@ -19,6 +29,10 @@ from repro.core import (
     TimedBatch,
     sum_combiner,
 )
+from repro.core.bins import BinPacker
+from repro.core.context import TaskContext
+from repro.evaluation.runner import run_workload
+from repro.evaluation.workloads import workload_by_name
 from repro.storage import DFS
 
 
@@ -306,3 +320,115 @@ class TestFlowControl:
         engine = make_engine()
         result = engine.run(wordcount_graph(CollectionSource(LINES)))
         assert result.metrics.get("flow_stalls", 0) == 0
+
+
+# -- emitted pairs are stored, not re-packed ------------------------------------------
+
+
+def packed(pairs):
+    """``BinPacker.add_many`` onto a LOCAL and a BROADCAST edge: the records
+    of each edge's one bin."""
+    src = Map("src")
+    edges = [
+        Edge(0, src, Map("a"), EdgeMode.LOCAL, HashPartitioner(1)),
+        Edge(1, src, Map("b"), EdgeMode.BROADCAST, HashPartitioner(1)),
+    ]
+    packer = BinPacker(10**9)
+    assert packer.add_many(edges, pairs, local_partition=0) == []
+    return [b.records for b in packer.drain()]
+
+
+def sunk(pairs):
+    """``TaskContext.emit_many`` on a sink: its job output."""
+    instance = SimpleNamespace(flowlet=SimpleNamespace(name="sink"))
+    ctx = TaskContext(instance, None, 0, 1, BinPacker(64), [], None, None)
+    ctx.emit_many(pairs)
+    return [ctx.output_pairs]
+
+
+Pair = namedtuple("Pair", "key value")
+
+
+@pytest.mark.parametrize("store", [packed, sunk], ids=["add_many", "sink"])
+class TestEmitKeepsPairs:
+    def test_an_exact_tuple_is_stored_as_itself(self, store):
+        pairs = [("a", 1), ("b", [2])]
+        for stored in store(pairs):
+            assert all(got is pair for got, pair in zip(stored, pairs, strict=True))
+
+    def test_any_other_pair_is_stored_as_a_new_tuple(self, store):
+        for stored in store([["a", 1], Pair("b", 2), "cd"]):
+            assert stored == [("a", 1), ("b", 2), ("c", "d")]
+            assert [type(p) for p in stored] == [tuple] * 3
+
+    @pytest.mark.parametrize("item", [(1, 2, 3), 5], ids=["3-tuple", "scalar"])
+    def test_a_non_pair_raises_the_unpacking_error(self, store, item):
+        with pytest.raises((ValueError, TypeError)) as unpacking:
+            key, value = item
+        with pytest.raises(unpacking.type) as storing:
+            store([("ok", 1), item])
+        assert str(storing.value) == str(unpacking.value)
+
+    def test_a_generator_is_iterated_once(self, store):
+        pulled = []
+
+        def stream():
+            for i in range(5):
+                pulled.append(i)
+                yield f"k{i}", i
+
+        for stored in store(stream()):
+            assert stored == [(f"k{i}", i) for i in range(5)]
+        assert pulled == list(range(5))
+
+
+class TestMapOutputMemory:
+    def test_wordcount_holds_no_pair_per_occurrence(self):
+        """Tiny WordCount on HAMR peaks below its input tokenized into a
+        new ``(word, 1)`` tuple per word, plus a quarter.
+
+        That base is what the bins and inboxes would hold if every
+        occurrence were its own pair (about 1.7x the base, with the engine
+        re-packing every pair). With one shared pair per distinct word the
+        in-flight pairs are pointers, and the peak is about 1.1x.
+        """
+        workload = workload_by_name("wordcount", "tiny")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            raw = [(word, 1) for _offset, line in workload.records for word in line.split()]
+            base = tracemalloc.get_traced_memory()[0] - before
+            del raw
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_workload(workload, engines="hamr")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < base * 1.25, f"traced peak {peak} B vs fresh pairs {base} B"
+
+    def test_each_job_has_its_own_pairs_and_drops_them(self):
+        workload = workload_by_name("wordcount", "tiny")
+        env = workload.fresh_env()
+        env.ingest_local(wordcount.INPUT, workload.records)
+
+        def run_job():
+            graph = wordcount.build_hamr_graph(env, workload.params)
+            tokenize = next(f for f in graph.flowlets if f.name == "Tokenize")._fn
+            pairs = inspect.getclosurevars(tokenize).nonlocals["pairs"]
+            output = dict(env.hamr.run(graph).output("Count"))
+            assert output == wordcount.reference(workload.records)
+            assert sorted(pairs) == sorted(output)
+            assert all(pair == (word, 1) for word, pair in pairs.items())
+            return weakref.ref(pairs)
+
+        first = run_job()
+        second = run_job()
+        gc.collect()
+        # the engine keeps only its last job; the first job's pairs are gone
+        assert first() is None and second() is not None
+        del env
+        gc.collect()
+        assert second() is None

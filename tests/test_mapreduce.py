@@ -1,7 +1,10 @@
 """Tests for the Hadoop-style baseline engine."""
 
 import gc
+import inspect
 import tracemalloc
+import weakref
+from collections import namedtuple
 
 import pytest
 
@@ -9,7 +12,6 @@ from repro.apps import wordcount
 from repro.common.errors import JobError
 from repro.cluster import Cluster, small_cluster_spec
 from repro.core.combiner import sum_combiner
-from repro.evaluation.runner import run_workload
 from repro.evaluation.workloads import workload_by_name
 from repro.mapreduce import HadoopEngine, Mapper, MRContext, MRJob, Reducer, run_chain
 from repro.mapreduce.chain import chain_makespan
@@ -22,6 +24,7 @@ LINES = [
     (2, "the quick dog"),
 ]
 EXPECTED = {"the": 3, "quick": 2, "dog": 2, "brown": 1, "fox": 1, "lazy": 1}
+Pair = namedtuple("Pair", "key value")
 
 
 def make_engine(num_workers=4, **kw):
@@ -250,18 +253,24 @@ class TestSortAndCombine:
         assert result.makespan == makespan
 
 
+def tokenize_fresh(ctx, _offset, line):
+    """WordCount's map function with a new ``(word, 1)`` tuple per word."""
+    ctx.emit_many([(word, 1) for word in line.split()])
+
+
 class TestMapSideMemory:
     def test_raw_map_output_dies_at_the_spill(self):
         """Tiny WordCount's traced host peak stays below its whole raw map
         output plus a quarter.
 
-        The bound is all the maps' raw pairs held at once, built here by
-        tokenizing the same input. A map attempt that kept its raw pairs
-        alive until it returned would hold nearly all of them together
-        with the combined output the reducers fetch (about 1.8x the
-        bound's base). One that drops them when the sort and combine
-        return holds the combined output and at most one task's raw
-        pairs (about 1.0x).
+        The job maps with a new tuple per word, so its raw output is as
+        large as it can be; the bound's base is all the maps' raw pairs
+        held at once, built here by tokenizing the same input. A map
+        attempt that kept its raw pairs alive until it returned would hold
+        nearly all of them together with the combined output the reducers
+        fetch (about 1.8x the bound's base). One that drops them when the
+        sort and combine return holds the combined output and at most one
+        task's raw pairs (about 1.0x).
         """
         workload = workload_by_name("wordcount", "tiny")
         gc.collect()
@@ -270,14 +279,81 @@ class TestMapSideMemory:
             before = tracemalloc.get_traced_memory()[0]
             ctx = MRContext()
             for offset, line in workload.records:
-                wordcount.tokenize(ctx, offset, line)
+                tokenize_fresh(ctx, offset, line)
             raw = tracemalloc.get_traced_memory()[0] - before
             del ctx
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run_workload(workload, engines="hadoop")
+            env = workload.fresh_env()
+            env.ingest_dfs(wordcount.INPUT, workload.records)
+            result = env.hadoop.run(MRJob(
+                "wordcount", wordcount.INPUT, "wordcount-out",
+                mapper=Mapper(fn=tokenize_fresh, compute_factor=wordcount.TOKENIZE_FACTOR),
+                reducer=sum_reducer(),
+                combiner=sum_combiner(),
+                aggregated_output=True,
+            ))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        assert dict(result.outputs) == wordcount.reference(workload.records)
         assert peak < raw * 1.25, f"traced peak {peak} B vs raw map output {raw} B"
+
+    def test_each_job_has_its_own_pairs_and_drops_them(self):
+        workload = workload_by_name("wordcount", "tiny")
+        env = workload.fresh_env()
+        env.ingest_dfs(wordcount.INPUT, workload.records)
+        first, second = (
+            wordcount.build_hadoop_job(workload.params) for _ in range(2)
+        )
+        pairs = [
+            inspect.getclosurevars(job.mapper._fn).nonlocals["pairs"] for job in (first, second)
+        ]
+        result = env.hadoop.run(first)
+        assert dict(result.outputs) == wordcount.reference(workload.records)
+        assert sorted(pairs[0]) == sorted(dict(result.outputs))
+        assert pairs[1] == {}
+        dropped = weakref.ref(pairs[0])
+        del first, result, pairs
+        gc.collect()
+        assert dropped() is None
+
+
+class TestMRContextKeepsPairs:
+    """``MRContext.emit_many`` stores an exact 2-tuple as itself and
+    re-packs anything else; ``emit`` builds its own tuple."""
+
+    def test_an_exact_tuple_is_stored_as_itself(self):
+        ctx = MRContext()
+        pairs = [("a", 1), ("b", [2])]
+        ctx.emit_many(pairs)
+        assert all(got is pair for got, pair in zip(ctx.take(), pairs, strict=True))
+
+    def test_any_other_pair_is_stored_as_a_new_tuple(self):
+        ctx = MRContext()
+        ctx.emit_many([["a", 1], Pair("b", 2), "cd"])
+        stored = ctx.take()
+        assert stored == [("a", 1), ("b", 2), ("c", "d")]
+        assert [type(p) for p in stored] == [tuple] * 3
+
+    @pytest.mark.parametrize("item", [(1, 2, 3), 5], ids=["3-tuple", "scalar"])
+    def test_a_non_pair_raises_the_unpacking_error(self, item):
+        with pytest.raises((ValueError, TypeError)) as unpacking:
+            key, value = item
+        with pytest.raises(unpacking.type) as emitting:
+            MRContext().emit_many([("ok", 1), item])
+        assert str(emitting.value) == str(unpacking.value)
+
+    def test_a_generator_is_iterated_once(self):
+        pulled = []
+
+        def stream():
+            for i in range(5):
+                pulled.append(i)
+                yield f"k{i}", i
+
+        ctx = MRContext()
+        ctx.emit_many(stream())
+        assert ctx.take() == [(f"k{i}", i) for i in range(5)]
+        assert pulled == list(range(5))
