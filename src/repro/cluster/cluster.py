@@ -6,6 +6,7 @@ from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.yarn import ResourceManager
+from repro.common.errors import JobError, ReproError, SimulationError
 from repro.common.partitioner import HashPartitioner, Partitioner
 from repro.obs import Tracer, telemetry
 from repro.sim import Simulator
@@ -44,10 +45,9 @@ class Cluster:
         ]
         #: shard-aware ownership override: worker indices (in partition
         #: round-robin order) that own the shuffle key space; None keeps
-        #: the all-workers round-robin layout. Engines install this when
-        #: a shard-aware partitioner restricts ownership to the workers
-        #: actually holding input shards.
+        #: the all-workers round-robin layout (see :meth:`own_partitions`).
         self.partition_owners: list[int] | None = None
+        self._job_running = False
         racks = self.rack_assignment()
         self.network = Network(
             self.sim, self.nodes, spec.cost, latency=spec.node.nic_latency,
@@ -186,9 +186,51 @@ class Cluster:
         """A hash partitioner with one (or more) partitions per worker."""
         return HashPartitioner(self.num_workers * partitions_per_worker)
 
-    def run(self, until: float | None = None) -> float:
-        """Drive the simulation (delegates to the kernel)."""
-        return self.sim.run(until=until)
+    def own_partitions(self, holders) -> None:
+        """Install the shuffle ownership a job's partitioner asks for.
+
+        ``holders`` are the worker indices that hold the job's input
+        shards when the shard-aware ("locality-first") strategy is on, so
+        grouped state lands where its inputs already are; ``None`` (or no
+        holder at all) keeps the all-workers round-robin layout. Both
+        engines install ownership through here, so they shuffle to, and
+        place reducers on, the same nodes.
+        """
+        self.partition_owners = sorted(set(holders or ())) or None
+
+    def run_job(self, body, name: str, label: str) -> float:
+        """Drive one job's process ``body`` to completion on the simulator.
+
+        The one job driver both engines use: spawns ``body`` as a process
+        named ``name``, runs the simulation until it drains, and returns
+        the virtual time ``body`` finished. A library error raised inside
+        the run (task-retry exhaustion, a bad emit, ...) surfaces under its
+        own type rather than the kernel's wrapper; a run that drains
+        without finishing ``body`` raises :class:`JobError` naming
+        ``label``. One job runs at a time: a job started from inside
+        another one's run is rejected.
+        """
+        if self._job_running:
+            raise JobError("engine already running a job")
+        done = {}
+
+        def driver(sim):
+            yield from body
+            done["t"] = sim.now
+
+        self.sim.spawn(driver(self.sim), name=name)
+        self._job_running = True
+        try:
+            self.sim.run()
+        except SimulationError as exc:
+            if isinstance(exc.__cause__, ReproError):
+                raise exc.__cause__ from exc
+            raise
+        finally:
+            self._job_running = False
+        if "t" not in done:
+            raise JobError(f"{label} did not complete")
+        return done["t"]
 
     # -- aggregate metrics ----------------------------------------------------
 

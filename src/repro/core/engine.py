@@ -9,17 +9,22 @@ simulation until every flowlet instance on every node has completed.
 The engine is reusable: drivers call ``run`` repeatedly for iterative
 algorithms (PageRank, K-Means); the virtual clock and the KV store
 persist across runs, so iteration ``i+1`` starts where ``i`` left off —
-with its state already in memory, exactly the paper's §3.1 story.
+with its state already in memory, exactly the paper's §3.1 story. What
+belongs to one job — its graph, node runtimes, spill pool, fabrics,
+metrics, outputs and counters — lives on a :class:`HamrJob` that ``run``
+builds and drops on return.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.common.errors import ConfigError, JobError, ReproError, SimulationError
+from repro.common.errors import ConfigError
 from repro.common.partitioner import HashPartitioner
 from repro.cluster.cluster import Cluster
+from repro.cluster.placement import assign_splits
 from repro.core.flowlet import Flowlet
 from repro.core.graph import FlowletGraph
 from repro.core.runtime import NodeRuntime
@@ -39,10 +44,6 @@ PARTITIONERS = ("hash", "shard")
 class HamrConfig:
     """Engine knobs (defaults reproduce the paper's configuration)."""
 
-    #: apply per-edge combiners when present (Table 3 studies this)
-    use_combiners: bool = True
-    #: gather sink pairs into JobResult.outputs (disable for huge outputs)
-    collect_outputs: bool = True
     #: ablation A1: stage every shuffled bin through disk (Hadoop-style),
     #: forfeiting §3.1's in-memory data movement
     stage_edges_on_disk: bool = False
@@ -93,7 +94,11 @@ class JobResult:
 
 
 class HamrEngine:
-    """A resident HAMR runtime on a simulated cluster."""
+    """A resident HAMR runtime on a simulated cluster.
+
+    The engine holds only what outlives a job: the cluster, its local
+    file systems and KV store, and the configuration.
+    """
 
     def __init__(
         self,
@@ -106,71 +111,91 @@ class HamrEngine:
         self.localfs = localfs if localfs is not None else LocalFS(cluster)
         self.kvstore = kvstore if kvstore is not None else KVStore(cluster)
         self.config = config or HamrConfig()
-        self.num_workers = cluster.num_workers
-        self._worker_index = {
-            worker.node_id: index for index, worker in enumerate(cluster.workers)
-        }
-        # Per-run state
-        self.graph: Optional[FlowletGraph] = None
-        self._fabrics: dict[str, ExchangeFabric] = {}
-        self.spill_pool: Optional[SpillPool] = None
-        self.runtimes: list[NodeRuntime] = []
-        self.metrics: dict[str, float] = {}
-        self._outputs: dict[str, list[tuple[Any, Any]]] = {}
-        self._counters: dict[str, float] = {}
-        self._split_assignment: dict[tuple[str, int], list[SourceSplit]] = {}
-        self._running = False
-
-    # -- main entry point ----------------------------------------------------------
 
     def run(self, graph: FlowletGraph) -> JobResult:
         """Execute one job to completion; returns its result.
 
         May be called repeatedly; virtual time accumulates across calls.
         """
-        if self._running:
-            raise JobError("engine already running a job")
         graph.validate()
-        self._prepare(graph)
+        job = HamrJob(self, graph)
         start_time = self.cluster.sim.now
-        obs = self.cluster.obs
-        done = {}
-
-        def driver(sim):
-            self._running = True
-            with obs.span(f"job:{graph.name}", "job", job=graph.name, engine="hamr") as jspan:
-                t0 = sim.now
-                yield sim.timeout(self.cluster.cost.hamr_job_startup)
-                if obs.enabled:
-                    obs.charge(graph.name, STARTUP, sim.now - t0, span=jspan)
-                events = []
-                for runtime in self.runtimes:
-                    events.extend(runtime.start())
-                yield sim.all_of(events)
-            done["t"] = sim.now
-
-        self.cluster.sim.spawn(driver(self.cluster.sim), name=f"driver:{graph.name}")
-        try:
-            self.cluster.sim.run()
-        except SimulationError as exc:
-            if isinstance(exc.__cause__, ReproError):
-                raise exc.__cause__ from exc
-            raise
-        finally:
-            self._running = False
-        if "t" not in done:
-            raise JobError(f"job {graph.name!r} did not complete")
+        end_time = self.cluster.run_job(
+            job.process(), name=f"driver:{graph.name}", label=f"job {graph.name!r}"
+        )
         return JobResult(
             job_name=graph.name,
             start_time=start_time,
-            end_time=done["t"],
-            outputs=dict(self._outputs),
-            counters=dict(self._counters),
-            metrics=dict(self.metrics),
-            flowlet_metrics=self._gather_flowlet_metrics(),
+            end_time=end_time,
+            outputs=job.outputs,
+            counters=dict(job.counters),
+            metrics=dict(job.metrics),
+            flowlet_metrics=job.flowlet_metrics(),
         )
 
-    def _gather_flowlet_metrics(self) -> dict[str, dict[str, int]]:
+
+class HamrJob:
+    """One run of a flowlet graph: everything that dies with the job.
+
+    Built by :meth:`HamrEngine.run`: fills in default partitioners,
+    assigns loader splits, installs shuffle ownership and builds a
+    :class:`~repro.core.runtime.NodeRuntime` per worker (each holding the
+    whole graph, §2). The runtimes read the job, never the engine.
+    """
+
+    def __init__(self, engine: HamrEngine, graph: FlowletGraph):
+        cluster = engine.cluster
+        self.cluster = cluster
+        self.config = engine.config
+        self.localfs = engine.localfs
+        self.kvstore = engine.kvstore
+        self.graph = graph
+        self.num_workers = cluster.num_workers
+        self._worker_index = {
+            worker.node_id: index for index, worker in enumerate(cluster.workers)
+        }
+        self.metrics: Counter = Counter()
+        self.outputs: dict[str, list[tuple[Any, Any]]] = {}
+        self.counters: Counter = Counter()
+        for edge in graph.edges:
+            if edge.partitioner is None:
+                edge.partitioner = HashPartitioner(self.num_workers)
+            elif edge.partitioner.num_partitions < 1:  # pragma: no cover - guarded upstream
+                raise ConfigError("edge partitioner must have >= 1 partition")
+        # Locality-aware loader-split assignment (shared with the baseline).
+        self._split_assignment: dict[tuple[str, int], list[SourceSplit]] = {}
+        for flowlet in graph.loaders():
+            assignment = assign_splits(cluster, flowlet.source.splits(cluster))
+            for index, splits in enumerate(assignment):
+                self._split_assignment[(flowlet.name, index)] = splits
+        cluster.own_partitions(
+            [index for (_name, index), splits in self._split_assignment.items() if splits]
+            if self.config.partitioner == "shard"
+            else None
+        )
+        # One fabric instance per (name, job run): combining fabrics
+        # (twolevel) keep per-run gateway state that must not leak
+        # across jobs.
+        self._fabrics: dict[str, ExchangeFabric] = {}
+        # One spill pool per job: every node's runtime draws its
+        # SpillManager from here, sharing an id space with the baseline.
+        self.spill_pool = SpillPool(job=graph.name)
+        self.runtimes = [NodeRuntime(self, index) for index in range(self.num_workers)]
+
+    def process(self):
+        """The job's driver process: startup, then every instance to completion."""
+        sim, obs, name = self.cluster.sim, self.cluster.obs, self.graph.name
+        with obs.span(f"job:{name}", "job", job=name, engine="hamr") as jspan:
+            t0 = sim.now
+            yield sim.timeout(self.cluster.cost.hamr_job_startup)
+            if obs.enabled:
+                obs.charge(name, STARTUP, sim.now - t0, span=jspan)
+            events = []
+            for runtime in self.runtimes:
+                events.extend(runtime.start())
+            yield sim.all_of(events)
+
+    def flowlet_metrics(self) -> dict[str, dict[str, int]]:
         profile: dict[str, dict[str, int]] = {}
         for runtime in self.runtimes:
             for name, instance in runtime.instances.items():
@@ -182,56 +207,6 @@ class HamrEngine:
                 row["pairs_in"] += instance.pairs_in
                 row["stalls"] += instance.stalls
         return profile
-
-    # -- preparation -----------------------------------------------------------------
-
-    def _prepare(self, graph: FlowletGraph) -> None:
-        self.graph = graph
-        self.metrics = {}
-        self._outputs = {}
-        self._counters = {}
-        for edge in graph.edges:
-            if edge.partitioner is None:
-                edge.partitioner = HashPartitioner(self.num_workers)
-            elif edge.partitioner.num_partitions < 1:  # pragma: no cover - guarded upstream
-                raise ConfigError("edge partitioner must have >= 1 partition")
-        self._assign_splits(graph)
-        self._install_partition_owners()
-        # One fabric instance per (name, job run): combining fabrics
-        # (twolevel) keep per-run gateway state that must not leak
-        # across jobs.
-        self._fabrics = {}
-        # One spill pool per job: every node's runtime draws its
-        # SpillManager from here, sharing an id space with the baseline.
-        self.spill_pool = SpillPool(job=graph.name)
-        self.runtimes = [NodeRuntime(self, index) for index in range(self.num_workers)]
-
-    def _assign_splits(self, graph: FlowletGraph) -> None:
-        """Locality-aware loader-split assignment (shared with the baseline)."""
-        from repro.cluster.placement import assign_splits
-
-        self._split_assignment = {}
-        for flowlet in graph.loaders():
-            assignment = assign_splits(self.cluster, flowlet.source.splits(self.cluster))
-            for index, splits in enumerate(assignment):
-                self._split_assignment[(flowlet.name, index)] = splits
-
-    def _install_partition_owners(self) -> None:
-        """Shard-aware partitioning: restrict shuffle ownership to the
-        workers that actually hold input shards (locality-first), so
-        grouped state lands where its inputs already are. The default
-        "hash" strategy keeps the all-workers round-robin layout."""
-        if self.config.partitioner != "shard":
-            self.cluster.partition_owners = None
-            return
-        owners = sorted(
-            {
-                worker_index
-                for (_name, worker_index), splits in self._split_assignment.items()
-                if splits
-            }
-        )
-        self.cluster.partition_owners = owners or None
 
     # -- runtime callbacks ---------------------------------------------------------------
 
@@ -252,19 +227,9 @@ class HamrEngine:
         return self._worker_index[node.node_id]
 
     def collect_output(self, flowlet_name: str, pairs: list[tuple[Any, Any]]) -> None:
-        if self.config.collect_outputs:
-            self._outputs.setdefault(flowlet_name, []).extend(pairs)
-        self.metrics["output_pairs"] = self.metrics.get("output_pairs", 0) + len(pairs)
+        self.outputs.setdefault(flowlet_name, []).extend(pairs)
+        self.metrics["output_pairs"] += len(pairs)
 
     def collect_counters(self, ctx) -> None:
-        for name, value in ctx.counters.items():
-            self._counters[name] = self._counters.get(name, 0.0) + value
+        self.counters.update(ctx.counters)
         ctx.counters.clear()
-
-    # -- introspection ------------------------------------------------------------------------
-
-    def instance_status(self, flowlet_name: str) -> list[str]:
-        """Status of an instance on every worker (testing/debugging)."""
-        return [
-            runtime.instance(flowlet_name).status.value for runtime in self.runtimes
-        ]

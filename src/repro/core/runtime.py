@@ -34,9 +34,8 @@ from repro.common.sizeof import group_size
 from repro.common.units import KB
 from repro.core.bins import Bin, BinPacker
 from repro.core.context import TaskContext
-from repro.dataplane import RecordBatch, chunk_records, pair_nbytes, spill_batch
+from repro.dataplane import RecordBatch, chunk_records, pair_nbytes
 from repro.core.flowlet import Flowlet, FlowletKind, FlowletStatus, Loader, Map, PartialReduce, Reduce
-from repro.core.graph import Edge
 from repro.core.sources import SourceSplit
 from repro.obs import (
     ATOMIC,
@@ -55,7 +54,7 @@ from repro.sim import QueueClosed, Resource, SerializedCell, SimQueue, UpdateCha
 from repro.sim.core import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import HamrEngine
+    from repro.core.engine import HamrJob
 
 #: logical size of a completion control message
 _COMPLETION_MSG_BYTES = 32
@@ -156,7 +155,7 @@ class FlowletInstance:
     # -- completion bookkeeping --------------------------------------------------
 
     def all_upstream_complete(self) -> bool:
-        expected = self.runtime.engine.num_workers
+        expected = self.runtime.job.num_workers
         return all(
             len(seen) >= expected for seen in self.completions_seen.values()
         )
@@ -183,23 +182,23 @@ class FlowletInstance:
 class NodeRuntime:
     """One worker's share of a running HAMR job."""
 
-    def __init__(self, engine: "HamrEngine", worker_index: int):
-        self.engine = engine
-        self.graph = engine.graph
+    def __init__(self, job: "HamrJob", worker_index: int):
+        self.job = job
+        self.graph = job.graph
         self.worker_index = worker_index
-        self.node = engine.cluster.worker(worker_index)
-        self.sim = engine.cluster.sim
-        self.cost = engine.cluster.cost
+        self.node = job.cluster.worker(worker_index)
+        self.sim = job.cluster.sim
+        self.cost = job.cluster.cost
         self.loader_slots = Resource(
-            self.sim, engine.cluster.cost.hamr_loader_slots,
+            self.sim, self.cost.hamr_loader_slots,
             name=f"n{self.node.node_id}.loader_slots",
         )
         self.obs = self.node.obs
-        self.job = engine.graph.name if engine.graph is not None else None
+        self.job_name = job.graph.name
         # Per-node spill manager from the job's shared dataplane pool
         # (the MapReduce baseline draws from the same kind of pool, so
         # spill-file ids and blame attribution line up across engines).
-        self.spill = engine.spill_pool.for_node(self.node)
+        self.spill = job.spill_pool.for_node(self.node)
         self.stalls_total = 0  # flow-control stalls by this node's tasks
         # Last task span finished on this node (0 = none): stalled
         # producers blame their wait on the consumer node's most recent
@@ -224,11 +223,11 @@ class NodeRuntime:
                 instance,
                 self.node,
                 worker_index,
-                engine.num_workers,
+                job.num_workers,
                 instance.packer,
-                self._resolved_out_edges(instance.flowlet),
-                engine.localfs,
-                engine.kvstore,
+                self.graph.out_edges(instance.flowlet),
+                job.localfs,
+                job.kvstore,
             )
 
     def _divisor(self, aggregated: bool) -> float:
@@ -244,9 +243,6 @@ class NodeRuntime:
         caps = [e.capacity for e in in_edges if e.capacity is not None]
         return min(caps) if caps else self.cost.flow_capacity
 
-    def _resolved_out_edges(self, flowlet: Flowlet) -> list[Edge]:
-        return self.graph.out_edges(flowlet)
-
     def instance(self, name: str) -> FlowletInstance:
         return self.instances[name]
 
@@ -256,12 +252,11 @@ class NodeRuntime:
         """Run setup hooks, spawn one dispatcher per instance; returns
         the instances' completion events."""
         events = []
-        job = self.job or self.graph.name
         for flowlet in self.graph.topological_order():
             instance = self.instances[flowlet.name]
             flowlet.setup(instance.ctx)
             # one unit of stage work per flowlet instance on this node
-            self.obs.progress_total(job, flowlet.name)
+            self.obs.progress_total(self.job_name, flowlet.name)
             if flowlet.kind is FlowletKind.LOADER:
                 dispatcher = self._loader_dispatcher(instance)
             elif flowlet.kind is FlowletKind.REDUCE:
@@ -277,7 +272,7 @@ class NodeRuntime:
     # -- loader ------------------------------------------------------------------------
 
     def _loader_dispatcher(self, instance: FlowletInstance):
-        splits = self.engine.splits_for(instance.flowlet, self.worker_index)
+        splits = self.job.splits_for(instance.flowlet, self.worker_index)
         tasks = []
         for split in splits:
             yield self.loader_slots.acquire()
@@ -298,7 +293,7 @@ class NodeRuntime:
         obs, sim, node_id = self.obs, self.sim, self.node.node_id
         try:
             with obs.span(
-                f"load:{flowlet.name}", "task", node=node_id, job=self.job,
+                f"load:{flowlet.name}", "task", node=node_id, job=self.job_name,
                 flowlet=flowlet.name, split=split.split_id,
             ) as lspan:
                 reader = split.reader() if hasattr(split, "reader") else None
@@ -311,7 +306,7 @@ class NodeRuntime:
                     else:
                         records = yield from split.read(self.node)
                     if obs.enabled:
-                        obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=lspan)
+                        obs.charge(self.job_name, DISK, sim.now - t0, node=node_id, span=lspan)
                     yield from self._process_loaded(instance, records, lease, lspan)
                     if reader is None:
                         break
@@ -337,7 +332,7 @@ class NodeRuntime:
                 batch.nrecords, batch.nbytes, flowlet.compute_factor
             )
             if obs.enabled:
-                obs.charge(self.job, COMPUTE, sim.now - t0, node=self.node.node_id, span=span)
+                obs.charge(self.job_name, COMPUTE, sim.now - t0, node=self.node.node_id, span=span)
             with _hostprof.scope(
                 _hostprof.ENGINE, "load", flowlet.name, batch.nrecords, batch.nbytes
             ):
@@ -349,7 +344,7 @@ class NodeRuntime:
     def _bin_dispatcher(self, instance: FlowletInstance):
         tasks = []
         held_bins = []  # barrier-mode ablation: buffer until upstream completes
-        barrier = self.engine.config.barrier_mode
+        barrier = self.job.config.barrier_mode
         while True:
             try:
                 bin_ = yield instance.inbox.get()
@@ -389,7 +384,7 @@ class NodeRuntime:
         kind = "map" if flowlet.kind is FlowletKind.MAP else "partial_reduce"
         try:
             with obs.span(
-                f"{kind}:{flowlet.name}", "task", node=node_id, job=self.job,
+                f"{kind}:{flowlet.name}", "task", node=node_id, job=self.job_name,
                 flowlet=flowlet.name, nrecords=bin_.nrecords,
             ) as tspan:
                 obs.edge(bin_.trace_src, tspan, EDGE_SHUFFLE)
@@ -404,7 +399,7 @@ class NodeRuntime:
                     bin_.nrecords / div, bin_.nbytes / div, flowlet.compute_factor
                 )
                 if obs.enabled:
-                    obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=tspan)
+                    obs.charge(self.job_name, COMPUTE, sim.now - t0, node=node_id, span=tspan)
                 if flowlet.kind is FlowletKind.MAP:
                     assert isinstance(flowlet, Map)
                     # host-clock frame around the synchronous user-map
@@ -470,7 +465,7 @@ class NodeRuntime:
         if steps:
             yield UpdateChain(sim, steps)
         if obs.enabled:
-            obs.charge(self.job, ATOMIC, sim.now - t0, node=self.node.node_id, span=span)
+            obs.charge(self.job_name, ATOMIC, sim.now - t0, node=self.node.node_id, span=span)
 
     def _spill_accumulators(
         self, instance: FlowletInstance, flowlet: PartialReduce, extra: int, span=None
@@ -490,11 +485,9 @@ class NodeRuntime:
         instance.acc_bytes = {}
         if resident > 0:
             self.node.free(resident)
-        run = yield from spill_batch(
-            self.spill, batch, sorted_by_key=True, parent=span
-        )
+        run = yield from self.spill.spill(batch, sorted_by_key=True, parent=span)
         instance.acc_spill_runs.append(run)
-        self.engine.metrics["acc_spills"] = self.engine.metrics.get("acc_spills", 0) + 1
+        self.job.metrics["acc_spills"] += 1
 
     def _finalize_partial_reduce(self, instance: FlowletInstance):
         """At upstream completion, emit every accumulator ("the partial
@@ -508,7 +501,7 @@ class NodeRuntime:
         obs, node_id = self.obs, self.node.node_id
         try:
             with obs.span(
-                f"finalize:{flowlet.name}", "task", node=node_id, job=self.job,
+                f"finalize:{flowlet.name}", "task", node=node_id, job=self.job_name,
                 flowlet=flowlet.name,
             ) as fspan:
                 # Barrier: finalize is gated on upstream completion — the
@@ -533,7 +526,7 @@ class NodeRuntime:
                 )
                 if obs.enabled:
                     obs.charge(
-                        self.job, COMPUTE, self.sim.now - t0, node=node_id, span=fspan
+                        self.job_name, COMPUTE, self.sim.now - t0, node=node_id, span=fspan
                     )
                 with _hostprof.scope(
                     _hostprof.ENGINE, "finalize", flowlet.name, batch.nrecords, batch.nbytes
@@ -581,7 +574,7 @@ class NodeRuntime:
         try:
             with obs.span(
                 f"collect:{instance.flowlet.name}", "task", node=node_id,
-                job=self.job, flowlet=instance.flowlet.name, nrecords=bin_.nrecords,
+                job=self.job_name, flowlet=instance.flowlet.name, nrecords=bin_.nrecords,
             ) as cspan:
                 obs.edge(bin_.trace_src, cspan, EDGE_SHUFFLE)
                 obs.edge(self.last_task_span_id, cspan, EDGE_STALL)
@@ -609,7 +602,7 @@ class NodeRuntime:
             bin_.nrecords / div, adj_bytes, self.cost.reduce_collect_factor
         )
         if self.obs.enabled:
-            self.obs.charge(self.job, COMPUTE, self.sim.now - t0, node=self.node.node_id, span=span)
+            self.obs.charge(self.job_name, COMPUTE, self.sim.now - t0, node=self.node.node_id, span=span)
         if not self.node.alloc(adj_bytes):
             yield from self._spill_groups(instance, span)
             if not self.node.alloc(adj_bytes):
@@ -620,13 +613,9 @@ class NodeRuntime:
                     sorted(bin_.pairs, key=lambda kv: repr(kv[0])),
                     nbytes=bin_.nbytes,
                 )
-                run = yield from spill_batch(
-                    self.spill, batch, sorted_by_key=True, parent=span
-                )
+                run = yield from self.spill.spill(batch, sorted_by_key=True, parent=span)
                 instance.spill_runs.append(run)
-                self.engine.metrics["reduce_spills"] = (
-                    self.engine.metrics.get("reduce_spills", 0) + 1
-                )
+                self.job.metrics["reduce_spills"] += 1
                 return
         instance.group_bytes += adj_bytes
         instance.group_raw_bytes += bin_.nbytes
@@ -653,14 +642,11 @@ class NodeRuntime:
         instance.group_raw_bytes = 0
         instance.groups = {}
         self.node.free(freed)
-        run = yield from spill_batch(
-            self.spill,
-            RecordBatch(pairs, nbytes=raw_bytes),
-            sorted_by_key=True,
-            parent=span,
+        run = yield from self.spill.spill(
+            RecordBatch(pairs, nbytes=raw_bytes), sorted_by_key=True, parent=span
         )
         instance.spill_runs.append(run)
-        self.engine.metrics["reduce_spills"] = self.engine.metrics.get("reduce_spills", 0) + 1
+        self.job.metrics["reduce_spills"] += 1
 
     def _execute_reduce(self, instance: FlowletInstance):
         flowlet = instance.flowlet
@@ -728,7 +714,7 @@ class NodeRuntime:
         obs, sim, node_id = self.obs, self.sim, self.node.node_id
         try:
             with obs.span(
-                f"reduce:{flowlet.name}", "task", node=node_id, job=self.job,
+                f"reduce:{flowlet.name}", "task", node=node_id, job=self.job_name,
                 flowlet=flowlet.name, nkeys=len(keys),
             ) as rspan:
                 for dep in deps:
@@ -739,7 +725,7 @@ class NodeRuntime:
                     nrecords / div, nbytes / div, flowlet.compute_factor
                 )
                 if obs.enabled:
-                    obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=rspan)
+                    obs.charge(self.job_name, COMPUTE, sim.now - t0, node=node_id, span=rspan)
                 with _hostprof.scope(
                     _hostprof.ENGINE, "reduce", flowlet.name, nrecords, nbytes
                 ):
@@ -770,7 +756,7 @@ class NodeRuntime:
             t0 = sim.now
             yield self.node.disk_write(disk_bytes)
             if obs.enabled:
-                obs.charge(self.job, DISK, sim.now - t0, node=self.node.node_id, span=span)
+                obs.charge(self.job_name, DISK, sim.now - t0, node=self.node.node_id, span=span)
         for bin_ in ctx.take_sealed():
             yield from self._ship(instance, bin_, lease, span)
         yield from self._flush_sink_output(instance, span)
@@ -789,9 +775,9 @@ class NodeRuntime:
         t1 = sim.now
         yield self.node.disk_write(nbytes)
         if obs.enabled:
-            obs.charge(self.job, COMPUTE, t1 - t0, node=self.node.node_id, span=span)
-            obs.charge(self.job, DISK, sim.now - t1, node=self.node.node_id, span=span)
-        self.engine.collect_output(instance.flowlet.name, pairs)
+            obs.charge(self.job_name, COMPUTE, t1 - t0, node=self.node.node_id, span=span)
+            obs.charge(self.job_name, DISK, sim.now - t1, node=self.node.node_id, span=span)
+        self.job.collect_output(instance.flowlet.name, pairs)
 
     def _ship(
         self,
@@ -803,7 +789,7 @@ class NodeRuntime:
         """Send one sealed bin to its destination inbox(es), with flow control."""
         edge = self.graph.edges[bin_.edge_id]
         obs, sim, node_id = self.obs, self.sim, self.node.node_id
-        if edge.combiner is not None and self.engine.config.use_combiners:
+        if edge.combiner is not None:
             with _hostprof.scope(
                 _hostprof.ENGINE, "combine", instance.flowlet.name, bin_.nrecords, bin_.nbytes
             ):
@@ -814,7 +800,7 @@ class NodeRuntime:
                 bin_.nrecords / in_div, bin_.nbytes / in_div, 0.5
             )
             if obs.enabled:
-                obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=span)
+                obs.charge(self.job_name, COMPUTE, sim.now - t0, node=node_id, span=span)
             new_bin = Bin(
                 bin_.edge_id,
                 bin_.partition,
@@ -825,14 +811,15 @@ class NodeRuntime:
                 new_bin.append(key, value)
             bin_ = new_bin
         ship_div = self._divisor(bin_.aggregated)
-        fabric = self.engine.fabric_for(edge)
+        job = self.job
+        fabric = job.fabric_for(edge)
         plan = fabric.plan(
             edge.mode.value,
             bin_.partition,
             worker_index=self.worker_index,
-            num_workers=self.engine.num_workers,
-            owner_of=lambda p: self.engine.worker_index_of(
-                self.engine.cluster.owner_of_partition(
+            num_workers=job.num_workers,
+            owner_of=lambda p: job.worker_index_of(
+                job.cluster.owner_of_partition(
                     p, edge.partitioner.num_partitions
                 )
             ),
@@ -847,8 +834,8 @@ class NodeRuntime:
             # exchange_targets charge site), before serde.
             fabric.charge(
                 plan,
-                obs.traffic(self.job or ""),
-                node_of=lambda w: self.engine.runtimes[w].node.node_id,
+                obs.traffic(self.job_name),
+                node_of=lambda w: job.runtimes[w].node.node_id,
                 scale=self.cost.scaled_bytes,
             )
         # Serialization cost once (broadcast reuses the wire image).
@@ -858,22 +845,22 @@ class NodeRuntime:
                 self.cost.serde_cost(bin_.nbytes / ship_div) * fabric.serde_factor
             )
             if obs.enabled:
-                obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=span)
-        if self.engine.config.stage_edges_on_disk:
+                obs.charge(self.job_name, COMPUTE, sim.now - t0, node=node_id, span=span)
+        if job.config.stage_edges_on_disk:
             t0 = sim.now
             yield self.node.disk_write(bin_.nbytes / ship_div)
             if obs.enabled:
-                obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=span)
+                obs.charge(self.job_name, DISK, sim.now - t0, node=node_id, span=span)
         for delivery in plan.deliveries:
-            dst_runtime = self.engine.runtimes[delivery.target]
+            dst_runtime = job.runtimes[delivery.target]
             dst_instance = dst_runtime.instance(edge.dst.name)
-            if self.engine.config.stage_edges_on_disk:
+            if job.config.stage_edges_on_disk:
                 t0 = sim.now
                 yield self.node.disk_read(bin_.nbytes / ship_div)
                 if obs.enabled:
-                    obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=span)
+                    obs.charge(self.job_name, DISK, sim.now - t0, node=node_id, span=span)
             with obs.span(
-                "ship", "shuffle", node=node_id, job=self.job,
+                "ship", "shuffle", node=node_id, job=self.job_name,
                 flowlet=instance.flowlet.name, dst_node=dst_runtime.node.node_id,
                 nbytes=bin_.nbytes,
             ) as ship_span:
@@ -885,26 +872,24 @@ class NodeRuntime:
                 )
                 t0 = sim.now
                 for hop in delivery.hops:
-                    yield self.engine.cluster.network.send(
-                        self.engine.runtimes[hop.src].node,
-                        self.engine.runtimes[hop.dst].node,
+                    yield job.cluster.network.send(
+                        job.runtimes[hop.src].node,
+                        job.runtimes[hop.dst].node,
                         hop.nbytes,
                     )
                 if obs.enabled:
-                    obs.charge(self.job, NETWORK, sim.now - t0, node=node_id, span=ship_span)
+                    obs.charge(self.job_name, NETWORK, sim.now - t0, node=node_id, span=ship_span)
             if ship_span.span_id:
                 bin_.trace_src = ship_span.span_id
-            self.engine.metrics["bins_shipped"] = self.engine.metrics.get("bins_shipped", 0) + 1
+            job.metrics["bins_shipped"] += 1
             if not dst_instance.inbox.try_put(bin_, weight=bin_.nbytes):
                 # Flow control: stop immediately, free the thread, resume later.
                 instance.stalls += 1
                 self.stalls_total += 1
-                self.engine.metrics["flow_stalls"] = (
-                    self.engine.metrics.get("flow_stalls", 0) + 1
-                )
+                job.metrics["flow_stalls"] += 1
                 obs.count("flow.stalls", node=node_id)
                 with obs.span(
-                    "stall", "stall", node=node_id, job=self.job,
+                    "stall", "stall", node=node_id, job=self.job_name,
                     flowlet=instance.flowlet.name, dst=edge.dst.name,
                 ):
                     t0 = sim.now
@@ -917,7 +902,7 @@ class NodeRuntime:
                         yield dst_instance.inbox.put(bin_, weight=bin_.nbytes)
                         yield from self._maybe_throttle_loader(instance)
                     if obs.enabled:
-                        obs.charge(self.job, STALL, sim.now - t0, node=node_id, span=span)
+                        obs.charge(self.job_name, STALL, sim.now - t0, node=node_id, span=span)
                 # Wait-for: the stalled producer resumed because the consumer
                 # node freed inbox space — its most recent finished task is
                 # the cause.
@@ -929,7 +914,7 @@ class NodeRuntime:
         """Adaptive flow control (§2): once a loader's ships have stalled
         ``throttle_stall_threshold`` times in a row, slow the intake by
         backing off before resuming (thread already released by caller)."""
-        config = self.engine.config
+        config = self.job.config
         if not config.adaptive_loader_throttle:
             return
         if instance.flowlet.kind is not FlowletKind.LOADER:
@@ -938,9 +923,7 @@ class NodeRuntime:
         if instance.stall_streak < config.throttle_stall_threshold:
             return
         instance.stall_streak = 0
-        self.engine.metrics["loader_throttles"] = (
-            self.engine.metrics.get("loader_throttles", 0) + 1
-        )
+        self.job.metrics["loader_throttles"] += 1
         yield self.sim.timeout(config.throttle_backoff)
 
     # -- completion ---------------------------------------------------------------------------
@@ -951,24 +934,25 @@ class NodeRuntime:
             yield from self._ship(instance, bin_, None)
         yield from self._drain_ctx(instance)
         instance.flowlet.teardown(instance.ctx)
-        self.engine.collect_counters(instance.ctx)
+        job = self.job
+        job.collect_counters(instance.ctx)
         instance.status = FlowletStatus.COMPLETE
         out_edges = self.graph.out_edges(instance.flowlet)
         notifications = []
         for edge in out_edges:
-            for target in range(self.engine.num_workers):
-                dst_runtime = self.engine.runtimes[target]
+            for target in range(job.num_workers):
+                dst_runtime = job.runtimes[target]
                 notifications.append(
-                    self.engine.cluster.network.send(
+                    job.cluster.network.send(
                         self.node, dst_runtime.node, _COMPLETION_MSG_BYTES
                     )
                 )
         if notifications:
             yield self.sim.all_of(notifications)
         for edge in out_edges:
-            for target in range(self.engine.num_workers):
-                self.engine.runtimes[target].instance(edge.dst.name).note_completion(
+            for target in range(job.num_workers):
+                job.runtimes[target].instance(edge.dst.name).note_completion(
                     edge.edge_id, self.worker_index
                 )
-        self.obs.progress_done(self.job or self.graph.name, instance.flowlet.name)
+        self.obs.progress_done(self.job_name, instance.flowlet.name)
         instance.completion_event.trigger(instance.flowlet.name)

@@ -63,11 +63,6 @@ class _StreamSplit(SourceSplit):
     def reader(self) -> _StreamReader:
         return _StreamReader(self._batches)
 
-    def read(self, node: Node):  # pragma: no cover - loader uses reader()
-        if False:
-            yield None
-        return [r for b in self._batches for r in b.records]
-
 
 class StreamSource(DataSource):
     """A message-broker-like source: per-partition timed batches.

@@ -30,7 +30,6 @@ from repro.dataplane.exchange import (
     SpillPool,
     exchange_targets,
     partition_batch,
-    spill_batch,
 )
 from repro.dataplane.fabrics import (
     FABRICS,
@@ -48,7 +47,6 @@ __all__ = [
     "chunk_records",
     "partition_batch",
     "exchange_targets",
-    "spill_batch",
     "SpillPool",
     "SHUFFLE",
     "LOCAL",

@@ -18,12 +18,11 @@ from repro.obs import hostprof as _hostprof
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
-    from repro.storage.spill import SpillManager, SpillRun
+    from repro.storage.spill import SpillManager
 
 __all__ = [
     "partition_batch",
     "exchange_targets",
-    "spill_batch",
     "SpillPool",
     "SHUFFLE",
     "LOCAL",
@@ -128,29 +127,6 @@ def exchange_targets(
                 partition=partition if effective_mode == SHUFFLE else None,
             )
     return targets
-
-
-def spill_batch(
-    manager: "SpillManager",
-    batch: RecordBatch,
-    *,
-    sorted_by_key: bool = False,
-    free_memory: bool = False,
-    parent=None,
-):
-    """Process: stage one batch through the node-local spill store.
-
-    Passes the batch's cached size through so the spill layer never
-    re-sizes records the producer already accounted. Returns the
-    manager's :class:`~repro.storage.spill.SpillRun`.
-    """
-    return manager.spill(
-        batch.records,
-        sorted_by_key=sorted_by_key,
-        free_memory=free_memory,
-        nbytes=batch.nbytes,
-        parent=parent,
-    )
 
 
 class SpillPool:

@@ -15,19 +15,26 @@ Timeline of a job::
     ── BARRIER: reduce compute starts only when ALL fetches done ──
     merge (+ read back reducer-side spills) → reduce() → DFS write
     t1 ── all reducers done; output file sealed ── makespan = t1 - t0
+
+Everything one job owns (task slots, map outputs, metrics, counters,
+outputs, speculative backups) lives on an :class:`MRRun` that ``run``
+builds and drops on return; the engine keeps only the cluster, the DFS,
+its configuration and the reducer-count → partitioner memo its job
+chains share.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.common.errors import JobError, ReproError, SimulationError
+from repro.common.errors import JobError
 from repro.common.partitioner import HashPartitioner
 from repro.cluster.cluster import Cluster
 from repro.cluster.memory import MemoryAccount
 from repro.cluster.placement import assign_splits
-from repro.dataplane import RecordBatch, SpillPool, partition_batch, spill_batch
+from repro.dataplane import RecordBatch, SpillPool, partition_batch
 from repro.dataplane.fabrics import make_fabric
 from repro.mapreduce.api import MRContext, MRJob
 from repro.obs import COMPUTE, DISK, EDGE_BARRIER, EDGE_SHUFFLE, NETWORK, STARTUP
@@ -45,8 +52,6 @@ SPECULATION_SLOWDOWN = 1.5
 class HadoopConfig:
     """Baseline engine knobs."""
 
-    #: gather final output pairs into the result object
-    collect_outputs: bool = True
     #: fault tolerance: per-attempt map-task failure probability (seeded,
     #: deterministic) and Hadoop's retry budget
     map_failure_rate: float = 0.0
@@ -154,60 +159,70 @@ class HadoopEngine:
     def __init__(self, cluster: Cluster, dfs: DFS, config: Optional[HadoopConfig] = None):
         self.cluster = cluster
         self.dfs = dfs
-        self.cost = cluster.cost
         self.config = config or HadoopConfig()
-        self.num_workers = cluster.num_workers
-        self.obs = cluster.obs
-        self._worker_index = {
-            worker.node_id: index for index, worker in enumerate(cluster.workers)
-        }
-        self._job_seq = 0
         # reducer count -> partitioner, shared by this engine's jobs so an
         # iterative chain hashes each distinct key once, not once per job
         self._partitioners: dict[int, HashPartitioner] = {}
 
-    # -- public API ---------------------------------------------------------------
-
     def run(self, job: MRJob) -> MRJobResult:
         """Execute one job to completion (drives the shared simulator)."""
-        self._job_seq += 1
-        sim = self.cluster.sim
-        start_time = sim.now
-        state: dict[str, Any] = {"counters": {}, "metrics": {}, "outputs": []}
-        done = {}
-
-        def driver(sim_):
-            yield from self._run_job(job, state)
-            done["t"] = sim_.now
-
-        sim.spawn(driver(sim), name=f"mr-driver:{job.name}")
-        try:
-            sim.run()
-        except SimulationError as exc:
-            # surface library-level failures (task-retry exhaustion, ...)
-            # under their own type rather than the kernel's wrapper
-            if isinstance(exc.__cause__, ReproError):
-                raise exc.__cause__ from exc
-            raise
-        if "t" not in done:
-            raise JobError(f"MapReduce job {job.name!r} did not complete")
+        run = MRRun(self, job)
+        start_time = self.cluster.sim.now
+        end_time = self.cluster.run_job(
+            run.process(), name=f"mr-driver:{job.name}",
+            label=f"MapReduce job {job.name!r}",
+        )
         return MRJobResult(
             job_name=job.name,
             start_time=start_time,
-            end_time=done["t"],
+            end_time=end_time,
             output_file=job.output_file,
-            outputs=state["outputs"],
-            counters=state["counters"],
-            metrics=state["metrics"],
+            outputs=run.outputs,
+            counters=dict(run.counters),
+            metrics=dict(run.metrics),
         )
+
+    def partitioner_for(self, num_reducers: int) -> HashPartitioner:
+        partitioner = self._partitioners.get(num_reducers)
+        if partitioner is None:
+            partitioner = self._partitioners[num_reducers] = HashPartitioner(num_reducers)
+        return partitioner
+
+
+class MRRun:
+    """One run of a MapReduce job: everything that dies with the job."""
+
+    def __init__(self, engine: HadoopEngine, job: MRJob):
+        self.engine = engine
+        self.job = job
+        self.cluster = engine.cluster
+        self.dfs = engine.dfs
+        self.config = engine.config
+        self.cost = engine.cluster.cost
+        self.obs = engine.cluster.obs
+        self.num_workers = engine.cluster.num_workers
+        self._worker_index = {
+            worker.node_id: index for index, worker in enumerate(engine.cluster.workers)
+        }
+        self.metrics: Counter = Counter()
+        self.counters: Counter = Counter()
+        self.outputs: list[tuple[Any, Any]] = []
+        #: speculative backup attempts, joined before the job ends
+        self.backups: list = []
+        # set when the job starts (after the modeled startup delay)
+        self.slots: list[Resource] = []
+        self.partitioner: Optional[HashPartitioner] = None
 
     # -- job lifecycle ----------------------------------------------------------------
 
-    def _run_job(self, job: MRJob, state: dict):
+    def process(self):
+        """The job's driver process."""
+        job = self.job
         with self.obs.span(f"job:{job.name}", "job", job=job.name, engine="hadoop") as jspan:
-            yield from self._run_job_body(job, state, jspan)
+            yield from self._run_job_body(jspan)
 
-    def _run_job_body(self, job: MRJob, state: dict, jspan=None):
+    def _run_job_body(self, jspan=None):
+        job = self.job
         sim = self.cluster.sim
         cost = self.cost
         obs = self.obs
@@ -218,26 +233,30 @@ class HadoopEngine:
 
         splits = self.dfs.splits(job.input_file)
         num_reducers = job.num_reducers or self.num_workers
-        partitioner = self._partitioners.get(num_reducers)
-        if partitioner is None:
-            partitioner = self._partitioners[num_reducers] = HashPartitioner(num_reducers)
-        slots = [
+        self.partitioner = self.engine.partitioner_for(num_reducers)
+        self.slots = [
             Resource(sim, cost.hadoop_slots_per_node, name=f"n{w.node_id}.slots")
             for w in self.cluster.workers
         ]
-        for worker, slot in zip(self.cluster.workers, slots):
+        for worker, slot in zip(self.cluster.workers, self.slots):
             self.cluster.wire_task_slots(
                 slot, worker.node_id, float(cost.hadoop_slots_per_node)
             )
-        state["metrics"]["map_tasks"] = len(splits)
-        state["metrics"]["reduce_tasks"] = num_reducers if job.reducer else 0
+        self.metrics["map_tasks"] = len(splits)
+        self.metrics["reduce_tasks"] = num_reducers if job.reducer else 0
         obs.progress_total(job.name, "map", float(len(splits)))
         if job.reducer is not None:
             obs.progress_total(job.name, "reduce", float(num_reducers))
 
         # -- map wave ---------------------------------------------------------------
         assignment = assign_splits(self.cluster, splits)
-        self._install_partition_owners(assignment)
+        # Shard-aware partitioning: reducers go only to workers holding
+        # input shards (the flowlet engine installs the same rule).
+        self.cluster.own_partitions(
+            [index for index, worker_splits in enumerate(assignment) if worker_splits]
+            if self.config.partitioner == "shard"
+            else None
+        )
         map_outputs: list[_MapOutput] = []
         map_records: list[dict] = []  # for the speculation driver
         map_processes = []
@@ -256,23 +275,22 @@ class HadoopEngine:
                 )
                 map_processes.append(
                     sim.spawn(
-                        self._map_task(job, split, node, slots[worker_index], partitioner, out, state),
+                        self._map_task(split, worker_index, out),
                         name=f"{job.name}.map{len(map_outputs) - 1}",
                     )
                 )
-        state["backups"] = []
         if self.config.speculative_execution and len(map_records) > 1:
             sim.spawn(
-                self._speculation_driver(job, map_records, slots, partitioner, state),
+                self._speculation_driver(map_records),
                 name=f"{job.name}.speculator",
             )
 
         if job.reducer is None:
             for process in map_processes:
                 yield process
-            for backup in state["backups"]:
+            for backup in self.backups:
                 yield backup
-            yield from self._finalize_map_only(job, map_outputs, state)
+            yield from self._finalize_map_only(map_outputs)
             return
 
         # -- reduce wave (fetch overlaps the map wave; compute barriers) ------------
@@ -288,13 +306,9 @@ class HadoopEngine:
             # shard-aware partitioner reroutes the reducer — and its
             # spill_pool.for_node manager — to the owning node.
             node = self.cluster.owner_of_partition(r, num_reducers)
-            worker_index = self._worker_index[node.node_id]
             reduce_processes.append(
                 sim.spawn(
-                    self._reduce_task(
-                        job, r, node, slots[worker_index], map_outputs,
-                        spill_pool, fabric, state,
-                    ),
+                    self._reduce_task(r, node, map_outputs, spill_pool, fabric),
                     name=f"{job.name}.reduce{r}",
                 )
             )
@@ -303,25 +317,13 @@ class HadoopEngine:
         part_names = []
         for r, process in enumerate(reduce_processes):
             part_names.append((yield process))
-        for backup in state["backups"]:
+        for backup in self.backups:
             yield backup
         self.dfs.concat(job.output_file, part_names)
 
-    def _install_partition_owners(self, assignment) -> None:
-        """Shard-aware partitioning: restrict reducer placement to the
-        workers that hold input shards (mirrors the flowlet engine's
-        owner installation, so both engines shuffle to the same nodes)."""
-        if self.config.partitioner != "shard":
-            self.cluster.partition_owners = None
-            return
-        owners = sorted(
-            index for index, splits in enumerate(assignment) if splits
-        )
-        self.cluster.partition_owners = owners or None
-
     # -- map task -------------------------------------------------------------------------
 
-    def _should_fail(self, job: MRJob, task_key: str, attempt: int) -> bool:
+    def _should_fail(self, task_key: str, attempt: int) -> bool:
         """Deterministic seeded failure injection for fault-tolerance tests."""
         if attempt <= self.config.map_fail_first_attempts:
             return True
@@ -329,11 +331,12 @@ class HadoopEngine:
             return False
         from repro.common.rng import derive_seed
 
-        seed = derive_seed(self.config.failure_seed, job.name, task_key, attempt)
+        seed = derive_seed(self.config.failure_seed, self.job.name, task_key, attempt)
         return (seed % 10_000) / 10_000.0 < self.config.map_failure_rate
 
-    def _map_task(self, job: MRJob, split, node, slot: Resource, partitioner, out: _MapOutput, state: dict, backup: bool = False):
-        """Run one map task with Hadoop-style retry on injected failures.
+    def _map_task(self, split, worker_index: int, out: _MapOutput, backup: bool = False):
+        """Run one map task on a worker, with Hadoop-style retry on
+        injected failures.
 
         A failed attempt charges everything up to the failure point (JVM
         start, input read, map compute) before the task is rescheduled —
@@ -341,23 +344,20 @@ class HadoopEngine:
         """
         for attempt in range(1, self.config.max_task_attempts + 1):
             failed = (not backup) and self._should_fail(
-                job, f"map-{split.block.block_id}", attempt
+                f"map-{split.block.block_id}", attempt
             )
             done = yield from self._map_attempt(
-                job, split, node, slot, partitioner, out, state,
-                fail=failed, backup=backup,
+                split, worker_index, out, fail=failed, backup=backup
             )
             if done:
                 return
-            state["metrics"]["map_task_failures"] = (
-                state["metrics"].get("map_task_failures", 0) + 1
-            )
+            self.metrics["map_task_failures"] += 1
         raise JobError(
-            f"{job.name}: map task for block {split.block.block_id} failed "
+            f"{self.job.name}: map task for block {split.block.block_id} failed "
             f"{self.config.max_task_attempts} attempts"
         )
 
-    def _speculation_driver(self, job: MRJob, map_records: list, slots, partitioner, state: dict):
+    def _speculation_driver(self, map_records: list):
         """Hadoop-style speculation: watch the map wave, compute the median
         duration once 60% finished, and launch one backup per straggler."""
         sim = self.cluster.sim
@@ -387,33 +387,26 @@ class HadoopEngine:
                     # Back the straggler up on the next worker over.
                     speculated.add(i)
                     backup_index = (record["worker_index"] + 1) % self.num_workers
-                    backup_node = self.cluster.worker(backup_index)
-                    state["metrics"]["speculative_launched"] = (
-                        state["metrics"].get("speculative_launched", 0) + 1
-                    )
-                    state["backups"].append(
+                    self.metrics["speculative_launched"] += 1
+                    self.backups.append(
                         sim.spawn(
-                            self._map_task(
-                                job, record["split"], backup_node, slots[backup_index],
-                                partitioner, out, state, backup=True,
-                            ),
-                            name=f"{job.name}.backup{i}",
+                            self._map_task(record["split"], backup_index, out, backup=True),
+                            name=f"{self.job.name}.backup{i}",
                         )
                     )
             yield sim.timeout(1.0)
 
     def _map_attempt(
         self,
-        job: MRJob,
         split,
-        node,
-        slot: Resource,
-        partitioner,
+        worker_index: int,
         out: _MapOutput,
-        state: dict,
         fail: bool = False,
         backup: bool = False,
     ):
+        job = self.job
+        node = self.cluster.worker(worker_index)
+        slot = self.slots[worker_index]
         sim = self.cluster.sim
         cost = self.cost
         obs = self.obs
@@ -447,9 +440,9 @@ class HadoopEngine:
                     # the attempt dies after burning its input read and compute
                     return False
                 partitions, npairs, raw_bytes, total_bytes = _sort_and_combine(
-                    job, ctx, records, split, partitioner, aggregated=out.aggregated
+                    job, ctx, records, split, self.partitioner, aggregated=out.aggregated
                 )
-                self._merge_counters(state, ctx)
+                self.counters.update(ctx.counters)
                 out.partitions.update(partitions)
                 # Sort CPU over the pre-combine volume, spill count from buffer size.
                 t0 = sim.now
@@ -464,9 +457,7 @@ class HadoopEngine:
                 yield node.disk_write(total_bytes / out_div)
                 if num_spills > 1:
                     # Extra merge pass: read the spills back, write merged output.
-                    state["metrics"]["map_spill_merges"] = (
-                        state["metrics"].get("map_spill_merges", 0) + 1
-                    )
+                    self.metrics["map_spill_merges"] += 1
                     yield node.disk_read(total_bytes / out_div)
                     yield node.disk_write(total_bytes / out_div)
                 if obs.enabled:
@@ -475,9 +466,7 @@ class HadoopEngine:
                 if out.done.triggered:
                     return True  # lost the race; the winner's output stands
                 if backup:
-                    state["metrics"]["speculative_wins"] = (
-                        state["metrics"].get("speculative_wins", 0) + 1
-                    )
+                    self.metrics["speculative_wins"] += 1
                 out.node = node  # reducers fetch from the winning attempt's disk
                 out.trace_span = mspan.span_id
                 out.done.trigger()
@@ -492,19 +481,18 @@ class HadoopEngine:
 
     def _reduce_task(
         self,
-        job: MRJob,
         r: int,
         node,
-        slot: Resource,
         map_outputs: list,
         spill_pool: SpillPool,
         fabric,
-        state: dict,
     ):
+        job = self.job
         sim = self.cluster.sim
         cost = self.cost
         obs = self.obs
         dst_index = self._worker_index[node.node_id]
+        slot = self.slots[dst_index]
         yield slot.acquire()
         try:
             with obs.span("reduce", "task", node=node.node_id, job=job.name, reducer=r) as rspan:
@@ -587,15 +575,13 @@ class HadoopEngine:
                                     merged.records.extend(seg.records)
                                     merged._nbytes += seg.nbytes
                                 merged.sort(key=lambda kv: repr(kv[0]))
-                            run = yield from spill_batch(
-                                spill, merged, sorted_by_key=True, parent=rspan
+                            run = yield from spill.spill(
+                                merged, sorted_by_key=True, parent=rspan
                             )
                             spill_runs.append(run)
                             heap.free(accounted_bytes)
                             segments, resident_bytes, accounted_bytes = [], 0, 0
-                            state["metrics"]["reduce_spills"] = (
-                                state["metrics"].get("reduce_spills", 0) + 1
-                            )
+                            self.metrics["reduce_spills"] += 1
                         if heap.allocate(scaled):
                             accounted_bytes += scaled
                         # else: a single segment over budget — held uncharged,
@@ -604,9 +590,7 @@ class HadoopEngine:
                         accounted_bytes += scaled
                     segments.append(segment)
                     resident_bytes += nbytes
-                state["metrics"]["shuffled_bytes"] = (
-                    state["metrics"].get("shuffled_bytes", 0) + shuffled_bytes
-                )
+                self.metrics["shuffled_bytes"] += shuffled_bytes
 
                 # BARRIER passed: merge phase. Any aggregated segment means the
                 # whole fetched volume is key-space-bounded.
@@ -646,7 +630,7 @@ class HadoopEngine:
                     for key in sorted(groups, key=repr):
                         job.reducer.reduce(ctx, key, groups[key])
                 output_pairs = ctx.take()
-                self._merge_counters(state, ctx)
+                self.counters.update(ctx.counters)
                 if accounted_bytes:
                     heap.free(accounted_bytes)
 
@@ -656,8 +640,7 @@ class HadoopEngine:
                     cost_divisor=cost.scale if job.aggregated_output else 1.0,
                     job=job.name, span=rspan,
                 )
-                if self.config.collect_outputs:
-                    state["outputs"].extend(output_pairs)
+                self.outputs.extend(output_pairs)
                 obs.progress_done(job.name, "reduce")
                 return part_name
         finally:
@@ -665,8 +648,9 @@ class HadoopEngine:
 
     # -- map-only jobs ------------------------------------------------------------------------
 
-    def _finalize_map_only(self, job: MRJob, map_outputs: list, state: dict):
+    def _finalize_map_only(self, map_outputs: list):
         """Write each map task's raw output straight to the DFS."""
+        job = self.job
         part_names = []
         writers = []
         sim = self.cluster.sim
@@ -676,8 +660,7 @@ class HadoopEngine:
                 pairs.extend(out.partitions[p].records)
             part_name = f"{job.output_file}/part-m-{i:05d}"
             part_names.append(part_name)
-            if self.config.collect_outputs:
-                state["outputs"].extend(pairs)
+            self.outputs.extend(pairs)
 
             def write_one(name=part_name, node=out.node, data=pairs):
                 yield from self.dfs.write(name, data, node)
@@ -686,10 +669,3 @@ class HadoopEngine:
         for writer in writers:
             yield writer
         self.dfs.concat(job.output_file, part_names)
-
-    # -- helpers ------------------------------------------------------------------------------------
-
-    @staticmethod
-    def _merge_counters(state: dict, ctx: MRContext) -> None:
-        for name, value in ctx.counters.items():
-            state["counters"][name] = state["counters"].get(name, 0.0) + value

@@ -10,11 +10,11 @@ serialization time and adjusts the node's memory account.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.common.errors import StorageError
 from repro.cluster.node import Node
-from repro.dataplane.batch import batch_nbytes
+from repro.dataplane.batch import RecordBatch
 from repro.obs import COMPUTE, DISK, EDGE_PRODUCE, EDGE_SPILL, Span
 from repro.obs import hostprof as _hostprof
 
@@ -58,28 +58,25 @@ class SpillManager:
 
     def spill(
         self,
-        records: Sequence[Any],
+        batch: RecordBatch,
         sorted_by_key: bool = False,
-        free_memory: bool = True,
+        free_memory: bool = False,
         parent: Optional[Span] = None,
-        nbytes: Optional[int] = None,
     ):
-        """Process: write ``records`` to a new run, charging serde + disk.
+        """Process: write ``batch`` to a new run, charging serde + disk.
 
-        If ``free_memory`` is set, releases the records' logical size from
-        the node's memory account (they were resident before the spill).
-        ``parent`` is the task span whose data is being spilled (emits a
-        produce edge). ``nbytes`` is the records' logical size when the
-        producer already accounted it (the dataplane's batch-spill path —
-        must equal the per-record sum, which is re-derived otherwise).
-        Returns the new :class:`SpillRun`.
+        The run takes the batch's record list and its cached logical size,
+        so the spill layer never re-sizes records the producer already
+        accounted. If ``free_memory`` is set, releases that size from the
+        node's memory account (the records were resident before the
+        spill). ``parent`` is the task span whose data is being spilled
+        (emits a produce edge). Returns the new :class:`SpillRun`.
         """
         # host-clock frame around the synchronous staging part only
         # (the charged disk/serde below are virtual-clock yields)
         with _hostprof.scope(_hostprof.STORAGE, "spill") as frame:
-            recs = list(records)
-            if nbytes is None:
-                nbytes = batch_nbytes(recs)
+            recs = batch.records
+            nbytes = batch.nbytes
             frame.units(len(recs), nbytes)
         run = SpillRun(self._next_id, self.node.node_id, recs, nbytes, sorted_by_key)
         self._next_id += 1

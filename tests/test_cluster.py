@@ -110,7 +110,7 @@ class TestCluster:
             done.append(cluster.sim.now)
 
         cluster.sim.spawn(proc(cluster.sim))
-        cluster.run()
+        cluster.sim.run()
         # 1024 bytes at scale 100 = 102400 bytes at 150MB/s + 4ms latency
         expected = 0.004 + 102400 / (150.0 * MB)
         assert done == [pytest.approx(expected)]
@@ -124,7 +124,7 @@ class TestCluster:
             yield node.disk_read(3 * GB)
 
         cluster.sim.spawn(proc(cluster.sim))
-        assert cluster.run() == pytest.approx(0.004 + 3 * GB / (5 * 150.0 * MB))
+        assert cluster.sim.run() == pytest.approx(0.004 + 3 * GB / (5 * 150.0 * MB))
 
     def test_memory_accounting_scaled(self):
         cluster = Cluster(small_cluster_spec(num_workers=2, memory=1000, scale=10.0))
@@ -146,7 +146,7 @@ class TestNetwork:
             done.append(sim.now)
 
         cluster.sim.spawn(proc(cluster.sim))
-        cluster.run()
+        cluster.sim.run()
         # 1500MB at 1.5GB/s = ~0.9766s through each NIC serially + latency
         assert done[0] == pytest.approx(2 * (1500 * MB) / (1.5 * GB) + 50e-6)
         assert cluster.network.total_bytes == 1500 * MB
@@ -162,7 +162,7 @@ class TestNetwork:
             done.append(sim.now)
 
         cluster.sim.spawn(proc(cluster.sim))
-        cluster.run()
+        cluster.sim.run()
         assert done[0] < 1e-5
         assert cluster.network.cross_traffic_fraction() == 0.0
 
@@ -177,7 +177,7 @@ class TestNetwork:
 
         cluster.sim.spawn(proc(cluster.sim, cluster.worker(1)))
         cluster.sim.spawn(proc(cluster.sim, cluster.worker(2)))
-        cluster.run()
+        cluster.sim.run()
         # Both serialize on a's egress: second cannot finish at the same time.
         assert finish[1] > finish[0]
 
@@ -202,7 +202,7 @@ class TestResourceManager:
 
         cluster.sim.spawn(proc(cluster.sim))
         cluster.sim.spawn(proc2(cluster.sim))
-        cluster.run()
+        cluster.sim.run()
         # Second container cannot fit until the first releases at t=5.
         assert grants[0][0] == 0.0
         assert grants[1][0] == 5.0
@@ -225,6 +225,6 @@ class TestResourceManager:
             rm.release(container)
 
         cluster.sim.spawn(proc(cluster.sim))
-        cluster.run()
+        cluster.sim.run()
         with pytest.raises(ConfigError):
             rm.release(state["c"])

@@ -427,8 +427,31 @@ class TestMapOutputMemory:
         first = run_job()
         second = run_job()
         gc.collect()
-        # the engine keeps only its last job; the first job's pairs are gone
-        assert first() is None and second() is not None
-        del env
+        # each job's memo dies with its run; the environment lives on
+        assert first() is None and second() is None
+
+
+class TestJobLifetime:
+    def test_finished_job_state_dies_with_the_run(self):
+        """A finished job's graph and node runtimes are garbage once
+        ``run`` returns: the engine keeps only resident state (cluster,
+        local FS, KV store, config), not the job it last ran."""
+        engine = make_engine(num_workers=3)
+        runtimes = []
+
+        def probe(ctx, key, value):
+            if not runtimes:
+                runtimes.append(weakref.ref(ctx._instance.runtime))
+            ctx.emit(key, value)
+
+        graph = FlowletGraph("lifetime")
+        loader = graph.add(Loader("load", CollectionSource([("a", 1), ("b", 2)])))
+        graph.connect(loader, graph.add(Map("probe", fn=probe)))
+        finished = weakref.ref(graph)
+        result = engine.run(graph)
+        del graph
         gc.collect()
-        assert second() is None
+        assert sorted(result.output("probe")) == [("a", 1), ("b", 2)]
+        assert finished() is None
+        assert runtimes[0]() is None
+

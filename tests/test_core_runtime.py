@@ -98,10 +98,12 @@ class TestCompletionPropagation:
         assert seen_at[0] == [1, 1, 1, 10, 10, 10]
 
     def test_statuses_complete_after_run(self):
-        engine = make_engine()
-        engine.run(simple_graph([("a", 1)]))
-        assert engine.instance_status("load") == ["complete"] * 3
-        assert engine.instance_status("count") == ["complete"] * 3
+        # a result exists only once every instance on every worker has
+        # completed; its per-flowlet profile covers both flowlets
+        result = make_engine().run(simple_graph([("a", 1)]))
+        assert result.output("count") == [("a", 1)]
+        assert sorted(result.flowlet_metrics) == ["count", "load"]
+        assert result.flowlet_metrics["count"]["pairs_in"] == 1
 
     def test_empty_loader_still_completes_downstream(self):
         engine = make_engine()
@@ -113,7 +115,9 @@ class TestCompletionPropagation:
         g.connect(loader, count)
         result = engine.run(g)
         assert result.output("count") == []
-        assert engine.instance_status("count") == ["complete"] * 3
+        assert result.flowlet_metrics["count"] == {
+            "tasks": 0, "bins_in": 0, "pairs_in": 0, "stalls": 0
+        }
 
 
 class TestAggregatedCharging:
@@ -161,33 +165,32 @@ class TestAblationModes:
         assert staged.makespan > normal.makespan
 
     def test_combiners_can_be_disabled(self):
-        g = FlowletGraph("comb")
-        loader = g.add(Loader("load", CollectionSource(self.ITEMS)))
-        count = g.add(
-            PartialReduce("count", initial=lambda _k: 0, combine=lambda a, v: a + v)
-        )
-        g.connect(loader, count, combiner=sum_combiner())
-        engine = make_engine(config=HamrConfig(use_combiners=False))
-        result = engine.run(g)
-        assert dict(result.output("count")) == self.reference()
+        # the graph's edge decides: an edge without a combiner ships raw pairs
+        for combiner in (sum_combiner(), None):
+            g = FlowletGraph("comb")
+            loader = g.add(Loader("load", CollectionSource(self.ITEMS)))
+            count = g.add(
+                PartialReduce("count", initial=lambda _k: 0, combine=lambda a, v: a + v)
+            )
+            g.connect(loader, count, combiner=combiner)
+            result = make_engine().run(g)
+            assert dict(result.output("count")) == self.reference()
 
 
 class TestConfigKnobs:
-    def test_collect_outputs_off(self):
-        engine = make_engine(config=HamrConfig(collect_outputs=False))
-        result = engine.run(simple_graph([("a", 1), ("b", 2)]))
-        assert result.outputs == {}
-        assert result.metrics["output_pairs"] == 2  # still counted
-
     def test_edge_capacity_override(self):
+        capacities = set()
+
+        def probe(ctx, k, v):
+            capacities.add(ctx._instance.inbox.capacity)
+            ctx.emit(k, v)
+
         g = FlowletGraph("cap")
         loader = g.add(Loader("load", CollectionSource([("a", 1)] * 10)))
-        mapper = g.add(Map("m", fn=lambda ctx, k, v: ctx.emit(k, v)))
+        mapper = g.add(Map("m", fn=probe))
         g.connect(loader, mapper, capacity=123.0)
-        engine = make_engine()
-        engine.run(g)
-        inbox = engine.runtimes[0].instance("m").inbox
-        assert inbox.capacity == 123.0
+        make_engine().run(g)
+        assert capacities == {123.0}
 
     def test_engine_rejects_reentrant_run(self):
         # `run` drives the sim to completion, so a second concurrent run

@@ -21,20 +21,12 @@ def make_cluster(num_workers=3, **kw):
 
 
 def run_read(cluster, split, node):
-    from repro.common.errors import ReproError, SimulationError
-
     box = {}
 
-    def proc(sim):
+    def proc():
         box["records"] = yield from split.read(node)
 
-    cluster.sim.spawn(proc(cluster.sim))
-    try:
-        cluster.run()
-    except SimulationError as exc:
-        if isinstance(exc.__cause__, ReproError):
-            raise exc.__cause__ from exc
-        raise
+    cluster.run_job(proc(), name="read", label="split read")
     return box["records"]
 
 

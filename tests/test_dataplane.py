@@ -25,7 +25,6 @@ from repro.dataplane import (
     chunk_records,
     exchange_targets,
     partition_batch,
-    spill_batch,
 )
 
 records_strategy = st.lists(
@@ -252,7 +251,7 @@ class TestSpillPool:
             box["result"] = yield from gen
 
         cluster.sim.spawn(wrapper(cluster.sim))
-        cluster.run()
+        cluster.sim.run()
         return box["result"]
 
     def test_one_manager_per_node(self):
@@ -269,9 +268,7 @@ class TestSpillPool:
         node = cluster.worker(0)
         pairs = [("k", i) for i in range(10)]
         batch = RecordBatch(pairs, nbytes=sum(pair_size(k, v) for k, v in pairs))
-        run = self._run(
-            cluster, spill_batch(pool.for_node(node), batch, sorted_by_key=True)
-        )
+        run = self._run(cluster, pool.for_node(node).spill(batch, sorted_by_key=True))
         # The run's size is the batch's cached size — exactly the
         # per-record sum the spill layer would otherwise recompute.
         assert run.nbytes == batch.nbytes == batch_nbytes(pairs)
@@ -283,8 +280,8 @@ class TestSpillPool:
         cluster = Cluster(small_cluster_spec(num_workers=2))
         pool = SpillPool(job="j")
         manager = pool.for_node(cluster.worker(0))
-        first = self._run(cluster, manager.spill(["a"], free_memory=False))
-        second = self._run(cluster, manager.spill(["b"], free_memory=False))
+        first = self._run(cluster, manager.spill(RecordBatch(["a"])))
+        second = self._run(cluster, manager.spill(RecordBatch(["b"])))
         assert (first.run_id, second.run_id) == (0, 1)
         read = self._run(cluster, manager.read_back(first))
         assert read == ["a"]

@@ -1,10 +1,16 @@
 """Smoke tests: every example script runs end-to-end and prints sane output."""
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+SRC = EXAMPLES.parent / "src"
 
 
 def run_example(name: str, capsys) -> str:
@@ -16,6 +22,18 @@ def test_examples_exist():
     scripts = sorted(p.name for p in EXAMPLES.glob("*.py"))
     assert len(scripts) >= 3
     assert "quickstart.py" in scripts
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in EXAMPLES.glob("*.py")))
+def test_example_exits_zero_as_a_script(script):
+    """Each example runs as ``python examples/<script>`` with only ``src``
+    on the path, in its own process, and exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, str(EXAMPLES / script)], env=env, cwd=EXAMPLES.parent,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_quickstart(capsys):

@@ -57,15 +57,7 @@ class TestFlowletMetrics:
 
 class TestKVCheckpoint:
     def run_proc(self, cluster, gen):
-        from repro.common.errors import ReproError, SimulationError
-
-        cluster.sim.spawn(gen)
-        try:
-            cluster.run()
-        except SimulationError as exc:  # pragma: no cover - defensive
-            if isinstance(exc.__cause__, ReproError):
-                raise exc.__cause__ from exc
-            raise
+        cluster.run_job(gen, name="kv-checkpoint", label="KV checkpoint")
 
     def test_roundtrip(self):
         cluster = Cluster(small_cluster_spec(num_workers=3))

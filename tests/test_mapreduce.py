@@ -151,7 +151,7 @@ class TestChains:
         assert buckets[3] == ["the"]
         assert set(buckets[2]) == {"dog", "quick"}
         # chain pays two job startups
-        assert chain_makespan(results) >= 2 * engine.cost.hadoop_job_startup
+        assert chain_makespan(results) >= 2 * engine.cluster.cost.hadoop_job_startup
 
     def test_chain_missing_input_rejected(self):
         engine = make_engine()

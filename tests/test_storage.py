@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.common.errors import MemoryBudgetExceeded, StorageError
 from repro.common.partitioner import HashPartitioner
 from repro.cluster import Cluster, small_cluster_spec
+from repro.dataplane import RecordBatch
 from repro.storage import DFS, KVStore, LocalFS, LocationRef, SpillManager
 
 
@@ -23,7 +24,7 @@ def run_process(cluster, gen):
         return box["result"]
 
     cluster.sim.spawn(wrapper(cluster.sim))
-    elapsed = cluster.run()
+    elapsed = cluster.sim.run()
     return box["result"], elapsed
 
 
@@ -40,7 +41,7 @@ class TestDFSIngest:
     def test_ingest_charges_no_time(self):
         cluster = make_cluster(num_workers=3)
         DFS(cluster).ingest("f", ["x"] * 1000)
-        assert cluster.run() == 0.0
+        assert cluster.sim.run() == 0.0
         assert cluster.total_disk_bytes() == 0
 
     def test_block_splitting_respects_scale(self):
@@ -201,7 +202,9 @@ class TestSpill:
         node = cluster.worker(0)
         node.alloc(13)  # logical size of ("k", 1): 4 + 1 + 8
         spill = SpillManager(node)
-        run, _ = run_process(cluster, spill.spill([("k", 1)], sorted_by_key=True))
+        run, _ = run_process(
+            cluster, spill.spill(RecordBatch([("k", 1)]), sorted_by_key=True, free_memory=True)
+        )
         assert run.sorted_by_key
         assert node.memory.used == 0  # freed by spilling
         records, _ = run_process(cluster, spill.read_back(run))
@@ -213,7 +216,7 @@ class TestSpill:
         cluster = make_cluster()
         node = cluster.worker(0)
         spill = SpillManager(node)
-        run, _ = run_process(cluster, spill.spill([], free_memory=False))
+        run, _ = run_process(cluster, spill.spill(RecordBatch([])))
         spill.free(run)
         with pytest.raises(StorageError):
             next(iter(spill.read_back(run)), None)
@@ -223,7 +226,7 @@ class TestSpill:
         cluster = make_cluster()
         spill0 = SpillManager(cluster.worker(0))
         spill1 = SpillManager(cluster.worker(1))
-        run, _ = run_process(cluster, spill0.spill([1], free_memory=False))
+        run, _ = run_process(cluster, spill0.spill(RecordBatch([1])))
         with pytest.raises(StorageError):
             next(iter(spill1.read_back(run)), None)
 
