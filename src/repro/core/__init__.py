@@ -30,7 +30,6 @@ from repro.core.engine import HamrConfig, HamrEngine, JobResult
 from repro.core.flowlet import (
     Flowlet,
     FlowletKind,
-    FlowletStatus,
     Loader,
     Map,
     PartialReduce,
@@ -54,7 +53,6 @@ from repro.core.windows import TumblingWindows
 __all__ = [
     "Flowlet",
     "FlowletKind",
-    "FlowletStatus",
     "Loader",
     "Map",
     "Reduce",

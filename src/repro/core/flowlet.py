@@ -41,14 +41,6 @@ class FlowletKind(enum.Enum):
     PARTIAL_REDUCE = "partial_reduce"
 
 
-class FlowletStatus(enum.Enum):
-    """Per-node lifecycle of a flowlet instance (§2)."""
-
-    DORMANT = "dormant"  # not yet received all required data
-    READY = "ready"  # has data (or completion) enabling execution
-    COMPLETE = "complete"  # no more data will arrive or be produced
-
-
 class Flowlet:
     """Base class. ``name`` must be unique within a graph.
 

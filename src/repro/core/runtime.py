@@ -22,7 +22,11 @@ execution immediately and will be scheduled in a later time".
 
 Completion messages propagate from loaders downstream node-by-node; an
 instance completes when every upstream instance on every node has
-completed and its own inbox has drained.
+completed and its own inbox has drained. The paper's Dormant/Ready/Complete
+lifecycle has no status field: a dispatcher blocked on its inbox is
+dormant, a received bin (or, for a loader, its splits) makes it ready,
+and the inbox closing ends its loop, after which
+:meth:`NodeRuntime._complete_instance` completes it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.common.units import KB
 from repro.core.bins import Bin, BinPacker
 from repro.core.context import TaskContext
 from repro.dataplane import RecordBatch, chunk_records, pair_nbytes
-from repro.core.flowlet import Flowlet, FlowletKind, FlowletStatus, Loader, Map, PartialReduce, Reduce
+from repro.core.flowlet import Flowlet, FlowletKind, Loader, Map, PartialReduce, Reduce
 from repro.core.sources import SourceSplit
 from repro.obs import (
     ATOMIC,
@@ -104,11 +108,6 @@ class FlowletInstance:
         self.flowlet = flowlet
         self.node = runtime.node
         sim = runtime.sim
-        self.status = (
-            FlowletStatus.READY
-            if flowlet.kind is FlowletKind.LOADER
-            else FlowletStatus.DORMANT
-        )
         self.inbox = SimQueue(
             sim,
             capacity=inbox_capacity if flowlet.kind is not FlowletKind.LOADER else None,
@@ -350,7 +349,6 @@ class NodeRuntime:
                 bin_ = yield instance.inbox.get()
             except QueueClosed:
                 break
-            instance.status = FlowletStatus.READY
             if barrier:
                 held_bins.append(bin_)
                 continue
@@ -565,7 +563,6 @@ class NodeRuntime:
         for task in tasks:
             yield task
         # Barrier satisfied: all upstream complete, inbox drained.
-        instance.status = FlowletStatus.READY
         yield from self._execute_reduce(instance)
         yield from self._complete_instance(instance)
 
@@ -936,7 +933,6 @@ class NodeRuntime:
         instance.flowlet.teardown(instance.ctx)
         job = self.job
         job.collect_counters(instance.ctx)
-        instance.status = FlowletStatus.COMPLETE
         out_edges = self.graph.out_edges(instance.flowlet)
         notifications = []
         for edge in out_edges:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.common.units import format_bytes
 from repro.evaluation.report import render_table
-from repro.obs import BUCKETS, Span, Tracer, assign_lanes
+from repro.obs import BUCKETS, Tracer, lanes_of
 from repro.obs.critpath import from_tracer, render_critpath
 
 REPORT_SCHEMA = "repro.obs.report/v5"
@@ -53,18 +53,23 @@ def render_gantt(
     Lanes come from the same greedy assignment as the Chrome trace's
     ``tid``s, so the two views agree on concurrency structure.
     """
-    spans = [
-        s for s in tracer.finished_spans() if s.cat in cats and s.node is not None
+    table = tracer.table
+    attributions, codes = table.attributions, table.attribution
+    rows = [
+        row for row in table.finished()
+        if attributions[codes[row]][1] in cats and attributions[codes[row]][2] is not None
     ]
-    if not spans:
+    if not rows:
         return "(no task spans recorded — was the run traced?)"
-    t0 = min(s.start for s in spans)
-    t1 = max(s.end for s in spans)
+    starts, ends, ids = table.start.data, table.end.data, table.ids.data
+    t0 = min(starts[row] for row in rows)
+    t1 = max(ends[row] for row in rows)
     extent = max(t1 - t0, 1e-12)
-    lanes = assign_lanes(spans)
-    by_node: dict[int, dict[int, list[Span]]] = {}
-    for span in spans:
-        by_node.setdefault(span.node, {}).setdefault(lanes[span.span_id], []).append(span)
+    lanes = lanes_of(table.lane_rows(rows))
+    by_node: dict[int, dict[int, list[int]]] = {}
+    for row in rows:
+        node = attributions[codes[row]][2]
+        by_node.setdefault(node, {}).setdefault(lanes[ids[row]], []).append(row)
 
     legend = "  ".join(f"{glyph}={prefix}" for prefix, glyph in _GLYPHS)
     lines = [
@@ -75,9 +80,9 @@ def render_gantt(
         for lane in node_lanes[:max_lanes_per_node]:
             row = [" "] * width
             for span in by_node[node][lane]:
-                a = int((span.start - t0) / extent * (width - 1))
-                b = int((span.end - t0) / extent * (width - 1))
-                glyph = _glyph(span.name)
+                a = int((starts[span] - t0) / extent * (width - 1))
+                b = int((ends[span] - t0) / extent * (width - 1))
+                glyph = _glyph(attributions[codes[span]][0])
                 for i in range(a, b + 1):
                     row[i] = glyph
             lines.append(f"  n{node:<3}|{''.join(row)}|")
@@ -290,7 +295,6 @@ def render_report(tracer: Tracer, title: str = "", trace_dropped: int = 0) -> st
 
 def report_dict(tracer: Tracer, workload: str, engine: str) -> dict:
     """Deterministic JSON-serializable report (schema ``repro.obs.report/v5``)."""
-    spans = tracer.finished_spans()
     return {
         "schema": REPORT_SCHEMA,
         "workload": workload,
@@ -303,7 +307,7 @@ def report_dict(tracer: Tracer, workload: str, engine: str) -> dict:
             for name in tracer.metrics.names()
             if tracer.metrics._counters.get(name)
         },
-        "span_counts": _span_counts(spans),
+        "span_counts": _span_counts(tracer),
         "critpath": from_tracer(tracer).to_dict(),
         "trace": tracer.to_dict(),
     }
@@ -322,8 +326,10 @@ def report_json(
     )
 
 
-def _span_counts(spans: list[Span]) -> dict[str, int]:
+def _span_counts(tracer: Tracer) -> dict[str, int]:
+    table = tracer.table
     counts: dict[str, int] = {}
-    for span in spans:
-        counts[span.cat] = counts.get(span.cat, 0) + 1
+    for row in table.finished():
+        cat = table.attributions[table.attribution[row]][1]
+        counts[cat] = counts.get(cat, 0) + 1
     return dict(sorted(counts.items()))

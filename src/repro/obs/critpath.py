@@ -1,11 +1,11 @@
 """Critical-path analysis over the span DAG.
 
 A traced run yields spans (attributed intervals of virtual time) plus
-causal edges (:class:`~repro.obs.spans.SpanEdge`): shuffle producer →
-consumer, spill write → read-back, barrier inputs → gated work, stall
-wait-for. This module extracts the **weighted critical path** — the chain
-of dependent activities with no slack that ends at the last finished span
-— rolls it up by blame bucket, and answers Amdahl-style *what-if* queries
+causal ``(src, dst, kind)`` edges: shuffle producer → consumer, spill
+write → read-back, barrier inputs → gated work, stall wait-for. This
+module extracts the **weighted critical path** — the chain of dependent
+activities with no slack that ends at the last finished span — rolls it
+up by blame bucket, and answers Amdahl-style *what-if* queries
 ("zero the disk cost along the path") that bound the speedup obtainable
 by eliminating one cost source.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.obs.blame import BUCKETS
-from repro.obs.spans import SpanEdge, Tracer
+from repro.obs.spans import Tracer
 
 #: synthetic rollup keys alongside the blame buckets
 WAIT = "wait"  # inter-segment scheduling slack on the path
@@ -170,28 +170,29 @@ class CriticalPath:
 
 
 def _nodes_from_tracer(tracer: Tracer) -> dict[int, PathNode]:
+    table = tracer.table
+    attributions, codes = table.attributions, table.attribution
+    ids, starts, ends = table.ids.data, table.start.data, table.end.data
     nodes = {}
-    for s in tracer.finished_spans():
-        nodes[s.span_id] = PathNode(
-            span_id=s.span_id,
-            name=s.name,
-            cat=s.cat,
-            node=s.node,
-            job=s.job,
-            start=s.start,
-            end=s.end,
-            charges=dict(s.charges),
+    for row in table.finished():
+        span_id = ids[row]
+        name, cat, node, job, _flowlet = attributions[codes[row]]
+        nodes[span_id] = PathNode(
+            span_id=span_id,
+            name=name,
+            cat=cat,
+            node=node,
+            job=job,
+            start=starts[row],
+            end=ends[row],
+            charges=table.charges(row),
         )
     return nodes
 
 
 def from_tracer(tracer: Tracer, job: Optional[str] = None) -> "CriticalPath":
     """Extract the critical path from a live tracer."""
-    return critical_path(
-        _nodes_from_tracer(tracer),
-        [(e.src, e.dst, e.kind) for e in tracer.edges],
-        job=job,
-    )
+    return critical_path(_nodes_from_tracer(tracer), tracer.table.edges(), job=job)
 
 
 def critical_path(

@@ -13,6 +13,8 @@ import math
 from bisect import bisect_right
 from typing import Any, Optional, Sequence, Tuple
 
+from repro.obs.columns import Column
+
 #: default virtual-seconds histogram bucket upper bounds
 DEFAULT_BOUNDS = (0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 300.0, 1800.0)
 
@@ -88,14 +90,17 @@ class Histogram:
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
-        self.values: list[float] = []
+        self.values = Column("d")
         self._j = None
 
     def observe(self, value: float) -> None:
         self.counts[bisect_right(self.bounds, value)] += 1
         self.count += 1
         self.total += value
-        self.values.append(value)
+        if type(value) is float:  # fits a "d" column's storage as it is
+            self.values.data.append(value)
+        else:
+            self.values.append(value)
         if self._j is not None:
             self._j(value)
 
@@ -103,19 +108,16 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """Exact nearest-rank percentile of the observations (0 when empty)."""
-        if not 0.0 < q <= 100.0:
-            raise ValueError(f"percentile must be in (0, 100]: {q}")
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-
     def percentiles(self) -> dict[str, float]:
-        """The standard summary: ``{"p50": ..., "p95": ..., "p99": ...}``."""
-        return {f"p{q:g}": self.percentile(q) for q in PERCENTILES}
+        """The standard summary ``{"p50": ..., "p95": ..., "p99": ...}``:
+        exact nearest-rank percentiles (0 when empty), read from one sort
+        of the observations."""
+        ordered = sorted(self.values.data)
+        n = len(ordered)
+        return {
+            f"p{q:g}": ordered[max(1, math.ceil(q / 100.0 * n)) - 1] if n else 0.0
+            for q in PERCENTILES
+        }
 
     def snapshot(self) -> dict:
         snap = {
@@ -131,32 +133,40 @@ class Histogram:
 class TimeSeries:
     """(virtual time, value) samples, e.g. a node's busy-thread count."""
 
-    __slots__ = ("points", "_j")
+    __slots__ = ("times", "values", "_j")
 
     def __init__(self) -> None:
-        self.points: list[tuple[float, float]] = []
+        self.times = Column("d")
+        self.values = Column()
         self._j = None
 
     def append(self, time: float, value: float) -> None:
         if self._j is not None:
             self._j(time, value)
-        # Collapse same-instant updates: keep the latest value per time.
-        if self.points and self.points[-1][0] == time:
-            self.points[-1] = (time, value)
+        # Collapse same-instant updates: keep the latest sample per time.
+        if self.times.data and self.times.data[-1] == time:
+            self.times[-1] = time
+            self.values[-1] = value
         else:
-            self.points.append((time, value))
+            self.times.append(time)
+            self.values.append(value)
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """The ``(time, value)`` samples, oldest first."""
+        return list(zip(self.times.data, self.values.data))
 
     def value_at(self, time: float) -> float:
         """The most recent sample at or before ``time`` (0.0 before any)."""
         value = 0.0
-        for t, v in self.points:
+        for t, v in zip(self.times.data, self.values.data):
             if t > time:
                 break
             value = v
         return value
 
     def snapshot(self) -> list[list[float]]:
-        return [[t, v] for t, v in self.points]
+        return [[t, v] for t, v in zip(self.times.data, self.values.data)]
 
 
 class MetricsRegistry:

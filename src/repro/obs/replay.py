@@ -4,14 +4,15 @@
 real :class:`~repro.obs.spans.Tracer` over a frozen virtual clock (the
 footer's ``virtual_end``). Every event re-applies the *same primitive
 mutation* the live run performed — the same ``Counter.inc``, the same
-``BlameLedger.charge``, the same list appends — with the same operands in
-the same order, so every float accumulation reproduces bit-for-bit and
+``BlameLedger.charge``, the same column appends — with the same operands
+in the same order, so every float accumulation reproduces bit-for-bit and
 the downstream views (``report_dict``, ``telemetry_dict``, the
 critical-path extraction, the Chrome trace) serialize **byte-identically**
 to the live run's.
 
-The only deliberate difference: replayed spans are closed by assigning
-``end``/``args`` directly instead of calling ``finish()`` — the
+The fold fills the same :class:`~repro.obs.spans.SpanTable` a live run
+fills. The only deliberate difference: replayed spans are closed on the
+table directly instead of through ``finish()`` — the
 ``span.seconds`` histogram observation that ``finish()`` would trigger is
 itself a journal event (``h``) and replays separately, so going through
 ``finish()`` would double-apply it.
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro.obs.journal import JournalError, iter_journal, iter_journal_file
 from repro.obs.runspec import RunSpec
-from repro.obs.spans import Span, SpanEdge, Tracer
+from repro.obs.spans import Tracer
 
 
 class FrozenClock:
@@ -126,7 +127,13 @@ def _fold(stream: Iterator[dict]) -> ReplayedRun:
     clock = FrozenClock(0.0)
     tracer = Tracer(clock, enabled=True)
     metrics = tracer.metrics
-    spans: dict[int, Span] = {}
+    counter, gauge_of = metrics.counter, metrics.gauge
+    histogram, series = metrics.histogram, metrics.series
+    #: (registry accessor, name, labels) -> the metric those records mutate
+    handles: dict = {}
+    table = tracer.table
+    #: span id -> table row, for the close and charge records
+    rows: dict[int, int] = {}
     frames: list[dict] = []
     watch_config: Optional[dict] = None
     footer: Optional[dict] = None
@@ -134,38 +141,27 @@ def _fold(stream: Iterator[dict]) -> ReplayedRun:
     for rec in stream:
         t = rec["t"]
         if t == "so":
-            span = Span(
-                tracer,
-                rec["id"],
-                rec["n"],
-                rec["c"],
-                rec["st"],
-                node=rec.get("nd"),
-                job=rec.get("j"),
-                flowlet=rec.get("f"),
-                parent_id=rec.get("p"),
-                args=rec.get("a"),
+            rows[rec["id"]] = table.open(
+                rec["id"], rec["n"], rec["c"], rec["st"], rec.get("nd"),
+                rec.get("j"), rec.get("f"), rec.get("p"), rec.get("a"),
             )
-            tracer.spans.append(span)
-            spans[rec["id"]] = span
             next_id = max(next_id, rec["id"])
         elif t == "sc":
-            span = spans.get(rec["id"])
-            if span is None:
+            row = rows.get(rec["id"])
+            if row is None:
                 raise JournalError(f"span close for unknown span id {rec['id']}")
-            if span.end is not None:
+            if table.closed[row]:
                 raise JournalError(f"duplicate close for span id {rec['id']}")
-            span.end = rec["end"]
-            args = rec.get("a")
-            if args:
-                span.args = args
+            table.close(row, rec["end"], rec.get("a"))
         elif t == "e":
-            tracer.edges.append(SpanEdge(rec["s"], rec["d"], rec["k"]))
+            table.add_edge(rec["s"], rec["d"], rec["k"])
         elif t == "b":
-            tracer.charge(
-                rec["j"], rec["bk"], rec["v"],
-                node=rec.get("nd"), span=spans.get(rec.get("sp")),
-            )
+            # Tracer.charge's two mutations, the span's by row
+            seconds = rec["v"]
+            tracer.blame.charge(rec["j"], rec["bk"], seconds, node=rec.get("nd"))
+            row = rows.get(rec.get("sp"))
+            if row is not None and seconds > 0.0:
+                table.charge(row, rec["bk"], seconds)
         elif t == "m":
             kind, name, labels = rec["k"], rec["n"], dict(rec["l"])
             if kind == "c":
@@ -179,9 +175,9 @@ def _fold(stream: Iterator[dict]) -> ReplayedRun:
             else:
                 raise JournalError(f"unknown metric kind {kind!r}")
         elif t == "c":
-            metrics.counter(rec["n"], **dict(rec["l"])).inc(rec["v"])
+            _metric(handles, counter, rec).inc(rec["v"])
         elif t == "g":
-            gauge = metrics.gauge(rec["n"], **dict(rec["l"]))
+            gauge = _metric(handles, gauge_of, rec)
             if rec["op"] == "set":
                 gauge.set(rec["v"])
             elif rec["op"] == "add":
@@ -189,9 +185,9 @@ def _fold(stream: Iterator[dict]) -> ReplayedRun:
             else:
                 raise JournalError(f"unknown gauge op {rec['op']!r}")
         elif t == "h":
-            metrics.histogram(rec["n"], **dict(rec["l"])).observe(rec["v"])
+            _metric(handles, histogram, rec).observe(rec["v"])
         elif t == "s":
-            metrics.series(rec["n"], **dict(rec["l"])).append(rec["tm"], rec["v"])
+            _metric(handles, series, rec).append(rec["tm"], rec["v"])
         elif t == "tls":
             tracer.timeline.record_step(rec["tr"], rec["nd"], rec["tm"], rec["v"])
         elif t == "tli":
@@ -234,6 +230,16 @@ def _fold(stream: Iterator[dict]) -> ReplayedRun:
     clock.now = footer.get("virtual_end", 0.0)
     tracer._next_id = next_id
     return ReplayedRun(header, footer, tracer, frames=frames, watch_config=watch_config)
+
+
+def _metric(handles: dict, accessor, rec: dict):
+    """The metric a ``c``/``g``/``h``/``s`` record mutates: the registry
+    ``accessor``'s, looked up once per name and label list."""
+    key = (accessor, rec["n"], *map(tuple, rec["l"]))
+    metric = handles.get(key)
+    if metric is None:
+        metric = handles[key] = accessor(rec["n"], **dict(rec["l"]))
+    return metric
 
 
 def replay_lines(lines, *, allow_partial: bool = False) -> ReplayedRun:

@@ -27,6 +27,7 @@ import math
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.common.units import format_bytes
+from repro.obs.columns import Column
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -105,10 +106,10 @@ class TimelineSampler:
         self.enabled = enabled
         #: optional journal writer: every sample is recorded as emitted
         self._journal = journal
-        #: (track, node) -> [(time, level)] — collapsed per instant
-        self._steps: dict[tuple[str, int], list[tuple[float, float]]] = {}
-        #: (track, node) -> [(start, finish, weight)]
-        self._intervals: dict[tuple[str, int], list[tuple[float, float, float]]] = {}
+        #: (track, node) -> (time, level) columns — collapsed per instant
+        self._steps: dict[tuple[str, int], tuple[Column, Column]] = {}
+        #: (track, node) -> (start, finish, weight) columns
+        self._intervals: dict[tuple[str, int], tuple[Column, Column, Column]] = {}
         #: (track, node) -> running level for delta-fed step tracks
         self._levels: dict[tuple[str, int], float] = {}
         #: (track, node) -> capacity used to normalize heat (threads, budget, ndisks)
@@ -123,11 +124,30 @@ class TimelineSampler:
             self._journal.emit(
                 {"t": "tls", "tr": track, "nd": node, "tm": time, "v": value}
             )
-        samples = self._steps.setdefault((track, node), [])
-        if samples and samples[-1][0] == time:
-            samples[-1] = (time, value)
+        columns = self._steps.get((track, node))
+        if columns is None:
+            columns = self._steps[(track, node)] = (Column("d"), Column("d"))
+        times, levels = columns
+        if type(time) is not float or type(value) is not float:
+            self._record_step_slow(times, levels, time, value)
+            return
+        # a float fits a "d" column's storage (array or list) as it is
+        data = times.data
+        if data and data[-1] == time:
+            data[-1] = time
+            levels.data[-1] = value
         else:
-            samples.append((time, value))
+            data.append(time)
+            levels.data.append(value)
+
+    @staticmethod
+    def _record_step_slow(times: Column, levels: Column, time, value) -> None:
+        if times.data and times.data[-1] == time:
+            times[-1] = time
+            levels[-1] = value
+        else:
+            times.append(time)
+            levels.append(value)
 
     def record_interval(
         self, track: str, node: int, start: float, finish: float, weight: float
@@ -139,7 +159,18 @@ class TimelineSampler:
                 {"t": "tli", "tr": track, "nd": node, "t0": start, "t1": finish,
                  "w": weight}
             )
-        self._intervals.setdefault((track, node), []).append((start, finish, weight))
+        columns = self._intervals.get((track, node))
+        if columns is None:
+            columns = self._intervals[(track, node)] = (Column("d"), Column("d"), Column("d"))
+        if type(start) is float and type(finish) is float and type(weight) is float:
+            # a float fits a "d" column's storage (array or list) as it is
+            columns[0].data.append(start)
+            columns[1].data.append(finish)
+            columns[2].data.append(weight)
+        else:
+            columns[0].append(start)
+            columns[1].append(finish)
+            columns[2].append(weight)
 
     def set_capacity(self, track: str, node: int, capacity: float) -> None:
         if self._journal is not None:
@@ -196,6 +227,16 @@ class TimelineSampler:
 
     # -- queries -----------------------------------------------------------------
 
+    def steps(self, track: str, node: int) -> list[tuple]:
+        """One step track's ``(time, level)`` samples."""
+        columns = self._steps.get((track, node))
+        return list(zip(columns[0].data, columns[1].data)) if columns else []
+
+    def intervals(self, track: str, node: int) -> list[tuple]:
+        """One rate track's ``(start, finish, weight)`` intervals."""
+        columns = self._intervals.get((track, node))
+        return list(zip(*(c.data for c in columns))) if columns else []
+
     def tracks(self) -> list[str]:
         """Recorded track names in canonical render order."""
         seen = {t for t, _n in self._steps} | {t for t, _n in self._intervals}
@@ -221,7 +262,7 @@ class TimelineSampler:
         end = self.sim.now if t_end is None else t_end
         total = 0.0
         prev_t, prev_v = 0.0, 0.0
-        for t, v in self._steps.get((track, node), []):
+        for t, v in self.steps(track, node):
             if t >= end:
                 break
             total += prev_v * (t - prev_t)
@@ -242,10 +283,8 @@ class TimelineSampler:
             return [0.0] * bins
         kind = TRACK_KINDS.get(track, "max")
         if kind == "rate":
-            return self._bin_intervals(
-                self._intervals.get((track, node), []), bins, end
-            )
-        return self._bin_steps(self._steps.get((track, node), []), bins, end, kind)
+            return self._bin_intervals(self.intervals(track, node), bins, end)
+        return self._bin_steps(self.steps(track, node), bins, end, kind)
 
     @staticmethod
     def _bin_steps(

@@ -348,8 +348,11 @@ class WhatIfModel:
         tracer = self.run.tracer
         self.cp: CriticalPath = from_tracer(tracer)
 
-        spans = tracer.finished_spans()
-        max_node = max((s.node for s in spans if s.node is not None), default=0)
+        table = tracer.table
+        keysets, columns = table.keysets, table.charge_columns
+        rows = table.finished()
+        attribution = [table.attributions[table.attribution[r]] for r in rows]
+        max_node = max((a[2] for a in attribution if a[2] is not None), default=0)
 
         # Per-bucket totals over *closed* spans: the exact seconds the
         # dilation transform would insert per unit factor.
@@ -357,18 +360,21 @@ class WhatIfModel:
         # Per-job per-worker-node parallel loads (task-seconds of
         # node-attributed parallel-bucket work).
         self.node_loads: dict[str, dict[int, float]] = {}
-        for span in spans:
-            for bucket in sorted(span.charges):
-                sec = span.charges[bucket]
+        for row, (_name, cat, node, job, _flowlet) in zip(rows, attribution):
+            buckets = keysets[table.charge_keys[row]]
+            for bucket in sorted(buckets):
+                sec = columns[bucket].data[row]
                 self.span_bucket_totals[bucket] = (
                     self.span_bucket_totals.get(bucket, 0.0) + sec
                 )
-            if span.cat == "job" or span.job is None or not span.node:
+            if cat == "job" or job is None or not node:
                 continue
-            load = sum(span.charges.get(b, 0.0) for b in PARALLEL_BUCKETS)
+            load = sum(
+                columns[b].data[row] if b in buckets else 0.0 for b in PARALLEL_BUCKETS
+            )
             if load > 0.0:
-                per = self.node_loads.setdefault(span.job, {})
-                per[span.node] = per.get(span.node, 0.0) + load
+                per = self.node_loads.setdefault(job, {})
+                per[node] = per.get(node, 0.0) + load
 
         # Path shares: (job, node, bucket->on-path seconds) per segment.
         self.path_shares: list[tuple[Optional[str], Optional[int], dict]] = [

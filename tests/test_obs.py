@@ -1,8 +1,15 @@
 """Tests for the observability subsystem: spans, metrics, blame, reports."""
 
+import gc
 import json
+import math
+import struct
+import tracemalloc
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import wordcount
 from repro.apps.base import AppEnv
@@ -16,17 +23,25 @@ from repro.evaluation.obsreport import (
     report_dict,
     report_json,
 )
+from repro.evaluation.runner import run_workload
+from repro.evaluation.workloads import workload_by_name
 from repro.obs import (
     ATOMIC,
     BUCKETS,
     COMPUTE,
     DISK,
+    EDGE_KINDS,
     NULL_SPAN,
     BlameLedger,
+    JournalWriter,
     MetricsRegistry,
+    SpanTable,
     Tracer,
     assign_lanes,
+    replay_lines,
 )
+from repro.obs.columns import NO_ID, Column, IdColumn
+from repro.obs.replay import FrozenClock
 from repro.sim import Simulator
 
 
@@ -432,3 +447,227 @@ class TestHadoopTracing:
             "dfs.local_reads"
         ) + env.obs.metrics.counter_total("dfs.remote_reads")
         assert reads > 0
+
+
+# -- the span table ----------------------------------------------------------------
+
+
+def _same(a, b):
+    """Equal values of the same type, floats compared bit for bit and
+    containers element by element in order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324])
+_FLOATS = st.floats() | _SPECIAL_FLOATS
+_INTS = st.integers(min_value=-(2**70), max_value=2**70) | st.sampled_from(
+    [NO_ID, NO_ID + 1, 2**63 - 1, 2**63, 0, 1]
+)
+#: text strategies draw non-ASCII characters too
+_VALUES = st.none() | st.booleans() | _INTS | _FLOATS | st.text(max_size=6)
+_JSON_VALUES = (
+    st.none() | st.booleans() | _INTS | st.floats(allow_nan=False) | st.text(max_size=6)
+)
+_ARG_KEYS = st.text(min_size=1, max_size=6).filter(
+    lambda k: k not in {"name", "cat", "node", "job", "flowlet", "parent"}
+)
+
+
+class TestSpanTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _INTS, st.text(max_size=6), st.text(max_size=6), _FLOATS, _VALUES,
+                _VALUES, _VALUES, st.none() | _INTS,
+                st.dictionaries(st.text(max_size=4), _VALUES, max_size=3),
+                st.none() | _FLOATS,
+            ),
+            max_size=6,
+        )
+    )
+    def test_every_value_reads_back_unchanged(self, rows):
+        table = SpanTable()
+        for span_id, name, cat, start, node, job, flowlet, parent, args, end in rows:
+            row = table.open(span_id, name, cat, start, node, job, flowlet, parent, args)
+            if end is not None:
+                table.close(row, end)
+        for row, (span_id, name, cat, start, node, job, flowlet, parent, args, end) in (
+            enumerate(rows)
+        ):
+            assert _same(table.args(row), args)
+            assert _same(
+                table.row_dict(row),
+                {
+                    "id": span_id, "name": name, "cat": cat, "start": start,
+                    "end": end, "node": node, "job": job, "flowlet": flowlet,
+                    "parent": parent, "args": {k: args[k] for k in sorted(args)},
+                    "charges": {},
+                },
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_VALUES, max_size=12), st.sampled_from(["d", "q", None, "id"]))
+    def test_a_column_gives_back_what_it_was_given(self, values, typecode):
+        column = IdColumn() if typecode == "id" else Column(typecode)
+        for value in values:
+            column.append(value)
+        assert _same(list(column), values)
+        assert _same([column[i] for i in range(len(column))], values)
+        if values:
+            column[-1] = values[0]
+            assert _same(list(column), values[:-1] + values[:1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_FLOATS | _INTS, _FLOATS | _INTS, _FLOATS | _INTS), max_size=8))
+    def test_timeline_samples_read_back_unchanged(self, samples):
+        sampler = _tracer().timeline
+        steps = []
+        for time, level, weight in samples:
+            sampler.record_step("queue", 1, time, level)
+            sampler.record_interval("disk", 1, time, level, weight)
+            if steps and steps[-1][0] == time:  # same instant: the last level wins
+                steps[-1] = (time, level)
+            else:
+                steps.append((time, level))
+        assert _same(sampler.steps("queue", 1), steps)
+        assert _same(sampler.intervals("disk", 1), samples)
+
+    def test_equal_values_of_other_types_keep_their_type(self):
+        table = SpanTable()
+        nodes = [1, True, 1.0, 0.0, -0.0, 0, False, None]
+        for row, node in enumerate(nodes):
+            table.open(row + 1, "é", "task", 0.0, node, "j", None, None, None)
+        assert _same([table.row_dict(row)["node"] for row in range(len(nodes))], nodes)
+
+    def test_counts_stay_ints_and_durations_floats(self):
+        registry = MetricsRegistry()
+        busy = registry.series("threads_busy", node=1)
+        busy.append(0.0, 2)
+        busy.append(1.5, 3)
+        assert _same(busy.points, [(0.0, 2), (1.5, 3)])
+        tracer = _tracer()
+        span = tracer.span("ship", "shuffle", nrecords=7).finish()
+        assert _same(tracer.spans[0].args, {"nrecords": 7})
+        # handles on one row are one span
+        assert tracer.spans[-1] == span and hash(tracer.spans[0]) == hash(span)
+        assert span in tracer.spans
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from(BUCKETS),
+                st.floats(min_value=0.0) | st.sampled_from([5e-324, 0.1, 1e308]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_charges_keep_first_charge_order_and_sum_bit_exact(self, charges):
+        tracer = _tracer()
+        spans = [tracer.span(f"s{i}", "task") for i in range(3)]
+        plain = [{} for _ in spans]
+        for index, bucket, seconds in charges:
+            tracer.charge("j", bucket, seconds, span=spans[index])
+            if seconds > 0.0:
+                plain[index][bucket] = plain[index].get(bucket, 0.0) + seconds
+        for span, expected in zip(spans, plain):
+            assert _same(span.charges, expected)
+            assert _same(sum(span.charges.values()), sum(expected.values()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(_ARG_KEYS, _JSON_VALUES, max_size=3),
+        st.dictionaries(_ARG_KEYS, _JSON_VALUES, max_size=3),
+    )
+    def test_finish_args_reach_the_close_record(self, opened, finished):
+        writer = JournalWriter()
+        tracer = Tracer(Simulator(), enabled=True, journal=writer)
+        span = tracer.span("work", "task", **opened)
+        span.finish(**finished)
+        merged = {**opened, **finished}
+        assert _same(span.args, merged)
+        (close,) = [rec for rec in writer.records if rec["t"] == "sc"]
+        assert _same(close.get("a", {}), {k: merged[k] for k in sorted(merged)})
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(max_size=4), st.text(min_size=1, max_size=4),
+                st.none() | st.booleans() | _INTS | st.floats() | st.text(max_size=3),
+                st.none() | st.text(max_size=3), st.none() | st.text(max_size=3),
+                st.none() | st.integers(0, 7), st.dictionaries(_ARG_KEYS, _JSON_VALUES, max_size=2),
+                st.floats(), st.none() | st.floats(),
+                st.dictionaries(_ARG_KEYS, _JSON_VALUES, max_size=2),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from(BUCKETS), st.floats(min_value=0.0)),
+            max_size=10,
+        ),
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from(EDGE_KINDS)),
+            max_size=8,
+        ),
+    )
+    def test_replayed_tracer_serializes_like_the_live_one(self, spans, charges, edges):
+        writer = JournalWriter()
+        writer.write_header(workload="w", engine="hamr")
+        tracer = Tracer(FrozenClock(0.0), enabled=True, journal=writer)
+        handles = []
+        for name, cat, node, job, flowlet, parent, args, start, _end, _more in spans:
+            tracer.sim.now = start
+            parent = handles[parent % len(handles)] if handles and parent is not None else None
+            handles.append(
+                tracer.span(name, cat, node=node, job=job, flowlet=flowlet, parent=parent, **args)
+            )
+        for index, bucket, seconds in charges:
+            tracer.charge("j", bucket, seconds, span=handles[index % len(handles)])
+        for src, dst, kind in edges:
+            tracer.edge(handles[src % len(handles)], handles[dst % len(handles)], kind)
+        for handle, (*_, end, more) in zip(handles, spans):
+            if end is not None:
+                tracer.sim.now = end
+                handle.finish(**more)
+        writer.write_footer(makespan=0.0, virtual_end=tracer.sim.now)
+        replayed = replay_lines(writer.lines).tracer
+        assert replayed.to_json() == tracer.to_json()
+
+
+class TestRecorderMemory:
+    def test_a_finished_row_holds_its_recording_as_columns(self):
+        """What a journaled run's tracer keeps, per span: spans, edges and
+        telemetry samples in typed columns cost about 0.4 kB a span at
+        tiny fidelity, where one Python object per record cost 1.2 kB."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            row = run_workload(
+                workload_by_name("wordcount", "tiny", seed=0), engines="hamr", journal=True
+            )
+            tracer = row.hamr_obs
+            freed = weakref.ref(tracer)
+            spans = len(tracer.spans)
+            del tracer
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            row.hamr_obs = None
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed() is None  # the row held the only reference
+        assert spans > 1000
+        assert retained / spans <= 600, (retained, spans)

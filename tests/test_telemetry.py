@@ -99,7 +99,7 @@ class TestTimelineSampler:
         sampler = _sampler()
         sampler.record_step(QUEUE, 1, 2.0, 5.0)
         sampler.record_step(QUEUE, 1, 2.0, 9.0)
-        assert sampler._steps[(QUEUE, 1)] == [(2.0, 9.0)]
+        assert sampler.steps(QUEUE, 1) == [(2.0, 9.0)]
 
     def test_disabled_sampler_records_nothing(self):
         sampler = _sampler(enabled=False)
@@ -113,7 +113,7 @@ class TestTimelineSampler:
         observe(1.0, 10.0)
         observe(2.0, 5.0)
         observe(3.0, -10.0)
-        assert sampler._steps[(QUEUE, 4)] == [(1.0, 10.0), (2.0, 15.0), (3.0, 5.0)]
+        assert sampler.steps(QUEUE, 4) == [(1.0, 10.0), (2.0, 15.0), (3.0, 5.0)]
 
     def test_to_dict_deterministic_and_serializable(self):
         sampler = _sampler()
