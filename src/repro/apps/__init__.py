@@ -6,8 +6,11 @@
    job structure (full data through shuffle, chained jobs);
 3. a pure-Python **reference** used by the test suite to verify both.
 
-Every module exposes ``run_hamr(env, params)`` and ``run_hadoop(env,
-params)`` returning an :class:`~repro.apps.base.AppResult`.
+Every module exposes ``run_hamr(env, params, records)`` and
+``run_hadoop(env, params, records)`` returning an
+:class:`~repro.apps.base.AppResult`. An app declares only its flowlet
+graph or MapReduce jobs and how their output is read; the two drivers in
+:mod:`repro.apps.base` ingest, run and wrap.
 """
 
 from repro.apps.base import AppEnv, AppResult

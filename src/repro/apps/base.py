@@ -1,13 +1,15 @@
-"""Shared benchmark plumbing: environments, result records, ingest helpers."""
+"""Shared benchmark plumbing: environments, result records, the two app drivers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.spec import ClusterSpec, small_cluster_spec
+from repro.common.errors import JobError
 from repro.core.engine import HamrConfig, HamrEngine
+from repro.mapreduce.chain import run_chain
 from repro.mapreduce.engine import HadoopConfig, HadoopEngine
 from repro.obs.runspec import RunSpec
 from repro.storage.dfs import DFS
@@ -104,3 +106,58 @@ class AppEnv:
     def ingest_dfs(self, file_name: str, records: list) -> None:
         """Place records in the DFS (Hadoop's input side)."""
         self.dfs.ingest(file_name, records)
+
+
+# -- the two app drivers ----------------------------------------------------------
+#
+# An app declares its flowlet graph(s) or MapReduce jobs and how the last
+# job's result reads as its output; a driver ingests, runs and wraps.
+
+
+def run_on_hamr(
+    env: AppEnv, app: str, input_name: str, records: list, graphs: Iterable, read: Callable,
+    until: Optional[Callable] = None,
+) -> AppResult:
+    """Place ``records`` on the workers' local disks as ``input_name`` (§5.1)
+    and run ``graphs`` back to back. They are drawn one at a time, so an
+    iterative app builds each graph after the last one ran;
+    ``until(job_result)`` stops early (Alg. 2's convergence test)."""
+    env.ingest_local(input_name, records)
+    results = []
+    for graph in graphs:
+        results.append(env.hamr.run(graph))
+        if until is not None and until(results[-1]):
+            break
+    if not results:
+        raise JobError(f"{app}: no graph to run")
+    return _app_result(app, "hamr", results, read)
+
+
+def _output_pairs(result) -> dict:
+    return dict(result.outputs)
+
+
+def run_on_hadoop(
+    env: AppEnv, app: str, input_name: str, records: list, jobs: list,
+    read: Callable = _output_pairs,
+) -> AppResult:
+    """Place ``records`` in the DFS as ``input_name`` and run ``jobs`` as
+    one chain (§3.2); the output is the last job's pairs unless ``read``
+    says otherwise."""
+    env.ingest_dfs(input_name, records)
+    return _app_result(app, "hadoop", run_chain(env.hadoop, jobs), read)
+
+
+def _app_result(app: str, engine: str, results: list, read: Callable) -> AppResult:
+    """Several jobs as one result: the makespan from the first job's start
+    to the last one's end, counters and metrics summed in job order."""
+    counters: dict[str, float] = {}
+    metrics: dict[str, float] = {}
+    for result in results:
+        for total, part in ((counters, result.counters), (metrics, result.metrics)):
+            for key, value in part.items():
+                total[key] = total.get(key, 0) + value
+    return AppResult(
+        app, engine, results[-1].end_time - results[0].start_time, read(results[-1]),
+        counters=counters, metrics=metrics,
+    )

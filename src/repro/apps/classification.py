@@ -12,9 +12,10 @@ the shuffle and writes per-movie assignments to the DFS.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from repro.apps.base import AppEnv, AppResult
+from repro.apps.base import AppEnv, AppResult, run_on_hadoop, run_on_hamr
 from repro.core import (
     EdgeMode,
     FlowletGraph,
@@ -70,15 +71,11 @@ def build_hamr_graph(env: AppEnv, params: ClassificationParams, centroids) -> Fl
     return graph
 
 
-def run_hamr(env: AppEnv, params: ClassificationParams, records=None) -> AppResult:
-    if records is None:
-        records = generate_input(params)
-    centroids = initial_centroids(records, params.k)
-    env.ingest_local(INPUT, records)
-    result = env.hamr.run(build_hamr_graph(env, params, centroids))
-    return AppResult(
-        APP, "hamr", result.makespan, dict(result.output("ClusterSizes")),
-        counters=result.counters, metrics=result.metrics,
+def run_hamr(env: AppEnv, params: ClassificationParams, records) -> AppResult:
+    graph = build_hamr_graph(env, params, initial_centroids(records, params.k))
+    return run_on_hamr(
+        env, APP, INPUT, records, [graph],
+        lambda result: dict(result.output("ClusterSizes")),
     )
 
 
@@ -103,18 +100,11 @@ def build_hadoop_job(params: ClassificationParams, centroids) -> MRJob:
     )
 
 
-def run_hadoop(env: AppEnv, params: ClassificationParams, records=None) -> AppResult:
-    if records is None:
-        records = generate_input(params)
-    centroids = initial_centroids(records, params.k)
-    env.ingest_dfs(INPUT, records)
-    result = env.hadoop.run(build_hadoop_job(params, centroids))
-    sizes: dict[int, int] = {}
-    for _movie, cluster in result.outputs:
-        sizes[cluster] = sizes.get(cluster, 0) + 1
-    return AppResult(
-        APP, "hadoop", result.makespan, sizes,
-        counters=result.counters, metrics=result.metrics,
+def run_hadoop(env: AppEnv, params: ClassificationParams, records) -> AppResult:
+    job = build_hadoop_job(params, initial_centroids(records, params.k))
+    return run_on_hadoop(  # cluster sizes from the per-movie assignments
+        env, APP, INPUT, records, [job],
+        lambda result: dict(Counter(cluster for _movie, cluster in result.outputs)),
     )
 
 

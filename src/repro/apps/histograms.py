@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.base import AppEnv, AppResult, CountPairs
+from repro.apps.base import AppEnv, AppResult, CountPairs, run_on_hadoop, run_on_hamr
 from repro.core import (
     EdgeMode,
     FlowletGraph,
@@ -76,16 +76,12 @@ def make_map_ratings():
     return map_ratings
 
 
-def _input_name(app: str) -> str:
-    return f"{app}-input"
-
-
 # -- engines (shared shape for both histogram apps) ------------------------------------
 
 
-def _build_hamr(env: AppEnv, app: str, map_fn, use_combiner: bool) -> FlowletGraph:
+def _run_hamr(env: AppEnv, app: str, map_fn, params: HistogramParams, records) -> AppResult:
     graph = FlowletGraph(app)
-    loader = graph.add(Loader("TextLoader", LocalFSSource(env.localfs, _input_name(app))))
+    loader = graph.add(Loader("TextLoader", LocalFSSource(env.localfs, f"{app}-input")))
     mapper = graph.add(Map("BinMap", fn=map_fn, compute_factor=PARSE_FACTOR))
     count = graph.add(
         PartialReduce(
@@ -96,51 +92,40 @@ def _build_hamr(env: AppEnv, app: str, map_fn, use_combiner: bool) -> FlowletGra
         )
     )
     graph.connect(loader, mapper, mode=EdgeMode.LOCAL)
-    graph.connect(mapper, count, combiner=sum_combiner() if use_combiner else None)
-    return graph
+    graph.connect(mapper, count, combiner=sum_combiner() if params.hamr_combiner else None)
+    return run_on_hamr(
+        env, app, f"{app}-input", records, [graph],
+        lambda result: dict(result.output("Count")),
+    )
 
 
-def _build_hadoop(app: str, map_fn) -> MRJob:
-    return MRJob(
+def _run_hadoop(env: AppEnv, app: str, map_fn, records) -> AppResult:
+    job = MRJob(
         app,
-        _input_name(app),
+        f"{app}-input",
         f"{app}-out",
         mapper=Mapper(fn=map_fn, compute_factor=PARSE_FACTOR),
         reducer=Reducer(fn=lambda ctx, key, counts: ctx.emit(key, sum(counts))),
         combiner=sum_combiner(),  # the PUMA versions ship with combiners
         aggregated_output=True,  # bin-space-bounded counts
     )
+    return run_on_hadoop(env, app, f"{app}-input", records, [job])
 
 
-def _run(env: AppEnv, app: str, engine: str, map_fn, params: HistogramParams, records):
-    if records is None:
-        records = generate_input(params)
-    if engine == "hamr":
-        env.ingest_local(_input_name(app), records)
-        result = env.hamr.run(_build_hamr(env, app, map_fn, params.hamr_combiner))
-        output = dict(result.output("Count"))
-        return AppResult(app, engine, result.makespan, output,
-                         counters=result.counters, metrics=result.metrics)
-    env.ingest_dfs(_input_name(app), records)
-    result = env.hadoop.run(_build_hadoop(app, map_fn))
-    return AppResult(app, engine, result.makespan, dict(result.outputs),
-                     counters=result.counters, metrics=result.metrics)
+def run_movies_hamr(env: AppEnv, params: HistogramParams, records) -> AppResult:
+    return _run_hamr(env, MOVIES_APP, map_movies, params, records)
 
 
-def run_movies_hamr(env: AppEnv, params: HistogramParams, records=None) -> AppResult:
-    return _run(env, MOVIES_APP, "hamr", map_movies, params, records)
+def run_movies_hadoop(env: AppEnv, params: HistogramParams, records) -> AppResult:
+    return _run_hadoop(env, MOVIES_APP, map_movies, records)
 
 
-def run_movies_hadoop(env: AppEnv, params: HistogramParams, records=None) -> AppResult:
-    return _run(env, MOVIES_APP, "hadoop", map_movies, params, records)
+def run_ratings_hamr(env: AppEnv, params: HistogramParams, records) -> AppResult:
+    return _run_hamr(env, RATINGS_APP, make_map_ratings(), params, records)
 
 
-def run_ratings_hamr(env: AppEnv, params: HistogramParams, records=None) -> AppResult:
-    return _run(env, RATINGS_APP, "hamr", make_map_ratings(), params, records)
-
-
-def run_ratings_hadoop(env: AppEnv, params: HistogramParams, records=None) -> AppResult:
-    return _run(env, RATINGS_APP, "hadoop", make_map_ratings(), params, records)
+def run_ratings_hadoop(env: AppEnv, params: HistogramParams, records) -> AppResult:
+    return _run_hadoop(env, RATINGS_APP, make_map_ratings(), records)
 
 
 # -- references ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.base import AppEnv, AppResult
+from repro.apps.base import AppEnv, AppResult, run_on_hadoop, run_on_hamr
 from repro.core import (
     FlowletGraph,
     Loader,
@@ -37,8 +37,7 @@ from repro.core import (
     Reduce,
 )
 from repro.data.rmat import rmat_edges
-from repro.mapreduce import Mapper, MRJob, Reducer, run_chain
-from repro.mapreduce.chain import chain_makespan
+from repro.mapreduce import Mapper, MRJob, Reducer
 
 APP = "kcliques"
 INPUT = f"{APP}-edges"
@@ -126,15 +125,12 @@ def build_hamr_graph(env: AppEnv, params: KCliquesParams) -> FlowletGraph:
     return graph
 
 
-def run_hamr(env: AppEnv, params: KCliquesParams, edges=None) -> AppResult:
-    if edges is None:
-        edges = generate_input(params)
-    env.ingest_local(INPUT, edges)
-    result = env.hamr.run(build_hamr_graph(env, params))
-    cliques = sorted(clique for clique, _one in result.output(f"{params.k}CliquesVerify"))
-    return AppResult(
-        APP, "hamr", result.makespan, cliques,
-        counters=result.counters, metrics=result.metrics,
+def run_hamr(env: AppEnv, params: KCliquesParams, edges) -> AppResult:
+    return run_on_hamr(
+        env, APP, INPUT, edges, [build_hamr_graph(env, params)],
+        lambda result: sorted(
+            clique for clique, _one in result.output(f"{params.k}CliquesVerify")
+        ),
     )
 
 
@@ -203,21 +199,13 @@ def build_hadoop_jobs(params: KCliquesParams) -> list[MRJob]:
     return jobs
 
 
-def run_hadoop(env: AppEnv, params: KCliquesParams, edges=None) -> AppResult:
-    if edges is None:
-        edges = generate_input(params)
-    env.ingest_dfs(INPUT, edges)
-    results = run_chain(env.hadoop, build_hadoop_jobs(params))
+def run_hadoop(env: AppEnv, params: KCliquesParams, edges) -> AppResult:
     # The build job already emits verified 2-cliques; for k >= 3 the final
     # level's ("K", 1) records are the answer.
-    cliques = sorted(
-        key for key, value in results[-1].outputs if value[0] == "K"
+    return run_on_hadoop(
+        env, APP, INPUT, edges, build_hadoop_jobs(params),
+        lambda result: sorted(key for key, value in result.outputs if value[0] == "K"),
     )
-    metrics: dict[str, float] = {}
-    for r in results:
-        for k, v in r.metrics.items():
-            metrics[k] = metrics.get(k, 0.0) + v
-    return AppResult(APP, "hadoop", chain_makespan(results), cliques, metrics=metrics)
 
 
 # -- reference ---------------------------------------------------------------------------------

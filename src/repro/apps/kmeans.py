@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.base import AppEnv, AppResult
+from repro.apps.base import AppEnv, AppResult, run_on_hadoop, run_on_hamr
 from repro.common.partitioner import ModPartitioner
 from repro.core import EdgeMode, FlowletGraph, Loader, LocalFSSource, Map, Reduce
 from repro.data.movies import cosine_similarity, movie_corpus, parse_movie_line
@@ -62,6 +62,14 @@ def assign_cluster(vector: dict[int, float], centroids: list[dict[int, float]]):
 # -- HAMR ---------------------------------------------------------------------------
 
 
+def _centroid_update(ctx, cluster: int, payload) -> None:
+    """CentroidUpdate (both K-Means graphs): install the broadcast centroid."""
+    movie_id, vector = payload
+    ctx.kv_put(("centroid", cluster), vector)
+    if ctx.worker_index == 0:  # emit the job-level answer exactly once
+        ctx.emit(cluster, movie_id)
+
+
 def build_hamr_graph(env: AppEnv, params: KMeansParams, centroids) -> FlowletGraph:
     graph = FlowletGraph(APP)
     loader = graph.add(Loader("TextLoader", LocalFSSource(env.localfs, INPUT)))
@@ -99,16 +107,7 @@ def build_hamr_graph(env: AppEnv, params: KMeansParams, centroids) -> FlowletGra
         ctx.emit(cluster, (record.movie_id, record.vector()))
 
     info_get = graph.add(Map("NewCentroidInfoGet", fn=centroid_info_get))
-
-    def centroid_update(ctx, cluster: int, payload) -> None:
-        movie_id, vector = payload
-        ctx.kv_put(("centroid", cluster), vector)
-        if ctx.worker_index == 0:  # emit the job-level answer exactly once
-            ctx.emit(cluster, movie_id)
-
-    update = graph.add(
-        Map("CentroidUpdate", fn=centroid_update, aggregated_output=True)
-    )
+    update = graph.add(Map("CentroidUpdate", fn=_centroid_update, aggregated_output=True))
 
     graph.connect(loader, cluster_map, mode=EdgeMode.LOCAL)
     graph.connect(cluster_map, centroid_gen)
@@ -150,15 +149,7 @@ def build_hamr_graph_bulk(env: AppEnv, params: KMeansParams, centroids) -> Flowl
         )
     )
 
-    def centroid_update(ctx, cluster: int, payload) -> None:
-        movie_id, vector = payload
-        ctx.kv_put(("centroid", cluster), vector)
-        if ctx.worker_index == 0:
-            ctx.emit(cluster, movie_id)
-
-    update = graph.add(
-        Map("CentroidUpdate", fn=centroid_update, aggregated_output=True)
-    )
+    update = graph.add(Map("CentroidUpdate", fn=_centroid_update, aggregated_output=True))
     graph.connect(loader, cluster_map, mode=EdgeMode.LOCAL)
     graph.connect(cluster_map, centroid_gen)
     graph.connect(centroid_gen, update, mode=EdgeMode.BROADCAST)
@@ -166,17 +157,13 @@ def build_hamr_graph_bulk(env: AppEnv, params: KMeansParams, centroids) -> Flowl
 
 
 def run_hamr(
-    env: AppEnv, params: KMeansParams, records=None, use_locality: bool = True
+    env: AppEnv, params: KMeansParams, records, use_locality: bool = True
 ) -> AppResult:
-    if records is None:
-        records = generate_input(params)
-    centroids = initial_centroids(records, params.k)
-    env.ingest_local(INPUT, records)
     builder = build_hamr_graph if use_locality else build_hamr_graph_bulk
-    result = env.hamr.run(builder(env, params, centroids))
-    return AppResult(
-        APP, "hamr", result.makespan, dict(result.output("CentroidUpdate")),
-        counters=result.counters, metrics=result.metrics,
+    graph = builder(env, params, initial_centroids(records, params.k))
+    return run_on_hamr(
+        env, APP, INPUT, records, [graph],
+        lambda result: dict(result.output("CentroidUpdate")),
     )
 
 
@@ -213,16 +200,9 @@ def build_hadoop_job(params: KMeansParams, centroids) -> MRJob:
     )
 
 
-def run_hadoop(env: AppEnv, params: KMeansParams, records=None) -> AppResult:
-    if records is None:
-        records = generate_input(params)
-    centroids = initial_centroids(records, params.k)
-    env.ingest_dfs(INPUT, records)
-    result = env.hadoop.run(build_hadoop_job(params, centroids))
-    return AppResult(
-        APP, "hadoop", result.makespan, dict(result.outputs),
-        counters=result.counters, metrics=result.metrics,
-    )
+def run_hadoop(env: AppEnv, params: KMeansParams, records) -> AppResult:
+    job = build_hadoop_job(params, initial_centroids(records, params.k))
+    return run_on_hadoop(env, APP, INPUT, records, [job])
 
 
 # -- reference --------------------------------------------------------------------------

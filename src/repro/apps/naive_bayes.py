@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.apps.base import AppEnv, AppResult
+from repro.apps.base import AppEnv, AppResult, run_on_hadoop, run_on_hamr
 from repro.core import (
     EdgeMode,
     FlowletGraph,
@@ -25,8 +25,7 @@ from repro.core import (
     SumMap,
 )
 from repro.data.documents import document_corpus, parse_document_line
-from repro.mapreduce import Mapper, MRJob, Reducer, run_chain
-from repro.mapreduce.chain import chain_makespan
+from repro.mapreduce import Mapper, MRJob, Reducer
 
 APP = "naive_bayes"
 INPUT = f"{APP}-input"
@@ -105,14 +104,10 @@ def build_hamr_graph(env: AppEnv, params: NaiveBayesParams) -> FlowletGraph:
     return graph
 
 
-def run_hamr(env: AppEnv, params: NaiveBayesParams, records=None) -> AppResult:
-    if records is None:
-        records = generate_input(params)
-    env.ingest_local(INPUT, records)
-    result = env.hamr.run(build_hamr_graph(env, params))
-    return AppResult(
-        APP, "hamr", result.makespan, dict(result.output("WeightSumReducer")),
-        counters=result.counters, metrics=result.metrics,
+def run_hamr(env: AppEnv, params: NaiveBayesParams, records) -> AppResult:
+    return run_on_hamr(
+        env, APP, INPUT, records, [build_hamr_graph(env, params)],
+        lambda result: dict(result.output("WeightSumReducer")),
     )
 
 
@@ -147,22 +142,8 @@ def build_hadoop_jobs(params: NaiveBayesParams) -> list[MRJob]:
     return [job1, job2]
 
 
-def run_hadoop(env: AppEnv, params: NaiveBayesParams, records=None) -> AppResult:
-    if records is None:
-        records = generate_input(params)
-    env.ingest_dfs(INPUT, records)
-    results = run_chain(env.hadoop, build_hadoop_jobs(params))
-    merged_counters: dict[str, float] = {}
-    merged_metrics: dict[str, float] = {}
-    for r in results:
-        for k, v in r.counters.items():
-            merged_counters[k] = merged_counters.get(k, 0.0) + v
-        for k, v in r.metrics.items():
-            merged_metrics[k] = merged_metrics.get(k, 0.0) + v
-    return AppResult(
-        APP, "hadoop", chain_makespan(results), dict(results[-1].outputs),
-        counters=merged_counters, metrics=merged_metrics,
-    )
+def run_hadoop(env: AppEnv, params: NaiveBayesParams, records) -> AppResult:
+    return run_on_hadoop(env, APP, INPUT, records, build_hadoop_jobs(params))
 
 
 # -- reference -------------------------------------------------------------------------------

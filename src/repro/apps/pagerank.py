@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.base import AppEnv, AppResult
+from repro.apps.base import AppEnv, AppResult, run_on_hadoop, run_on_hamr
 from repro.core import (
     FlowletGraph,
     KVStoreSource,
@@ -33,8 +33,7 @@ from repro.core import (
     Reduce,
 )
 from repro.data.webgraph import webgraph_edges
-from repro.mapreduce import Mapper, MRJob, Reducer, run_chain
-from repro.mapreduce.chain import chain_makespan
+from repro.mapreduce import Mapper, MRJob, Reducer
 
 APP = "pagerank"
 INPUT = f"{APP}-edges"
@@ -121,66 +120,52 @@ def build_hamr_next_iteration(env: AppEnv, params: PageRankParams, iteration: in
     return graph
 
 
+def _iterations(env: AppEnv, params: PageRankParams, count: int):
+    """One graph per iteration: the first joins the edge file, the rest
+    load adjacency from memory. Built lazily, each after the last ran."""
+    for iteration in range(1, count + 1):
+        if iteration == 1:
+            yield build_hamr_first_iteration(env, params)
+        else:
+            yield build_hamr_next_iteration(env, params, iteration)
+
+
+def _ranks(env: AppEnv) -> dict[int, float]:
+    return {
+        key[1]: value
+        for key, value in env.kvstore.all_items()
+        if isinstance(key, tuple) and key[0] == "rank"
+    }
+
+
 def run_hamr_until_converged(
     env: AppEnv,
     params: PageRankParams,
-    edges=None,
+    edges,
     tolerance: float = 1e-4,
     max_iterations: int = 25,
 ) -> tuple[AppResult, int]:
     """Alg. 2's driver loop verbatim: "while not converge and less than
     max number of iterations" — the convergence signal is ContMap's
     summed rank movement. Returns ``(result, iterations_run)``."""
-    if edges is None:
-        edges = generate_input(params)
-    env.ingest_local(INPUT, edges)
-    total_start = env.cluster.sim.now
-    iterations_run = 0
-    for iteration in range(1, max_iterations + 1):
-        if iteration == 1:
-            graph = build_hamr_first_iteration(env, params)
-        else:
-            graph = build_hamr_next_iteration(env, params, iteration)
-        result = env.hamr.run(graph)
-        iterations_run = iteration
-        if result.counters.get("delta_sum", float("inf")) < tolerance:
-            break
-    makespan = env.cluster.sim.now - total_start
-    ranks = {
-        key[1]: value
-        for key, value in env.kvstore.all_items()
-        if isinstance(key, tuple) and key[0] == "rank"
-    }
-    return (
-        AppResult(APP, "hamr", makespan, ranks, counters={"iterations": iterations_run}),
-        iterations_run,
+    movements: list[float] = []
+
+    def converged(result) -> bool:
+        movements.append(result.counters.get("delta_sum", float("inf")))
+        return movements[-1] < tolerance
+
+    result = run_on_hamr(
+        env, APP, INPUT, edges, _iterations(env, params, max_iterations),
+        lambda _last: _ranks(env), until=converged,
     )
+    return result, len(movements)
 
 
-def run_hamr(env: AppEnv, params: PageRankParams, edges=None) -> AppResult:
-    if edges is None:
-        edges = generate_input(params)
-    env.ingest_local(INPUT, edges)
-    total_start = env.cluster.sim.now
-    counters: dict[str, float] = {}
-    metrics: dict[str, float] = {}
-    for iteration in range(1, params.iterations + 1):
-        if iteration == 1:
-            graph = build_hamr_first_iteration(env, params)
-        else:
-            graph = build_hamr_next_iteration(env, params, iteration)
-        result = env.hamr.run(graph)
-        for k, v in result.counters.items():
-            counters[f"iter{iteration}_{k}"] = v
-        for k, v in result.metrics.items():
-            metrics[k] = metrics.get(k, 0.0) + v
-    makespan = env.cluster.sim.now - total_start
-    ranks = {
-        key[1]: value
-        for key, value in env.kvstore.all_items()
-        if isinstance(key, tuple) and key[0] == "rank"
-    }
-    return AppResult(APP, "hamr", makespan, ranks, counters=counters, metrics=metrics)
+def run_hamr(env: AppEnv, params: PageRankParams, edges) -> AppResult:
+    return run_on_hamr(
+        env, APP, INPUT, edges, _iterations(env, params, params.iterations),
+        lambda _last: _ranks(env),
+    )
 
 
 # -- Hadoop --------------------------------------------------------------------------------
@@ -252,20 +237,12 @@ def build_hadoop_jobs(params: PageRankParams) -> list[MRJob]:
     return jobs
 
 
-def run_hadoop(env: AppEnv, params: PageRankParams, edges=None) -> AppResult:
-    if edges is None:
-        edges = generate_input(params)
-    env.ingest_dfs(INPUT, edges)
-    results = run_chain(env.hadoop, build_hadoop_jobs(params))
-    final = env.dfs.get_file(f"{APP}-state-{params.iterations}")
-    ranks = {page: payload for page, (tag, payload) in final.records() if tag == "R"}
-    metrics: dict[str, float] = {}
-    for r in results:
-        for k, v in r.metrics.items():
-            metrics[k] = metrics.get(k, 0.0) + v
-    return AppResult(
-        APP, "hadoop", chain_makespan(results), ranks, metrics=metrics
-    )
+def run_hadoop(env: AppEnv, params: PageRankParams, edges) -> AppResult:
+    def read_ranks(last) -> dict[int, float]:
+        final = env.dfs.get_file(last.output_file)  # the last update's state
+        return {page: payload for page, (tag, payload) in final.records() if tag == "R"}
+
+    return run_on_hadoop(env, APP, INPUT, edges, build_hadoop_jobs(params), read_ranks)
 
 
 # -- reference -----------------------------------------------------------------------------------

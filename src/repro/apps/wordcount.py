@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.base import AppEnv, AppResult, CountPairs
+from repro.apps.base import AppEnv, AppResult, CountPairs, run_on_hadoop, run_on_hamr
 from repro.core import (
     EdgeMode,
     FlowletGraph,
@@ -95,14 +95,10 @@ def build_hamr_graph(
     return graph
 
 
-def run_hamr(env: AppEnv, params: WordCountParams, records=None) -> AppResult:
-    if records is None:
-        records = generate_input(params)
-    env.ingest_local(INPUT, records)
-    result = env.hamr.run(build_hamr_graph(env, params))
-    return AppResult(
-        APP, "hamr", result.makespan, dict(result.output("Count")),
-        counters=result.counters, metrics=result.metrics,
+def run_hamr(env: AppEnv, params: WordCountParams, records) -> AppResult:
+    return run_on_hamr(
+        env, APP, INPUT, records, [build_hamr_graph(env, params)],
+        lambda result: dict(result.output("Count")),
     )
 
 
@@ -121,15 +117,8 @@ def build_hadoop_job(params: WordCountParams) -> MRJob:
     )
 
 
-def run_hadoop(env: AppEnv, params: WordCountParams, records=None) -> AppResult:
-    if records is None:
-        records = generate_input(params)
-    env.ingest_dfs(INPUT, records)
-    result = env.hadoop.run(build_hadoop_job(params))
-    return AppResult(
-        APP, "hadoop", result.makespan, dict(result.outputs),
-        counters=result.counters, metrics=result.metrics,
-    )
+def run_hadoop(env: AppEnv, params: WordCountParams, records) -> AppResult:
+    return run_on_hadoop(env, APP, INPUT, records, [build_hadoop_job(params)])
 
 
 # -- reference ------------------------------------------------------------------------

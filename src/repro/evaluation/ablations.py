@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 
-from repro.apps import histograms, kmeans, wordcount
+from repro.apps import kmeans, wordcount
 from repro.apps.base import AppEnv
 from repro.cluster.spec import ClusterSpec
 from repro.core.engine import HamrConfig
@@ -98,22 +98,18 @@ def ablation_skew(fidelity: str = "small", seed: int = 0) -> list[tuple[str, flo
     Returns ``[(label, hamr_makespan)]`` for increasing skew — the paper's
     §5.2 story predicts a monotone degradation.
     """
-    from repro.evaluation.workloads import _make_histogram
+    from repro.evaluation.workloads import build_workload, workload_by_name
 
     distributions = [
         ("uniform", (0.2, 0.2, 0.2, 0.2, 0.2)),
         ("default", (0.08, 0.12, 0.25, 0.35, 0.20)),
         ("extreme", (0.02, 0.03, 0.07, 0.18, 0.70)),
     ]
+    base = workload_by_name("histogram_ratings", fidelity, seed=seed)
     out = []
     for label, weights in distributions:
-        workload = _make_histogram("histogram_ratings", fidelity, seed)
-        params = dc_replace(workload.params, rating_weights=weights)
-        records = histograms.generate_input(params)
-        workload.params = params
-        workload.records = records
-        workload.scale = workload.modeled_bytes / workload.real_bytes
-        result = workload.run_hamr(_env(workload.spec()), params, records)
+        workload = build_workload(base.name, dc_replace(base.params, rating_weights=weights))
+        result = workload.run_hamr(_env(workload.spec()), workload.params, workload.records)
         out.append((label, result.makespan))
     return out
 

@@ -10,18 +10,14 @@ paper-vs-measured columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cluster.spec import PAPER_CLUSTER, ClusterSpec
 from repro.common.units import format_bytes
 from repro.evaluation.paper import PAPER_TABLE3
 from repro.evaluation.report import render_table
 from repro.evaluation.runner import BenchmarkRow, run_workload
-from repro.evaluation.workloads import (
-    make_histogram_movies,
-    make_histogram_ratings,
-    table2_workloads,
-)
+from repro.evaluation.workloads import table2_workloads, workload_by_name
 
 
 def table1(spec: ClusterSpec = PAPER_CLUSTER) -> str:
@@ -87,15 +83,15 @@ def table3(fidelity: str = "small", baseline_rows: list[BenchmarkRow] | None = N
     rows to reuse its Hadoop measurements, otherwise they are re-measured.
     """
     rows = []
-    for make in (make_histogram_movies, make_histogram_ratings):
-        workload = make(fidelity, use_combiner=True)
-        hamr_result = workload.run_hamr(workload.fresh_env(), workload.params, workload.records)
+    for name in ("histogram_movies", "histogram_ratings"):
+        workload = workload_by_name(name, fidelity)
+        combined = replace(workload.params, hamr_combiner=True)
+        hamr_result = workload.run_hamr(workload.fresh_env(), combined, workload.records)
         if baseline_rows is not None:
-            idh_seconds = next(r.idh_seconds for r in baseline_rows if r.name == workload.name)
+            idh_seconds = next(r.idh_seconds for r in baseline_rows if r.name == name)
         else:
-            plain = make(fidelity)
-            idh_seconds = plain.run_hadoop(
-                plain.fresh_env(), plain.params, plain.records
+            idh_seconds = workload.run_hadoop(
+                workload.fresh_env(), workload.params, workload.records
             ).makespan
         rows.append(
             BenchmarkRow(

@@ -67,162 +67,106 @@ class Workload:
         return AppEnv(self.spec(), obs=obs, journal=journal, **exchange)
 
 
-def _finish(workload: Workload) -> Workload:
+@dataclass(frozen=True)
+class _Row:
+    """One Table 2 benchmark: how to build its workload."""
+
+    label: str
+    data_size: str
+    #: ``(fidelity budget, seed) -> params``: the real size at a fidelity
+    params: Callable[[float, int], Any]
+    generate: Callable[[Any], list]
+    run_hamr: Callable[[AppEnv, Any, list], AppResult]
+    run_hadoop: Callable[[AppEnv, Any, list], AppResult]
+
+
+def _histogram_params(b: float, seed: int) -> histograms.HistogramParams:
+    return histograms.HistogramParams(n_movies=int(12_000 * b), seed=seed)
+
+
+#: The eight benchmarks, in Table 2's row order.
+_TABLE2 = {
+    "kmeans": _Row(
+        "K-Means", "300GB",
+        lambda b, seed: kmeans.KMeansParams(n_movies=int(6_000 * b), k=16, seed=seed),
+        kmeans.generate_input, kmeans.run_hamr, kmeans.run_hadoop,
+    ),
+    "classification": _Row(
+        "Classification", "300GB",
+        lambda b, seed: classification.ClassificationParams(
+            n_movies=int(6_000 * b), k=16, seed=seed
+        ),
+        classification.generate_input, classification.run_hamr, classification.run_hadoop,
+    ),
+    "pagerank": _Row(
+        "PageRank", "20GB",
+        lambda b, seed: pagerank.PageRankParams(
+            n_pages=int(3_000 * b), n_edges=int(3_000 * b) * 10, iterations=5, seed=seed
+        ),
+        pagerank.generate_input, pagerank.run_hamr, pagerank.run_hadoop,
+    ),
+    # The clique workload's cost is combinatorial, not byte-bound: keep the
+    # real graph structured like the paper's R-MAT input (dense power-law
+    # core) but small enough to enumerate.
+    "kcliques": _Row(
+        "KCliques", "168MB",
+        lambda b, seed: kcliques.KCliquesParams(
+            scale=9, n_edges=int(4_000 * max(b, 0.25)), k=4, seed=seed,
+            hadoop_reducers=120,
+        ),
+        kcliques.generate_input, kcliques.run_hamr, kcliques.run_hadoop,
+    ),
+    "wordcount": _Row(
+        "WordCount", "16GB",
+        lambda b, seed: wordcount.WordCountParams(target_bytes=int(2 * MB * b), seed=seed),
+        wordcount.generate_input, wordcount.run_hamr, wordcount.run_hadoop,
+    ),
+    "histogram_movies": _Row(
+        "HistogramMovies", "30GB", _histogram_params, histograms.generate_input,
+        histograms.run_movies_hamr, histograms.run_movies_hadoop,
+    ),
+    "histogram_ratings": _Row(
+        "HistogramRatings", "30GB", _histogram_params, histograms.generate_input,
+        histograms.run_ratings_hamr, histograms.run_ratings_hadoop,
+    ),
+    "naive_bayes": _Row(
+        "NaiveBayes", "10GB",
+        lambda b, seed: naive_bayes.NaiveBayesParams(n_documents=int(3_000 * b), seed=seed),
+        naive_bayes.generate_input, naive_bayes.run_hamr, naive_bayes.run_hadoop,
+    ),
+}
+
+#: Table 2 row order.
+TABLE2_ORDER = list(_TABLE2)
+
+
+def _row(name: str) -> _Row:
+    try:
+        return _TABLE2[name]
+    except KeyError:
+        raise ValueError(f"unknown workload {name!r}; pick from {sorted(_TABLE2)}") from None
+
+
+def build_workload(name: str, params) -> Workload:
+    """Benchmark ``name`` on ``params``: its records generated from them and
+    the scale factor derived so they stand for the paper's data size."""
+    row = _row(name)
+    workload = Workload(
+        name, row.label, row.data_size, params, row.generate(params),
+        run_hamr=row.run_hamr, run_hadoop=row.run_hadoop,
+    )
     real = workload.real_bytes
     if real <= 0:
-        raise ValueError(f"{workload.name}: generated an empty input")
+        raise ValueError(f"{name}: generated an empty input")
     workload.scale = workload.modeled_bytes / real
     return workload
 
 
-def _budget(fidelity: str) -> float:
-    try:
-        return _FIDELITY_BUDGET[fidelity]
-    except KeyError:
-        raise ValueError(
-            f"unknown fidelity {fidelity!r}; pick one of {sorted(_FIDELITY_BUDGET)}"
-        ) from None
-
-
-# -- per-benchmark builders -------------------------------------------------------------
-
-
-def make_kmeans(fidelity: str = "small", seed: int = 0) -> Workload:
-    b = _budget(fidelity)
-    params = kmeans.KMeansParams(n_movies=int(6_000 * b), k=16, seed=seed)
-    records = kmeans.generate_input(params)
-    return _finish(
-        Workload(
-            "kmeans", "K-Means", "300GB", params, records,
-            run_hamr=kmeans.run_hamr, run_hadoop=kmeans.run_hadoop,
-        )
-    )
-
-
-def make_classification(fidelity: str = "small", seed: int = 0) -> Workload:
-    b = _budget(fidelity)
-    params = classification.ClassificationParams(n_movies=int(6_000 * b), k=16, seed=seed)
-    records = classification.generate_input(params)
-    return _finish(
-        Workload(
-            "classification", "Classification", "300GB", params, records,
-            run_hamr=classification.run_hamr, run_hadoop=classification.run_hadoop,
-        )
-    )
-
-
-def make_pagerank(fidelity: str = "small", seed: int = 0) -> Workload:
-    b = _budget(fidelity)
-    n_pages = int(3_000 * b)
-    params = pagerank.PageRankParams(
-        n_pages=n_pages, n_edges=n_pages * 10, iterations=5, seed=seed
-    )
-    records = pagerank.generate_input(params)
-    return _finish(
-        Workload(
-            "pagerank", "PageRank", "20GB", params, records,
-            run_hamr=pagerank.run_hamr, run_hadoop=pagerank.run_hadoop,
-        )
-    )
-
-
-def make_kcliques(fidelity: str = "small", seed: int = 0) -> Workload:
-    b = _budget(fidelity)
-    # The clique workload's cost is combinatorial, not byte-bound: keep the
-    # real graph structured like the paper's R-MAT input (dense power-law
-    # core) but small enough to enumerate.
-    params = kcliques.KCliquesParams(
-        scale=9, n_edges=int(4_000 * max(b, 0.25)), k=4, seed=seed,
-        hadoop_reducers=120,
-    )
-    records = kcliques.generate_input(params)
-    return _finish(
-        Workload(
-            "kcliques", "KCliques", "168MB", params, records,
-            run_hamr=kcliques.run_hamr, run_hadoop=kcliques.run_hadoop,
-        )
-    )
-
-
-def make_wordcount(fidelity: str = "small", seed: int = 0) -> Workload:
-    b = _budget(fidelity)
-    params = wordcount.WordCountParams(target_bytes=int(2 * MB * b), seed=seed)
-    records = wordcount.generate_input(params)
-    return _finish(
-        Workload(
-            "wordcount", "WordCount", "16GB", params, records,
-            run_hamr=wordcount.run_hamr, run_hadoop=wordcount.run_hadoop,
-        )
-    )
-
-
-def _make_histogram(app: str, fidelity: str, seed: int, use_combiner: bool = False) -> Workload:
-    b = _budget(fidelity)
-    params = histograms.HistogramParams(
-        n_movies=int(12_000 * b), seed=seed, hamr_combiner=use_combiner
-    )
-    records = histograms.generate_input(params)
-    if app == "histogram_movies":
-        run_hamr, run_hadoop = histograms.run_movies_hamr, histograms.run_movies_hadoop
-        label = "HistogramMovies"
-    else:
-        run_hamr, run_hadoop = histograms.run_ratings_hamr, histograms.run_ratings_hadoop
-        label = "HistogramRatings"
-    return _finish(
-        Workload(app, label, "30GB", params, records, run_hamr=run_hamr, run_hadoop=run_hadoop)
-    )
-
-
-def make_histogram_movies(fidelity: str = "small", seed: int = 0, use_combiner: bool = False) -> Workload:
-    return _make_histogram("histogram_movies", fidelity, seed, use_combiner)
-
-
-def make_histogram_ratings(fidelity: str = "small", seed: int = 0, use_combiner: bool = False) -> Workload:
-    return _make_histogram("histogram_ratings", fidelity, seed, use_combiner)
-
-
-def make_naive_bayes(fidelity: str = "small", seed: int = 0) -> Workload:
-    b = _budget(fidelity)
-    params = naive_bayes.NaiveBayesParams(n_documents=int(3_000 * b), seed=seed)
-    records = naive_bayes.generate_input(params)
-    return _finish(
-        Workload(
-            "naive_bayes", "NaiveBayes", "10GB", params, records,
-            run_hamr=naive_bayes.run_hamr, run_hadoop=naive_bayes.run_hadoop,
-        )
-    )
-
-
-_BUILDERS = {
-    "kmeans": make_kmeans,
-    "classification": make_classification,
-    "pagerank": make_pagerank,
-    "kcliques": make_kcliques,
-    "wordcount": make_wordcount,
-    "histogram_movies": make_histogram_movies,
-    "histogram_ratings": make_histogram_ratings,
-    "naive_bayes": make_naive_bayes,
-}
-
-#: Table 2 row order.
-TABLE2_ORDER = [
-    "kmeans",
-    "classification",
-    "pagerank",
-    "kcliques",
-    "wordcount",
-    "histogram_movies",
-    "histogram_ratings",
-    "naive_bayes",
-]
-
-
-def workload_by_name(name: str, fidelity: str = "small", **kw) -> Workload:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown workload {name!r}; pick from {sorted(_BUILDERS)}") from None
-    return builder(fidelity, **kw)
+def workload_by_name(name: str, fidelity: str = "small", seed: int = 0) -> Workload:
+    row = _row(name)
+    if fidelity not in _FIDELITY_BUDGET:
+        raise ValueError(f"unknown fidelity {fidelity!r}; pick one of {sorted(_FIDELITY_BUDGET)}")
+    return build_workload(name, row.params(_FIDELITY_BUDGET[fidelity], seed))
 
 
 def table2_workloads(fidelity: str = "small") -> list[Workload]:

@@ -94,12 +94,6 @@ def summarize_records(
     }
 
 
-def summarize_journal(path: str, *, allow_partial: bool = False) -> dict:
-    """Load, replay and summarize one journal file into a corpus row."""
-    records = load_journal(path, allow_partial=allow_partial)
-    return summarize_records(records, path)
-
-
 # -- the index file -----------------------------------------------------------------
 
 

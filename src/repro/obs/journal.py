@@ -89,12 +89,9 @@ from repro.obs.blame import BUCKETS
 #: partition-ownership model without guessing the worker count
 JOURNAL_SCHEMA = "repro.obs.journal/v3"
 
-#: schemas this reader accepts (v1 journals predate exchange fabrics and
-#: replay under the implicit fabric="direct" / partitioner="hash"; v2
+#: schemas this reader accepts: the current one and one older (v2
 #: predates the cluster-shape header fields)
-JOURNAL_SCHEMAS = (
-    "repro.obs.journal/v1", "repro.obs.journal/v2", JOURNAL_SCHEMA,
-)
+JOURNAL_SCHEMAS = ("repro.obs.journal/v2", JOURNAL_SCHEMA)
 
 #: record types, for validation
 RECORD_TYPES = (
@@ -112,8 +109,14 @@ _BLOCK_LINES = 4096
 #: bytes read back from a writer's spool at a time
 _CHUNK_BYTES = 1 << 20
 
-#: built once: ``json.dumps`` with these arguments builds an encoder per call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: the C encoder of ``json.dumps(sort_keys=True, separators=(",", ":"))``,
+#: built once (``JSONEncoder.encode`` builds one per call); ``_MARKERS`` is
+#: its circular-reference set, which a failed encode leaves entries in
+_MARKERS: dict = {}
+_ENCODE = json.encoder.c_make_encoder(
+    _MARKERS, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True,
+)
 
 #: the decoder ``json.loads`` uses, called without its per-call whitespace
 #: regexes: :func:`decode_record` strips the same four characters instead
@@ -136,7 +139,11 @@ def encode_record(record: dict) -> str:
     asserts this property, and that the output equals ``json.dumps(record,
     sort_keys=True, separators=(",", ":"))``.
     """
-    return _ENCODER.encode(record)
+    try:
+        return "".join(_ENCODE(record, 0))
+    except BaseException:
+        _MARKERS.clear()
+        raise
 
 
 def decode_record(line: str) -> dict:
@@ -378,8 +385,11 @@ def journal_open(path: str, mode: str = "r"):
 
 
 class _PartialTally:
-    """What a synthesized footer needs, kept record by record: the events
-    after the header, spans opened and closed, and the latest timestamp."""
+    """The footer synthesized for a truncated journal, kept record by
+    record: the events after the header, spans opened and closed, and the
+    latest timestamp, which stands for ``virtual_end`` and ``makespan`` — a
+    lower bound on the real run's. ``partial: true`` marks every view
+    built on it as reconstructed."""
 
     __slots__ = ("events", "opened", "closed", "last")
 
@@ -411,20 +421,6 @@ class _PartialTally:
             "virtual_end": self.last,
             "makespan": self.last,
         }
-
-
-def synthesize_partial_footer(records: list[dict]) -> dict:
-    """Best-effort footer for a truncated journal (no footer record).
-
-    ``virtual_end``/``makespan`` are the latest timestamp any surviving
-    event carries — a lower bound on the real run's, which is the honest
-    reconstruction for a crashed or in-flight run. ``partial: true``
-    marks every downstream view as reconstructed.
-    """
-    tally = _PartialTally()
-    for rec in records[1:]:
-        tally.add(rec)
-    return tally.footer()
 
 
 def _decoded(lines: Iterable[str], allow_partial: bool) -> Iterator[dict]:

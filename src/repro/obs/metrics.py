@@ -183,60 +183,50 @@ class MetricsRegistry:
         self._gauges: dict[str, dict[LabelKey, Gauge]] = {}
         self._histograms: dict[str, dict[LabelKey, Histogram]] = {}
         self._series: dict[str, dict[LabelKey, TimeSeries]] = {}
+        #: journal kind -> (that kind's families, its metric class)
+        self._kinds = {
+            "c": (self._counters, Counter),
+            "g": (self._gauges, Gauge),
+            "h": (self._histograms, Histogram),
+            "s": (self._series, TimeSeries),
+        }
         self._journal = journal
 
-    @staticmethod
-    def _key(labels: dict) -> LabelKey:
-        return tuple(sorted(labels.items()))
+    def metric(
+        self, kind: str, name: str, labels: dict, bounds: Optional[Sequence[float]] = None
+    ):
+        """The metric of journal ``kind`` (``c``/``g``/``h``/``s``) named
+        ``name`` with ``labels``, created on first use — and, with a
+        journal, declared then. ``bounds`` applies to a new histogram."""
+        families, make = self._kinds[kind]
+        family = families.get(name)
+        if family is None:
+            family = families[name] = {}
+        key = tuple(sorted(labels.items()))
+        metric = family.get(key)
+        if metric is None:
+            metric = family[key] = make(bounds or DEFAULT_BOUNDS) if kind == "h" else make()
+            if self._journal is not None:
+                if kind == "h" and metric.bounds != DEFAULT_BOUNDS:
+                    self._journal.declare_metric(kind, name, key, bounds=metric.bounds)
+                else:
+                    self._journal.declare_metric(kind, name, key)
+                metric._j = self._journal.metric_hook(kind, name, key)
+        return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        family = self._counters.setdefault(name, {})
-        key = self._key(labels)
-        metric = family.get(key)
-        if metric is None:
-            metric = family[key] = Counter()
-            if self._journal is not None:
-                self._journal.declare_metric("c", name, key)
-                metric._j = self._journal.metric_hook("c", name, key)
-        return metric
+        return self.metric("c", name, labels)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        family = self._gauges.setdefault(name, {})
-        key = self._key(labels)
-        metric = family.get(key)
-        if metric is None:
-            metric = family[key] = Gauge()
-            if self._journal is not None:
-                self._journal.declare_metric("g", name, key)
-                metric._j = self._journal.metric_hook("g", name, key)
-        return metric
+        return self.metric("g", name, labels)
 
     def histogram(
         self, name: str, bounds: Optional[Sequence[float]] = None, **labels: Any
     ) -> Histogram:
-        family = self._histograms.setdefault(name, {})
-        key = self._key(labels)
-        metric = family.get(key)
-        if metric is None:
-            metric = family[key] = Histogram(bounds or DEFAULT_BOUNDS)
-            if self._journal is not None:
-                self._journal.declare_metric(
-                    "h", name, key,
-                    bounds=None if metric.bounds == DEFAULT_BOUNDS else metric.bounds,
-                )
-                metric._j = self._journal.metric_hook("h", name, key)
-        return metric
+        return self.metric("h", name, labels, bounds)
 
     def series(self, name: str, **labels: Any) -> TimeSeries:
-        family = self._series.setdefault(name, {})
-        key = self._key(labels)
-        metric = family.get(key)
-        if metric is None:
-            metric = family[key] = TimeSeries()
-            if self._journal is not None:
-                self._journal.declare_metric("s", name, key)
-                metric._j = self._journal.metric_hook("s", name, key)
-        return metric
+        return self.metric("s", name, labels)
 
     # -- aggregation -----------------------------------------------------------
 

@@ -56,7 +56,7 @@ class ReplayedRun:
         self.header = header
         self.footer = footer
         self.tracer = tracer
-        #: the run's identity (v1 headers predate fabrics: the defaults)
+        #: the run's identity (a missing fabric/partitioner is the default)
         self.spec = RunSpec.from_header(header)
         self.workload, self.engine = self.spec.workload, self.spec.engine
         #: live-dashboard frames (``fr`` records, ``t`` key stripped) in
@@ -163,17 +163,10 @@ def _fold(stream: Iterator[dict]) -> ReplayedRun:
             if row is not None and seconds > 0.0:
                 table.charge(row, rec["bk"], seconds)
         elif t == "m":
-            kind, name, labels = rec["k"], rec["n"], dict(rec["l"])
-            if kind == "c":
-                metrics.counter(name, **labels)
-            elif kind == "g":
-                metrics.gauge(name, **labels)
-            elif kind == "h":
-                metrics.histogram(name, bounds=rec.get("b"), **labels)
-            elif kind == "s":
-                metrics.series(name, **labels)
-            else:
+            kind = rec["k"]
+            if kind not in ("c", "g", "h", "s"):
                 raise JournalError(f"unknown metric kind {kind!r}")
+            metrics.metric(kind, rec["n"], dict(rec["l"]), rec.get("b"))
         elif t == "c":
             _metric(handles, counter, rec).inc(rec["v"])
         elif t == "g":

@@ -5,9 +5,10 @@ what journal headers, corpus rows, history series, bench entries, report
 documents and doctor selectors name a run by. This module alone knows the
 selector grammar ``workload:engine[@fabric][+partitioner]`` (``parse`` and
 ``str`` are a fixpoint on canonical text, like ``Scenario.describe()``),
-the defaults a record without the key resolves to (so v1 journals and old
-history rows keep their identity), and the rule that text, engine labels
-and stamped documents name only what differs from the defaults.
+the defaults a record without the key resolves to (so pre-fabric history
+rows and bench entries keep their identity), and the rule that text,
+engine labels and stamped documents name only what differs from the
+defaults.
 
 It replaces ``doctor.parse_series_spec``, ``history.series_label`` and
 ``entry_matches``, ``cli.runs.fabric_opts`` and its ``None``-means-default

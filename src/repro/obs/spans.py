@@ -806,11 +806,6 @@ class Tracer:
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def assign_lanes(spans: Iterable[Span]) -> dict[int, int]:
-    """Greedy per-node lane assignment: span id -> first free lane index."""
-    return lanes_of([(s.start, s.span_id, s.node, s.end) for s in spans])
-
-
 def lanes_of(rows: Iterable[tuple]) -> dict[int, int]:
     """Lanes for ``(start, span id, node, end)`` rows: span id -> lane.
 

@@ -7,6 +7,7 @@ import pytest
 from repro.apps import classification, kcliques, kmeans, pagerank
 from repro.apps.base import AppEnv
 from repro.cluster import small_cluster_spec
+from repro.common.errors import JobError
 
 
 def fresh_env(num_workers=4):
@@ -122,6 +123,11 @@ class TestPageRank:
             if isinstance(key, tuple) and key[0] == "adj"
         )
         assert adj_entries == params.n_pages
+
+    def test_zero_iterations_rejected(self):
+        params = pagerank.PageRankParams(n_pages=50, n_edges=200, iterations=0, seed=8)
+        with pytest.raises(JobError, match="no graph to run"):
+            pagerank.run_hamr(fresh_env(), params, pagerank.generate_input(params))
 
     def test_single_iteration(self):
         params = pagerank.PageRankParams(n_pages=50, n_edges=200, iterations=1, seed=8)

@@ -121,8 +121,22 @@ class TestNaiveBayes:
 
     def test_hadoop(self, setup):
         params, records, expected = setup
-        result = naive_bayes.run_hadoop(fresh_env(), params, records)
+        env = fresh_env()
+        jobs = []
+        run = env.hadoop.run
+        env.hadoop.run = lambda job: jobs.append(run(job)) or jobs[-1]
+        result = naive_bayes.run_hadoop(env, params, records)
         assert result.output == expected
+        # two chained jobs read as one run: the chain's makespan, and every
+        # counter and metric summed over both jobs
+        assert len(jobs) == 2
+        assert result.makespan == jobs[1].end_time - jobs[0].start_time
+        for field in ("counters", "metrics"):
+            first, second = (getattr(job, field) for job in jobs)
+            assert getattr(result, field) == {
+                key: first.get(key, 0) + second.get(key, 0) for key in {**first, **second}
+            }
+        assert result.metrics["map_tasks"] > jobs[0].metrics["map_tasks"]
 
     def test_label_totals_present(self, setup):
         _params, records, expected = setup

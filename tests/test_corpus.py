@@ -32,9 +32,9 @@ from repro.obs.corpus import (
     row_sort_key,
     save_corpus,
     scan_journals,
-    summarize_journal,
+    summarize_records,
 )
-from repro.obs.journal import JournalError, encode_record, seed_bucket_slowdown
+from repro.obs.journal import JournalError, encode_record, load_journal, seed_bucket_slowdown
 from tests.conftest import journaled_run
 
 
@@ -51,6 +51,11 @@ def journal_dir(tmp_path_factory):
         for record in seeded:
             fh.write(encode_record(record) + "\n")
     return root
+
+
+def _summarize(path) -> dict:
+    """One journal file's corpus row, the way ``corpus ingest`` builds it."""
+    return summarize_records(load_journal(str(path)), str(path))
 
 
 # -- canonical encoding -------------------------------------------------------------
@@ -147,7 +152,7 @@ class TestFingerprint:
         with open(src, "rb") as fh, gzip.open(gzipped, "wb") as gz:
             gz.write(fh.read())
         rows = [
-            summarize_journal(str(p)) for p in (src, renamed, gzipped)
+            _summarize(p) for p in (src, renamed, gzipped)
         ]
         assert len({row["fingerprint"] for row in rows}) == 1
 
@@ -157,7 +162,7 @@ class TestFingerprint:
 
 class TestSummarize:
     def test_row_carries_run_identity_and_headline_numbers(self, journal_dir):
-        row = summarize_journal(str(journal_dir / "base.journal.jsonl"))
+        row = _summarize(journal_dir / "base.journal.jsonl")
         assert row["schema"] == CORPUS_SCHEMA
         assert row["workload"] == "wordcount"
         assert row["engine"] == "hamr"
@@ -176,11 +181,11 @@ class TestSummarize:
         assert not row["partial"]
 
     def test_seeded_marker_lands_in_the_row(self, journal_dir):
-        row = summarize_journal(str(journal_dir / "seeded.journal.jsonl"))
+        row = _summarize(journal_dir / "seeded.journal.jsonl")
         assert row["seeded_slowdown"] == {"bucket": "disk", "factor": 2.0}
 
     def test_row_is_json_canonical(self, journal_dir):
-        row = summarize_journal(str(journal_dir / "base.journal.jsonl"))
+        row = _summarize(journal_dir / "base.journal.jsonl")
         assert decode_row(encode_row(row)) == row
 
 

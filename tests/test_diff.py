@@ -362,7 +362,8 @@ def test_bench_blame_covers_every_job(tmp_path):
     row does — not just the first job (Hadoop NaiveBayes runs two)."""
     import sys
 
-    from repro.obs.corpus import summarize_journal
+    from repro.obs.corpus import summarize_records
+    from repro.obs.journal import load_journal
     from repro.obs.replay import replay_file
 
     bench_obs = _load_bench_obs("bench_obs_blame_test")
@@ -376,4 +377,4 @@ def test_bench_blame_covers_every_job(tmp_path):
     ledger = replay_file(journal).tracer.blame
     assert len(ledger.jobs()) == 2
     assert entry["blame_total"] == round(ledger.grand_total(), 6)
-    assert entry["blame"] == summarize_journal(journal)["blame"]
+    assert entry["blame"] == summarize_records(load_journal(journal), journal)["blame"]

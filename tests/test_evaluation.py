@@ -24,6 +24,11 @@ class TestPaperNumbers:
     def test_table2_rows_complete(self):
         assert set(PAPER_TABLE2) == set(TABLE2_ORDER)
         assert len(PAPER_TABLE2) == 8
+        # Table 2's rows, top to bottom
+        assert TABLE2_ORDER == [
+            "kmeans", "classification", "pagerank", "kcliques",
+            "wordcount", "histogram_movies", "histogram_ratings", "naive_bayes",
+        ]
 
     def test_speedups_match_published(self):
         # Table 2's speedup column, recomputed from the time columns.
@@ -51,6 +56,8 @@ class TestWorkloads:
             assert workload.name == name
             assert workload.records
             assert workload.scale > 1
+            paper = PAPER_TABLE2[name]
+            assert (workload.label, workload.data_size) == (paper.benchmark, paper.data_size)
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.evaluation.workloads import make_wordcount
+from repro.evaluation.workloads import workload_by_name
 from repro.evaluation.runner import run_workload
 from repro.obs.critpath import ROLLUP_KEYS, from_tracer
 from repro.obs.explain import (
@@ -65,7 +65,9 @@ class TestRanking:
 class TestSideExtraction:
     @pytest.fixture(scope="class")
     def traced_pair(self):
-        row = run_workload(make_wordcount("tiny", seed=0), engines="both", obs=True)
+        row = run_workload(
+            workload_by_name("wordcount", "tiny", seed=0), engines="both", obs=True
+        )
         return row
 
     def test_side_from_tracer_profiles(self, traced_pair):

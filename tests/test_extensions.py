@@ -24,12 +24,7 @@ from repro.evaluation.ablations import (
     ablation_skew,
     scaling_study,
 )
-from repro.evaluation.workloads import (
-    make_histogram_ratings,
-    make_kmeans,
-    make_pagerank,
-    make_wordcount,
-)
+from repro.evaluation.workloads import workload_by_name
 from repro.storage import KVStore, LocalFS
 
 
@@ -114,26 +109,26 @@ class TestAblationHelpers:
     pays for itself, in the direction the paper claims."""
 
     def test_memory_ablation(self):
-        result = ablation_memory(make_pagerank("tiny"))
+        result = ablation_memory(workload_by_name("pagerank", "tiny"))
         assert isinstance(result, AblationResult)
         assert result.with_feature > 0 and result.without_feature > 0
         assert result.factor > 1.0  # disk staging hurts at any fidelity
 
     def test_async_ablation(self):
-        result = ablation_async(make_wordcount("tiny"))
+        result = ablation_async(workload_by_name("wordcount", "tiny"))
         assert result.factor >= 0.99
 
     def test_partial_reduce_ablation(self):
-        result = ablation_partial_reduce(make_wordcount("tiny"))
+        result = ablation_partial_reduce(workload_by_name("wordcount", "tiny"))
         assert result.factor >= 0.99
 
     def test_bin_size_ablation(self):
-        result = ablation_bin_size(make_wordcount("tiny"))
+        result = ablation_bin_size(workload_by_name("wordcount", "tiny"))
         assert result.without_feature > 0
         assert result.factor > 1.0  # coarse bins strangle fine-grain parallelism
 
     def test_locality_ablation(self):
-        result = ablation_locality(make_kmeans("tiny"))
+        result = ablation_locality(workload_by_name("kmeans", "tiny"))
         assert result.factor > 1.0
 
     def test_skew_ablation(self):
@@ -143,11 +138,11 @@ class TestAblationHelpers:
 
     def test_combiner_ablation(self):
         # Table 3: the combiner relieves HistogramRatings' flow control
-        assert ablation_combiner(make_histogram_ratings("tiny")).factor > 1.0
+        assert ablation_combiner(workload_by_name("histogram_ratings", "tiny")).factor > 1.0
 
     def test_scaling_study(self):
         # A8: widening the cluster (4 -> 8 -> 15 workers) speeds K-Means up
-        series = scaling_study(make_kmeans("tiny"))
+        series = scaling_study(workload_by_name("kmeans", "tiny"))
         makespans = [makespan for _workers, makespan, _speedup in series]
         assert makespans == sorted(makespans, reverse=True)
         assert series[-1][2] > 1.5

@@ -42,11 +42,11 @@ from repro.obs.journal import (
     decode_record,
     dilate_bucket_charges,
     encode_record,
+    iter_journal,
     journal_open,
     load_journal,
     read_journal,
     seed_bucket_slowdown,
-    synthesize_partial_footer,
 )
 from repro.obs.corpus import encode_row, ingest, load_corpus, render_corpus, render_row
 from repro.obs.replay import replay_file, replay_lines
@@ -134,6 +134,17 @@ class TestEncoding:
         with pytest.raises(ValueError, match="Circular"):
             encode_record(record)
 
+    def test_failed_encode_leaves_the_next_one_alone(self):
+        # the encoder is built once: a record it failed on must not stay
+        # marked as in progress, or encoding that dict again reads as a cycle
+        record = {"t": "c", "l": {"v": object()}}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode_record(record)
+        record["l"] = {"v": 1}
+        assert encode_record(record) == json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        )
+
     def test_int_float_distinction_survives(self):
         as_int = decode_record(encode_record({"t": "c", "v": 3}))["v"]
         as_float = decode_record(encode_record({"t": "c", "v": 3.0}))["v"]
@@ -160,6 +171,18 @@ class TestEncoding:
         with pytest.raises(JournalError, match="footer"):
             read_journal([header, encode_record({"t": "c", "n": "x", "l": [], "v": 1})])
         assert len(read_journal([header, footer])) == 2
+
+    def test_reader_accepts_one_older_schema(self):
+        _env, result, writer = journaled_run()
+        lines = list(writer.lines)
+        header = decode_record(lines[0])
+        v2 = encode_record({**header, "schema": "repro.obs.journal/v2"})
+        assert replay_lines([v2, *lines[1:]]).makespan == result.makespan
+        v1 = encode_record({**header, "schema": "repro.obs.journal/v1"})
+        with pytest.raises(
+            JournalError, match="unsupported journal schema 'repro.obs.journal/v1'"
+        ):
+            replay_lines([v1, *lines[1:]])
 
 
 class TestWriter:
@@ -246,10 +269,12 @@ class TestDeterminism:
         assert w1.lines == w2.lines
 
     def test_cross_engine_determinism_at_fixed_seed(self):
-        from repro.evaluation.workloads import make_wordcount
+        from repro.evaluation.workloads import workload_by_name
 
         rows = [
-            run_workload(make_wordcount("tiny", seed=0), engines="both", journal=True)
+            run_workload(
+                workload_by_name("wordcount", "tiny", seed=0), engines="both", journal=True
+            )
             for _ in range(2)
         ]
         assert rows[0].hamr_journal.lines == rows[1].hamr_journal.lines
@@ -362,7 +387,7 @@ class TestTraceDropped:
 
     def test_footer_carries_no_trace_keys(self):
         _env, _result, writer = journaled_run()
-        partial = synthesize_partial_footer(writer.records[:-1])
+        partial = list(iter_journal(writer.lines[:-1], allow_partial=True))[-1]
         for footer in (writer.records[-1], partial):
             assert not set(LEGACY_FOOTER) & set(footer)
 

@@ -37,7 +37,7 @@ from repro.obs import (
     MetricsRegistry,
     SpanTable,
     Tracer,
-    assign_lanes,
+    lanes_of,
     replay_lines,
 )
 from repro.obs.columns import NO_ID, Column, IdColumn
@@ -133,7 +133,7 @@ class TestAssignLanes:
         tracer.sim.now = 1.0
         a.finish()
         b.finish()
-        lanes = assign_lanes(tracer.finished_spans())
+        lanes = lanes_of(tracer.table.lane_rows(tracer.table.finished()))
         assert lanes[a.span_id] != lanes[b.span_id]
 
     def test_sequential_spans_share_a_lane(self):
@@ -144,7 +144,7 @@ class TestAssignLanes:
         b = tracer.span("b", "task", node=1)
         tracer.sim.now = 2.0
         b.finish()
-        lanes = assign_lanes(tracer.finished_spans())
+        lanes = lanes_of(tracer.table.lane_rows(tracer.table.finished()))
         assert lanes[a.span_id] == lanes[b.span_id]
 
     def test_nodes_do_not_share_lanes(self):
@@ -154,7 +154,7 @@ class TestAssignLanes:
         tracer.sim.now = 1.0
         a.finish()
         b.finish()
-        lanes = assign_lanes(tracer.finished_spans())
+        lanes = lanes_of(tracer.table.lane_rows(tracer.table.finished()))
         # each node starts its own lane numbering at 0
         assert lanes[a.span_id] == 0
         assert lanes[b.span_id] == 0
